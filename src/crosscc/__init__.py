@@ -10,38 +10,24 @@ conflates.
 from .basis import (
     CycleBasis,
     Provenance,
-    ShortestPathTable,
-    all_pairs_shortest_paths,
     enumerate_simple_cycles,
     horton_basis,
     oracle_min_basis,
     tree_bound,
 )
-from .cfg import ControlFlowGraph, lower, lower_program, mcc
+from .cfg import ControlFlowGraph, lower, mcc
 from .dot import DotGraphDoc, dump_cfg_dot, dump_dot, parse_dot
 from .errors import CrossCCError
 from .graph import (
     Cycle,
     Edge,
-    IncidenceVector,
     SpanningTree,
     WeightedDigraph,
     cycle_rank,
     fundamental_cycle,
-    gf2_rank,
-    graph_weight,
-    ring_sum,
     spanning_tree,
-    to_incidence_vector,
 )
-from .metric import (
-    CrossComplexity,
-    Mode,
-    Region,
-    classify_region,
-    cross_complexity,
-    refactor_indicator,
-)
+from .metric import CrossComplexity, Region, classify_region, cross_complexity
 from .minilang import parse
 from .plot import halfplane_svg, points_csv
 from .report import AnalysisReport, UnitRecord
@@ -54,18 +40,11 @@ __all__ = [
     "Edge",
     "SpanningTree",
     "Cycle",
-    "IncidenceVector",
-    "graph_weight",
     "spanning_tree",
     "fundamental_cycle",
-    "ring_sum",
-    "to_incidence_vector",
-    "gf2_rank",
     "cycle_rank",
     "CycleBasis",
     "Provenance",
-    "ShortestPathTable",
-    "all_pairs_shortest_paths",
     "horton_basis",
     "tree_bound",
     "oracle_min_basis",
@@ -73,14 +52,11 @@ __all__ = [
     "parse",
     "ControlFlowGraph",
     "lower",
-    "lower_program",
     "mcc",
     "CrossComplexity",
-    "Mode",
     "Region",
     "cross_complexity",
     "classify_region",
-    "refactor_indicator",
     "DotGraphDoc",
     "parse_dot",
     "dump_dot",

@@ -4,7 +4,7 @@ spanning-tree upper bound, and an independent brute-force oracle.
 The exact algorithm builds, for every vertex z and edge e=(x,y), the
 candidate cycle ``shortest z-x path + e + shortest y-z path``, keeps the
 simple ones, sorts them by weight, and greedily admits candidates whose
-incidence vector is independent over GF(2) until the cycle rank is reached.
+edge bitmask is independent over GF(2) until the cycle rank is reached.
 The candidate set is guaranteed to contain a minimum-weight basis when the
 shortest paths are unique, so path ties are broken by a deterministic
 additive perturbation (see ``_dijkstra``).
@@ -22,7 +22,6 @@ from .errors import DisconnectedGraph, NegativeWeight, NotACycle, TooLarge
 from .graph import (
     Cycle,
     Gf2Basis,
-    IncidenceVector,
     SpanningTree,
     WeightedDigraph,
     cycle_rank,
@@ -118,58 +117,6 @@ class _SourceTree:
         return self._paths[target]
 
 
-@dataclass(frozen=True)
-class ShortestPathTable:
-    """All-pairs unoriented shortest paths with one canonical path per pair.
-
-    ``dist`` is symmetric; ``path_edge_ids[(x, y)]`` holds the edge-id set
-    of the canonical x-y path (same set for (y, x)).
-    """
-
-    vertex_count: int
-    _dist: Tuple[Tuple[Fraction, ...], ...]
-    _paths: Dict[Tuple[int, int], frozenset]
-    _via: Dict[Tuple[int, int], Optional[int]]
-
-    def dist(self, x: int, y: int) -> Fraction:
-        return self._dist[x][y]
-
-    def path_edge_ids(self, x: int, y: int) -> frozenset:
-        if x == y:
-            return frozenset()
-        key = (x, y) if x < y else (y, x)
-        return self._paths[key]
-
-    def via(self, x: int, y: int) -> Optional[int]:
-        """Edge id entering y on the stored x-to-y path (None when x == y)."""
-        return self._via[(x, y)]
-
-
-def all_pairs_shortest_paths(g: WeightedDigraph) -> ShortestPathTable:
-    """Exact unoriented shortest distances plus one canonical simple path per pair.
-
-    Requires non-negative weights and a connected graph. Ties between
-    equal-weight paths are broken by the additive edge-id perturbation of
-    ``_dijkstra``, so the table is a pure function of the graph.
-    """
-    _require_nonnegative(g)
-    g.require_connected()
-    n = g.vertex_count
-    trees = [_SourceTree(g, s) for s in range(n)]
-    dist_rows = tuple(tuple(trees[s].dist[t] for t in range(n)) for s in range(n))
-    paths: Dict[Tuple[int, int], frozenset] = {}
-    via: Dict[Tuple[int, int], Optional[int]] = {}
-    for x in range(n):
-        via[(x, x)] = None
-        for y in range(x + 1, n):
-            # The perturbed optimum is unique, so both endpoint trees store
-            # the same path; take it from the smaller endpoint's tree.
-            paths[(x, y)] = trees[x].path_edges(y)
-            via[(x, y)] = trees[x].pred[y]
-            via[(y, x)] = trees[y].pred[x]
-    return ShortestPathTable(vertex_count=n, _dist=dist_rows, _paths=paths, _via=via)
-
-
 def _candidate_cycles(g: WeightedDigraph, trees: Sequence[_SourceTree]):
     """All simple candidate cycles ``P(z,x) + e + P(y,z)``, deduplicated."""
     seen = {}
@@ -205,7 +152,7 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     trees = [_SourceTree(g, s) for s in range(g.vertex_count)]
     candidates = _candidate_cycles(g, trees)
     candidates.sort(key=lambda c: (c.weight, c.canonical_key()))
-    chosen = _greedy_independent(g, candidates, nu)
+    chosen = _greedy_independent(candidates, nu)
     if len(chosen) < nu:
         # Cannot happen for a connected graph: the candidate set contains a
         # minimum basis. Guard against silent nonsense anyway.
@@ -214,15 +161,18 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     return CycleBasis(cycles=tuple(chosen), total_weight=total, provenance=Provenance.EXACT)
 
 
-def _greedy_independent(g: WeightedDigraph, ordered_cycles, nu: int):
-    """First nu cycles, in the given order, whose incidence vectors are independent."""
+def _greedy_independent(ordered_cycles, nu: int):
+    """First nu cycles, in the given order, whose edge bitmasks are independent.
+
+    Every cycle was built through ``Cycle.from_edges``, which looked up each
+    edge id in the graph, so the masks need no range check of their own.
+    """
     basis = Gf2Basis()
     chosen = []
     for cycle in ordered_cycles:
         if len(chosen) == nu:
             break
-        vec = IncidenceVector.from_edge_ids(cycle.edge_ids, g.edge_count)
-        if basis.try_add(vec.bits):
+        if basis.try_add(sum(1 << i for i in cycle.edge_ids)):
             chosen.append(cycle)
     return chosen
 
@@ -281,7 +231,7 @@ def oracle_min_basis(g: WeightedDigraph, limit: int = 10_000) -> CycleBasis:
     """
     nu = cycle_rank(g)
     cycles = enumerate_simple_cycles(g, limit=limit)
-    chosen = _greedy_independent(g, cycles, nu)
+    chosen = _greedy_independent(cycles, nu)
     if len(chosen) < nu:
         raise AssertionError("cycle enumeration did not span the cycle space")
     total = sum((c.weight for c in chosen), Fraction(0))

@@ -24,6 +24,8 @@ shapes:
 
 Unreachable statements, and nodes that cannot reach the exit, are hard
 errors: the metric's strong-connectivity premise does not tolerate them.
+``check_reachability`` enforces the node condition for graphs from either
+frontend.
 """
 
 from __future__ import annotations
@@ -304,53 +306,59 @@ class _Lowerer:
                                   "the loops)", self.fn.line, self.fn.col,
                                   self.filename)
         start = 0
-        self._check_reachability(start, exit_node)
         edges = [(src, dst, Fraction(1)) for src, dst in self.arcs]
         virtual_arc = len(edges)
         edges.append((exit_node, start, Fraction(0)))
-        graph = WeightedDigraph(len(self.labels), edges, directed=True)
-        return ControlFlowGraph(graph=graph, start=start, exit=exit_node,
-                                virtual_arc=virtual_arc,
-                                node_labels=tuple(self.labels),
-                                name=self.fn.name)
+        cfg = ControlFlowGraph(graph=WeightedDigraph(len(self.labels), edges),
+                               start=start, exit=exit_node,
+                               virtual_arc=virtual_arc,
+                               node_labels=tuple(self.labels),
+                               name=self.fn.name)
+        check_reachability(cfg, self.positions, self.filename)
+        return cfg
 
-    def _check_reachability(self, start: int, exit_node: int) -> None:
-        n = len(self.labels)
-        forward = [[] for _ in range(n)]
-        backward = [[] for _ in range(n)]
-        for src, dst in self.arcs:
-            forward[src].append(dst)
-            backward[dst].append(src)
 
-        def closure(adj, origin):
-            seen = {origin}
-            stack = [origin]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            return seen
+def check_reachability(cfg: ControlFlowGraph,
+                       positions: Optional[List[Tuple[int, int]]] = None,
+                       filename: Optional[str] = None) -> None:
+    """Raise UnreachableCode unless every node lies on a start-to-exit path.
 
-        from_start = closure(forward, start)
-        to_exit = closure(backward, exit_node)
-        for v in range(n):
-            if v not in from_start or v not in to_exit:
-                line, col = self.positions[v] if v < len(self.positions) else (None, None)
-                raise UnreachableCode(
-                    f"node {self.labels[v]!r} lies on no start-to-exit path",
-                    line, col, self.filename)
+    The synthetic closing arc is left out, since it would make every node
+    trivially reachable. ``positions[v]`` is node v's source ``(line, col)``
+    for the diagnostic, when the graph came from source text.
+    """
+    n = cfg.graph.vertex_count
+    forward = [[] for _ in range(n)]
+    backward = [[] for _ in range(n)]
+    for e in cfg.graph.edges:
+        if e.id != cfg.virtual_arc:
+            forward[e.source].append(e.target)
+            backward[e.target].append(e.source)
+
+    def closure(adj, origin):
+        seen = {origin}
+        stack = [origin]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen
+
+    from_start = closure(forward, cfg.start)
+    to_exit = closure(backward, cfg.exit)
+    for v in range(n):
+        if v not in from_start or v not in to_exit:
+            line, col = positions[v] if positions else (None, None)
+            raise UnreachableCode(
+                f"node {cfg.node_labels[v]!r} lies on no start-to-exit path",
+                line, col, filename)
 
 
 def lower(fn: ast.Function, filename: str = "<input>") -> ControlFlowGraph:
     """Lower one parsed function to its control-flow graph."""
     return _Lowerer(fn, filename).build()
-
-
-def lower_program(program: ast.Program) -> List[ControlFlowGraph]:
-    """Lower every function of a parsed file, in source order."""
-    return [lower(fn, program.filename) for fn in program.functions]
 
 
 def mcc(cfg: ControlFlowGraph) -> int:

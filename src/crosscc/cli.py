@@ -25,12 +25,12 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .basis import tree_bound
+from .basis import Provenance
 from .cfg import lower, mcc
 from .dot import dump_cfg_dot, parse_dot
 from .errors import CrossCCError
 from .graph import as_weight
-from .metric import Mode, cross_complexity, cross_complexity_of_basis
+from .metric import CrossComplexity, cross_complexity
 from .minilang import parse
 from .plot import halfplane_svg, points_csv
 from .report import AnalysisReport, UnitRecord, report_from_json
@@ -48,40 +48,35 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _analyze_mini(path: Path, mode: Mode, slope: Fraction) -> List[UnitRecord]:
+def _record(path: Path, position: int, unit: str, source: str,
+            cc: CrossComplexity) -> UnitRecord:
+    return UnitRecord(
+        unit=unit, source=source, file=str(path), position=position,
+        nu=cc.nu, omega=cc.omega_min, provenance=cc.provenance.value,
+        region=cc.region.value, indicator=cc.indicator)
+
+
+def _analyze_mini(path: Path, mode: Provenance, slope: Fraction) -> List[UnitRecord]:
     program = parse(path.read_text(encoding="utf-8"), str(path))
-    records = []
-    for position, fn in enumerate(program.functions):
-        cfg = lower(fn, str(path))
-        cc = cross_complexity(cfg, mode=mode, slope=slope)
-        records.append(UnitRecord(
-            unit=fn.name, source=f"{path}:{fn.name}", file=str(path),
-            position=position, nu=cc.nu, omega=cc.omega_min,
-            provenance=cc.provenance.value, region=cc.region.value,
-            indicator=cc.indicator))
-    return records
+    return [_record(path, position, fn.name, f"{path}:{fn.name}",
+                    cross_complexity(lower(fn, str(path)), mode, slope))
+            for position, fn in enumerate(program.functions)]
 
 
-def _analyze_dot(path: Path, mode: Mode, slope: Fraction) -> List[UnitRecord]:
+def _analyze_dot(path: Path, mode: Provenance, slope: Fraction) -> List[UnitRecord]:
     doc = parse_dot(path.read_text(encoding="utf-8"), str(path))
     for src, dst in doc.duplicate_arcs:
         _diag(f"{path}: warning: arc {src} -> {dst} declared more than once; "
               "both kept as distinct edges")
     subject = doc.to_cfg() if doc.is_cfg() else doc.graph
-    marked = doc.marked_tree() if mode == Mode.TREE_BOUND else None
-    if marked is not None:
-        cc = cross_complexity_of_basis(doc.graph, tree_bound(doc.graph, marked),
-                                       slope=slope)
-    else:
-        cc = cross_complexity(subject, mode=mode, slope=slope)
-    return [UnitRecord(
-        unit=doc.name, source=str(path), file=str(path), position=0,
-        nu=cc.nu, omega=cc.omega_min, provenance=cc.provenance.value,
-        region=cc.region.value, indicator=cc.indicator)]
+    # Marks are read only when used, so a bad mark never fails an exact run.
+    marked = doc.marked_tree() if mode is Provenance.TREE_BOUND else None
+    cc = cross_complexity(subject, mode, slope, tree=marked)
+    return [_record(path, 0, doc.name, str(path), cc)]
 
 
 def _cmd_analyze(args) -> int:
-    mode = Mode.EXACT if args.mode == "exact" else Mode.TREE_BOUND
+    mode = Provenance.EXACT if args.mode == "exact" else Provenance.TREE_BOUND
     slope = as_weight(args.slope)
     records: List[UnitRecord] = []
     failed = False
@@ -95,11 +90,11 @@ def _cmd_analyze(args) -> int:
             else:
                 raise CrossCCError(f"unsupported file type {path.suffix!r} "
                                    "(expected .mini or .dot)")
-        except (CrossCCError, OSError) as ex:
+        except (CrossCCError, OSError, UnicodeDecodeError) as ex:
             _diag(f"{path}: error: {ex}")
             failed = True
     report = AnalysisReport.build(records, tool_version=__version__,
-                                  mode=mode.value, slope=slope)
+                                  mode=args.mode, slope=slope)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -143,7 +138,7 @@ def _cmd_dump_cfg(args) -> int:
                 cfg = lower(fn, str(path))
                 chunks.append(f"// {path}:{fn.name}  mcc={mcc(cfg)}")
                 chunks.append(dump_cfg_dot(cfg))
-        except (CrossCCError, OSError) as ex:
+        except (CrossCCError, OSError, UnicodeDecodeError) as ex:
             _diag(f"{path}: error: {ex}")
             status = 1
     text = "\n".join(chunks)
@@ -152,6 +147,18 @@ def _cmd_dump_cfg(args) -> int:
     else:
         sys.stdout.write(text)
     return status
+
+
+def _number(text: str) -> str:
+    """argparse type for exact numbers such as ``2``, ``3.5`` or ``7/2``.
+
+    The text is returned as typed, so diagnostics quote the user's spelling.
+    """
+    try:
+        as_weight(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    return text
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -164,10 +171,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="analyze .mini / .dot files")
     analyze.add_argument("paths", nargs="+", metavar="path")
     analyze.add_argument("--mode", choices=["exact", "treebound"], default="exact")
-    analyze.add_argument("--slope", default="2",
+    analyze.add_argument("--slope", default="2", type=_number,
                          help="halfplane band boundary slope (default 2)")
     analyze.add_argument("--fail-above", dest="fail_above", default=None,
-                         help="exit 2 if any unit's omega/nu exceeds this ratio")
+                         type=_number, help="exit 2 if any unit's omega/nu exceeds this ratio")
     analyze.add_argument("--format", choices=["json", "csv"], default="json")
     analyze.add_argument("-o", "--output", default=None)
     analyze.set_defaults(func=_cmd_analyze)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cfg import ControlFlowGraph
+from .cfg import ControlFlowGraph, check_reachability
 from .errors import DotSyntaxError, MissingStartExit
 from .graph import SpanningTree, WeightedDigraph, as_weight
 
@@ -65,6 +65,8 @@ class DotGraphDoc:
                 and self.virtual_arc is not None)
 
     def to_cfg(self) -> ControlFlowGraph:
+        """The control-flow graph, held to the same start-to-exit condition
+        as a lowered MiniLang function."""
         if self.start is None or self.exit is None:
             raise MissingStartExit(
                 f"graph {self.name!r} has no start=/exit= attributes")
@@ -72,10 +74,12 @@ class DotGraphDoc:
             raise MissingStartExit(
                 f"graph {self.name!r} was parsed with addvirtual=false; "
                 "control-flow analysis needs the closing arc")
-        return ControlFlowGraph(
+        cfg = ControlFlowGraph(
             graph=self.graph, start=self.start, exit=self.exit,
             virtual_arc=self.virtual_arc, node_labels=self.node_names,
             name=self.name)
+        check_reachability(cfg)
+        return cfg
 
     def marked_tree(self, root: Optional[int] = None) -> Optional[SpanningTree]:
         """The spanning tree carried by tree=true marks, if any were given."""
@@ -224,7 +228,7 @@ class _DotParser:
                     self.line(), None, self.filename)
             virtual_arc = len(edges)
             edges.append((node_ids[exit_], node_ids[start], Fraction(0)))
-        graph = WeightedDigraph(len(node_names), edges, directed=True)
+        graph = WeightedDigraph(len(node_names), edges)
         return DotGraphDoc(
             name=name, graph=graph, node_names=tuple(node_names),
             start=node_ids[start] if start is not None else None,

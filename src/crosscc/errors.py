@@ -33,10 +33,6 @@ class NotACycle(CrossCCError):
     """An edge set is not a single simple unoriented cycle."""
 
 
-class DimensionMismatch(CrossCCError):
-    """Incidence vectors of different lengths were mixed."""
-
-
 class NegativeWeight(CrossCCError):
     """Shortest-path based algorithms require non-negative edge weights."""
 

@@ -1,4 +1,4 @@
-"""Weighted simple digraphs, spanning trees, fundamental cycles, and GF(2) cycle-space algebra.
+"""Weighted digraphs, spanning trees, fundamental cycles, and GF(2) elimination.
 
 Edges carry dense integer ids and that id, not the endpoint pair, is an
 edge's identity. Parallel arcs between the same vertices are therefore
@@ -6,8 +6,10 @@ representable, which keeps the control-flow construction total when the
 synthetic exit-to-start arc duplicates an existing arc.
 
 Cycles are unoriented edge-id sets: arc direction matters to control-flow
-semantics, never to the cycle algebra. All weights are exact
-``fractions.Fraction`` values so equality assertions are exact.
+semantics, never to the cycle algebra, so every algorithm here traverses
+the underlying undirected graph. Over GF(2) a cycle is an int bitmask with
+bit i set iff edge i is in it. All weights are exact ``fractions.Fraction``
+values so equality assertions are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
-    DimensionMismatch,
     DisconnectedGraph,
     EdgeInTree,
     EmptyGraph,
@@ -54,21 +55,11 @@ class Edge:
 
 
 class WeightedDigraph:
-    """Immutable weighted digraph over dense vertex ids ``0..vertex_count-1``.
+    """Immutable weighted digraph over dense vertex ids ``0..vertex_count-1``."""
 
-    ``directed=False`` marks a graph whose arcs should be read as unoriented
-    edges; the algorithms here always traverse the underlying undirected
-    graph either way.
-    """
+    __slots__ = ("vertex_count", "edges", "_incidence")
 
-    __slots__ = ("vertex_count", "edges", "directed", "_incidence")
-
-    def __init__(
-        self,
-        vertex_count: int,
-        edges: Iterable[Union[Edge, tuple]],
-        directed: bool = True,
-    ):
+    def __init__(self, vertex_count: int, edges: Iterable[Union[Edge, tuple]]):
         if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
         built = []
@@ -88,7 +79,6 @@ class WeightedDigraph:
             built.append(e)
         self.vertex_count = vertex_count
         self.edges = tuple(built)
-        self.directed = directed
         incidence = [[] for _ in range(vertex_count)]
         for e in self.edges:
             incidence[e.source].append(e)
@@ -133,13 +123,7 @@ class WeightedDigraph:
             raise DisconnectedGraph("graph is not connected (unoriented)")
 
     def __repr__(self):
-        kind = "digraph" if self.directed else "graph"
-        return f"WeightedDigraph({kind}, V={self.vertex_count}, E={len(self.edges)})"
-
-
-def graph_weight(g: WeightedDigraph) -> Fraction:
-    """Total weight of the edge set."""
-    return sum((e.weight for e in g.edges), Fraction(0))
+        return f"WeightedDigraph(V={self.vertex_count}, E={len(self.edges)})"
 
 
 @dataclass(frozen=True)
@@ -298,60 +282,11 @@ def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
     return Cycle.from_edges(t.host, ids)
 
 
-def ring_sum(a: Iterable[int], b: Iterable[int]) -> frozenset:
-    """Symmetric difference of two edge-id sets: addition in the GF(2) cycle space."""
-    return frozenset(a) ^ frozenset(b)
-
-
-@dataclass(frozen=True)
-class IncidenceVector:
-    """A packed bit vector over edge ids: bit i set iff edge i is in the set."""
-
-    bits: int
-    length: int
-
-    @classmethod
-    def from_edge_ids(cls, edge_ids: Iterable[int], length: int) -> "IncidenceVector":
-        bits = 0
-        for i in edge_ids:
-            if not (0 <= i < length):
-                raise UnknownEdge(f"edge id {i} outside 0..{length - 1}")
-            bits |= 1 << i
-        return cls(bits=bits, length=length)
-
-    @classmethod
-    def from_bitstring(cls, text: str) -> "IncidenceVector":
-        """Parse e.g. ``1110000``; leftmost character is edge 0."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid bit {ch!r}")
-        return cls(bits=bits, length=len(text))
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "IncidenceVector") -> "IncidenceVector":
-        if self.length != other.length:
-            raise DimensionMismatch(f"lengths {self.length} and {other.length} differ")
-        return IncidenceVector(bits=self.bits ^ other.bits, length=self.length)
-
-    def to_bitstring(self) -> str:
-        return "".join(str(self.bit(i)) for i in range(self.length))
-
-
-def to_incidence_vector(c: Cycle, g: WeightedDigraph) -> IncidenceVector:
-    """Incidence vector of a cycle over the host graph's edge ids."""
-    return IncidenceVector.from_edge_ids(c.edge_ids, g.edge_count)
-
-
 class Gf2Basis:
-    """Incremental GF(2) elimination over packed bit vectors.
+    """Incremental GF(2) elimination over int bitmasks.
 
     Keeps one reduced vector per pivot (highest set bit). ``try_add``
-    reduces the candidate by existing pivots; a surviving nonzero vector is
+    reduces the candidate by existing pivots; a surviving nonzero mask is
     independent and gets stored, a vanished one was dependent.
     """
 
@@ -371,19 +306,6 @@ class Gf2Basis:
                 return True
             v ^= self._pivots[msb]
         return False
-
-
-def gf2_rank(vectors: Sequence[IncidenceVector]) -> int:
-    """Rank of the vector set over GF(2), by elimination with XOR row operations."""
-    if not vectors:
-        return 0
-    length = vectors[0].length
-    basis = Gf2Basis()
-    for v in vectors:
-        if v.length != length:
-            raise DimensionMismatch(f"lengths {length} and {v.length} differ")
-        basis.try_add(v.bits)
-    return basis.rank
 
 
 def cycle_rank(g: WeightedDigraph) -> int:

@@ -1,5 +1,5 @@
 """The cross complexity pair, its halfplane classification, and the
-refactoring indicator.
+refactoring indicator omega/nu.
 
 The pair is (nu, omega): nu is the cycle rank of the closed graph (McCabe's
 number for a control-flow graph) and omega the weight of a minimum-weight
@@ -19,17 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .basis import CycleBasis, Provenance, horton_basis, tree_bound
+from .basis import Provenance, horton_basis, tree_bound
 from .cfg import ControlFlowGraph
 from .errors import ZeroNu
 from .graph import SpanningTree, WeightedDigraph, as_weight, cycle_rank, spanning_tree
 
 DEFAULT_SLOPE = Fraction(2)
-
-
-class Mode(enum.Enum):
-    EXACT = "exact"
-    TREE_BOUND = "treebound"
 
 
 class Region(enum.Enum):
@@ -46,7 +41,7 @@ class CrossComplexity:
     omega_min: Fraction
     provenance: Provenance
     region: Region
-    indicator: Fraction
+    indicator: Fraction  # omega/nu: distance from the diagonal, smaller is better
 
     def as_tuple(self):
         return (self.nu, self.omega_min)
@@ -68,13 +63,6 @@ def classify_region(nu: int, omega, slope=DEFAULT_SLOPE) -> Region:
     return Region.NON_TRIVIAL
 
 
-def refactor_indicator(c: CrossComplexity) -> Fraction:
-    """omega/nu: distance-from-the-diagonal ratio, smaller is better."""
-    if c.nu == 0:
-        raise ZeroNu("indicator undefined for cycle rank 0")
-    return c.omega_min / Fraction(c.nu)
-
-
 def _make(nu: int, omega: Fraction, provenance: Provenance, slope) -> CrossComplexity:
     if nu == 0:
         raise ZeroNu("cross complexity needs cycle rank >= 1 "
@@ -87,15 +75,16 @@ def _make(nu: int, omega: Fraction, provenance: Provenance, slope) -> CrossCompl
 
 def cross_complexity(
     subject: Union[ControlFlowGraph, WeightedDigraph],
-    mode: Mode = Mode.EXACT,
+    mode: Provenance = Provenance.EXACT,
     slope=DEFAULT_SLOPE,
     tree: Optional[SpanningTree] = None,
 ) -> CrossComplexity:
     """Compute the pair for a control-flow graph or a bare weighted graph.
 
-    ``mode=EXACT`` runs the exact minimum-basis algorithm; ``TREE_BOUND``
-    sums the fundamental cycles of ``tree`` (or of the deterministic BFS
-    tree rooted at the start vertex when none is given).
+    ``mode=Provenance.EXACT`` runs the exact minimum-basis algorithm;
+    ``Provenance.TREE_BOUND`` sums the fundamental cycles of ``tree`` (or of
+    the deterministic BFS tree rooted at the start vertex when none is
+    given). ``Provenance.ORACLE`` is not a mode and raises ValueError.
     """
     if isinstance(subject, ControlFlowGraph):
         graph = subject.graph
@@ -104,14 +93,10 @@ def cross_complexity(
         graph = subject
         root = 0
     nu = cycle_rank(graph)
-    if mode == Mode.EXACT:
+    if mode is Provenance.EXACT:
         basis = horton_basis(graph)
-    else:
+    elif mode is Provenance.TREE_BOUND:
         basis = tree_bound(graph, tree or spanning_tree(graph, root))
+    else:
+        raise ValueError(f"cross complexity has no {mode.value!r} mode")
     return _make(nu, basis.total_weight, basis.provenance, slope)
-
-
-def cross_complexity_of_basis(graph: WeightedDigraph, basis: CycleBasis,
-                              slope=DEFAULT_SLOPE) -> CrossComplexity:
-    """Wrap an already-computed basis as a CrossComplexity value."""
-    return _make(cycle_rank(graph), basis.total_weight, basis.provenance, slope)

@@ -85,9 +85,6 @@ class AnalysisReport:
                              d["indicator"]])
         return out.getvalue()
 
-    def max_indicator(self) -> Fraction:
-        return max((r.indicator for r in self.records), default=Fraction(0))
-
 
 def report_from_json(text: str) -> AnalysisReport:
     """Rehydrate a report (e.g. for plotting a previously saved analysis)."""

@@ -24,7 +24,6 @@ def weighted_fan() -> WeightedDigraph:
     return WeightedDigraph(
         5,
         [(a, b, 1), (a, c, 3), (a, d, 5), (a, e, 4), (b, c, 2), (c, d, 7), (d, e, 6)],
-        directed=False,
     )
 
 
@@ -41,7 +40,6 @@ def negative_weight_pentagon() -> WeightedDigraph:
         5,
         [(a, b, 4), (b, c, -1), (a, c, 0), (a, d, "1/2"), (c, d, 1),
          (c, e, 5), (d, e, -10)],
-        directed=True,
     )
 
 
@@ -61,7 +59,7 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 9,
     rng.shuffle(candidates)
     for u, v in candidates[:rng.randint(0, max_nu)]:
         edges.append((u, v, 1))
-    return WeightedDigraph(n, edges, directed=False)
+    return WeightedDigraph(n, edges)
 
 
 def random_spanning_tree(g: WeightedDigraph, rng: random.Random) -> SpanningTree:

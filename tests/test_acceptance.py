@@ -13,17 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from crosscc.basis import Gf2Basis, horton_basis, oracle_min_basis, tree_bound
-from crosscc.cfg import lower, lower_program, mcc
+from crosscc.basis import Gf2Basis, Provenance, horton_basis, oracle_min_basis, tree_bound
+from crosscc.cfg import lower, mcc
 from crosscc.cli import main
 from crosscc.dot import parse_dot
-from crosscc.graph import (
-    IncidenceVector,
-    SpanningTree,
-    cycle_rank,
-    gf2_rank,
-)
-from crosscc.metric import Mode, cross_complexity
+from crosscc.graph import SpanningTree, cycle_rank
+from crosscc.metric import cross_complexity
 from crosscc.minilang import parse
 
 from conftest import (
@@ -71,7 +66,7 @@ def test_01_atomic_structures():
         }
         for name, pair in expected.items():
             cfg = lower(parse(fixture_text(name)).functions[0])
-            cc = cross_complexity(cfg, mode=Mode.EXACT)
+            cc = cross_complexity(cfg, mode=Provenance.EXACT)
             assert cc.as_tuple() == pair, f"{name}: {cc.as_tuple()} != {pair}"
 
 
@@ -86,16 +81,16 @@ def test_02_weighted_fan_exact_and_tree_bounds():
 
 def test_03_gf2_worked_example():
     with criterion(3, "gf2-rank"):
+        # One column per cycle; the leftmost character is edge 0.
         columns = ["1110000", "0001110", "0010101"]
-        vectors = [IncidenceVector.from_bitstring(c) for c in columns]
-        assert gf2_rank(vectors) == 3
         basis = Gf2Basis()
-        assert all(basis.try_add(v.bits) for v in vectors)
+        assert all(basis.try_add(int(c[::-1], 2)) for c in columns)
+        assert basis.rank == 3
 
 
 def test_04_listing_parity():
     with criterion(4, "same-mcc-separated"):
-        cfgs = lower_program(parse(fixture_text("listing1.mini")))
+        cfgs = [lower(fn) for fn in parse(fixture_text("listing1.mini")).functions]
         assert [c.name for c in cfgs] == ["sumOfPrimes", "getWords"]
         assert [mcc(c) for c in cfgs] == [4, 4]
         omegas = [horton_basis(c.graph).total_weight for c in cfgs]

@@ -4,7 +4,7 @@ import pytest
 
 from crosscc.basis import (
     Provenance,
-    all_pairs_shortest_paths,
+    _SourceTree,
     enumerate_simple_cycles,
     horton_basis,
     oracle_min_basis,
@@ -12,12 +12,11 @@ from crosscc.basis import (
 )
 from crosscc.errors import DisconnectedGraph, NegativeWeight, TooLarge
 from crosscc.graph import (
+    Gf2Basis,
     SpanningTree,
     WeightedDigraph,
     cycle_rank,
-    gf2_rank,
     spanning_tree,
-    to_incidence_vector,
 )
 
 from conftest import (
@@ -32,12 +31,12 @@ from conftest import (
 
 
 def triangle():
-    return WeightedDigraph(3, [(0, 1), (1, 2), (2, 0)], directed=False)
+    return WeightedDigraph(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def k4():
     return WeightedDigraph(
-        4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], directed=False)
+        4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def ifelse_cfg():
@@ -46,40 +45,43 @@ def ifelse_cfg():
         4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (3, 0, 0)])
 
 
+def source_trees(g):
+    """One shortest-path tree per source, as ``horton_basis`` builds them."""
+    return [_SourceTree(g, s) for s in range(g.vertex_count)]
+
+
 class TestAllPairsShortestPaths:
+    """All-pairs distances and paths, read from one ``_SourceTree`` per source."""
+
     def test_fan_b_to_d(self):
         # All simple b-d walks weigh 6 (b-a-d), 9 (b-c-d), 10, 11, 11, 15.
-        spt = all_pairs_shortest_paths(weighted_fan())
-        assert spt.dist(1, 3) == 6
-        assert spt.path_edge_ids(1, 3) == {0, 2}
+        trees = source_trees(weighted_fan())
+        assert trees[1].dist[3] == 6
+        assert trees[1].path_edges(3) == {0, 2}
 
     def test_unit_path_graph(self):
         g = WeightedDigraph(5, [(i, i + 1, 1) for i in range(4)])
-        spt = all_pairs_shortest_paths(g)
-        assert spt.dist(0, 4) == 4
+        assert _SourceTree(g, 0).dist[4] == 4
 
     def test_diagonal_zero_and_symmetry(self):
-        spt = all_pairs_shortest_paths(weighted_fan())
+        trees = source_trees(weighted_fan())
         for x in range(5):
-            assert spt.dist(x, x) == 0
-            assert spt.path_edge_ids(x, x) == frozenset()
+            assert trees[x].dist[x] == 0
+            assert trees[x].path_edges(x) == frozenset()
             for y in range(5):
-                assert spt.dist(x, y) == spt.dist(y, x)
+                assert trees[x].dist[y] == trees[y].dist[x]
+                # The tie-break makes the optimum unique, so both ends agree.
+                assert trees[x].path_edges(y) == trees[y].path_edges(x)
 
     def test_paths_achieve_distances(self):
         g = weighted_fan()
-        spt = all_pairs_shortest_paths(g)
-        for x in range(5):
+        for tree in source_trees(g):
             for y in range(5):
-                assert g.weight_of(spt.path_edge_ids(x, y)) == spt.dist(x, y)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(NegativeWeight):
-            all_pairs_shortest_paths(negative_weight_pentagon())
+                assert g.weight_of(tree.path_edges(y)) == tree.dist[y]
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
-            all_pairs_shortest_paths(WeightedDigraph(3, [(0, 1)]))
+            _SourceTree(WeightedDigraph(3, [(0, 1)]), 0)
 
 
 class TestHortonBasis:
@@ -115,11 +117,16 @@ class TestHortonBasis:
         with pytest.raises(NegativeWeight):
             horton_basis(negative_weight_pentagon())
 
+    def test_disconnected_rejected(self):
+        with pytest.raises(DisconnectedGraph):
+            horton_basis(WeightedDigraph(3, [(0, 1)]))
+
     def test_basis_is_independent_and_full_rank(self):
         g = weighted_fan()
-        basis = horton_basis(g)
-        vectors = [to_incidence_vector(c, g) for c in basis.cycles]
-        assert gf2_rank(vectors) == cycle_rank(g)
+        gf2 = Gf2Basis()
+        assert all(gf2.try_add(sum(1 << i for i in c.edge_ids))
+                   for c in horton_basis(g).cycles)
+        assert gf2.rank == cycle_rank(g)
 
     def test_cycle_weights_recompute(self):
         g = weighted_fan()

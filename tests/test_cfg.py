@@ -1,7 +1,7 @@
 import pytest
 
 from crosscc.basis import horton_basis
-from crosscc.cfg import lower, lower_program, mcc
+from crosscc.cfg import lower, mcc
 from crosscc.errors import UnreachableCode
 from crosscc.graph import cycle_rank
 from crosscc.minilang import parse
@@ -11,6 +11,10 @@ from conftest import fixture_text
 
 def lower_source(source: str):
     return lower(parse(source).functions[0])
+
+
+def lower_all(source: str):
+    return [lower(fn) for fn in parse(source).functions]
 
 
 def arc_pairs(cfg):
@@ -67,7 +71,7 @@ class TestMcc:
         assert mcc(lower_source("fn f() { x; }")) == 1
 
     def test_listing_functions_both_four(self):
-        cfgs = lower_program(parse(fixture_text("listing1.mini")))
+        cfgs = lower_all(fixture_text("listing1.mini"))
         assert [mcc(c) for c in cfgs] == [4, 4]
 
     def test_equals_cycle_rank_and_edge_formula(self):
@@ -148,8 +152,8 @@ class TestDiagnostics:
 class TestDeterminismAndReachability:
     def test_identical_source_identical_graph(self):
         src = fixture_text("listing1.mini")
-        a = lower_program(parse(src))
-        b = lower_program(parse(src))
+        a = lower_all(src)
+        b = lower_all(src)
         for x, y in zip(a, b):
             assert arc_pairs(x) == arc_pairs(y)
             assert x.node_labels == y.node_labels
@@ -157,7 +161,7 @@ class TestDeterminismAndReachability:
     def test_every_vertex_on_start_exit_path(self):
         for name in ("atomic_seq.mini", "atomic_if.mini", "atomic_ifelse.mini",
                      "atomic_while.mini", "listing1.mini"):
-            for cfg in lower_program(parse(fixture_text(name))):
+            for cfg in lower_all(fixture_text(name)):
                 g = cfg.graph
                 fwd = {cfg.start}
                 stack = [cfg.start]
@@ -178,6 +182,6 @@ class TestDeterminismAndReachability:
                 assert fwd == back == set(range(g.vertex_count))
 
     def test_exact_omega_of_listing_functions_differ(self):
-        cfgs = lower_program(parse(fixture_text("listing1.mini")))
+        cfgs = lower_all(fixture_text("listing1.mini"))
         weights = [horton_basis(c.graph).total_weight for c in cfgs]
         assert weights[0] != weights[1]

@@ -1,6 +1,8 @@
 import json
 import shutil
 
+import pytest
+
 from crosscc.cli import main
 from crosscc.dot import parse_dot
 
@@ -38,6 +40,15 @@ class TestAnalyze:
         assert (rec["nu"], rec["omega"]) == (4, 12)
         assert rec["provenance"] == "tree-bound"
 
+    def test_bad_tree_marks_fail_only_treebound_mode(self, tmp_path, capsys):
+        # Three marks on a three-node graph cannot form a spanning tree.
+        path = tmp_path / "marks.dot"
+        path.write_text("digraph g { start=s; exit=r; s -> a [tree=true]; "
+                        "a -> r [tree=true]; s -> r [tree=true]; }", encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+        assert main(["analyze", "--mode", "treebound", str(path)]) == 1
+        assert "marks.dot: error:" in capsys.readouterr().err
+
     def test_csv_format(self, tmp_path, capsys):
         path = copy_fixture(tmp_path, "atomic_seq.mini")
         assert main(["analyze", "--format", "csv", str(path)]) == 0
@@ -62,12 +73,40 @@ class TestAnalyze:
                      str(tmp_path / "r.json")]) == 0
         assert main(["analyze", "--fail-above", "3.5", str(path), "-o",
                      str(tmp_path / "r.json")]) == 2
-        assert "exceeds" in capsys.readouterr().err
+        assert "exceeds --fail-above 3.5" in capsys.readouterr().err
 
     def test_fail_above_is_strict(self, tmp_path):
         path = copy_fixture(tmp_path, "atomic_while.mini")  # indicator 2.0
         assert main(["analyze", "--fail-above", "2", str(path), "-o",
                      str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--slope", "foo"), ("--slope", "1/0"), ("--fail-above", "x")])
+    def test_bad_number_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        path = copy_fixture(tmp_path, "atomic_seq.mini")
+        with pytest.raises(SystemExit) as exited:
+            main(["analyze", flag, value, str(path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}" in err
+
+    def test_non_utf8_file_is_a_per_file_error(self, tmp_path, capsys):
+        good = copy_fixture(tmp_path, "atomic_seq.mini")
+        bad = tmp_path / "bad.mini"
+        bad.write_bytes(b"fn f() { x; }\xff")
+        assert main(["analyze", str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert f"{bad}: error:" in captured.err
+        assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["seq"]
+
+    def test_dot_node_off_every_start_exit_path_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "stray.dot"
+        path.write_text("digraph g { start=s; exit=r; s -> r; x -> s; x -> r; }",
+                        encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "'x' lies on no start-to-exit path" in captured.err
+        assert json.loads(captured.out)["records"] == []
 
     def test_unsupported_extension(self, tmp_path, capsys):
         path = tmp_path / "what.txt"
@@ -135,6 +174,15 @@ class TestDumpCfg:
         doc = parse_dot(out[out.index("digraph"):])
         assert doc.is_cfg()
         assert doc.graph.vertex_count == 3
+
+    def test_non_utf8_file_is_a_per_file_error(self, tmp_path, capsys):
+        good = copy_fixture(tmp_path, "atomic_seq.mini")
+        bad = tmp_path / "bad.mini"
+        bad.write_bytes(b"\xff")
+        assert main(["dump-cfg", str(bad), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert f"{bad}: error:" in captured.err
+        assert "// " + str(good) + ":seq" in captured.out
 
     def test_diagnostics_not_colored_with_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CROSSCC_NO_COLOR", "1")

@@ -5,8 +5,8 @@ import pytest
 from crosscc.basis import horton_basis, tree_bound
 from crosscc.cfg import lower
 from crosscc.dot import dump_cfg_dot, dump_dot, parse_dot
-from crosscc.errors import DotSyntaxError, MissingStartExit
-from crosscc.graph import cycle_rank, graph_weight
+from crosscc.errors import DotSyntaxError, MissingStartExit, UnreachableCode
+from crosscc.graph import cycle_rank
 from crosscc.minilang import parse
 
 from conftest import fixture_text
@@ -17,7 +17,7 @@ class TestParse:
         doc = parse_dot(fixture_text("weighted_fan.dot"))
         assert doc.graph.vertex_count == 5
         assert doc.graph.edge_count == 7
-        assert graph_weight(doc.graph) == 28
+        assert doc.graph.weight_of(range(7)) == 28
         assert not doc.is_cfg()
         assert doc.virtual_arc is None
 
@@ -65,6 +65,13 @@ class TestParse:
         doc = parse_dot("digraph g { a -> b; }")
         with pytest.raises(MissingStartExit):
             doc.to_cfg()
+
+    def test_cfg_needs_every_node_on_a_start_exit_path(self):
+        for body in ("s -> r; x -> s; x -> r;",    # x unreachable from start
+                     "s -> r; s -> y;"):           # y cannot reach exit
+            doc = parse_dot(f"digraph g {{ start=s; exit=r; {body} }}")
+            with pytest.raises(UnreachableCode):
+                doc.to_cfg()
 
     def test_unknown_start_vertex(self):
         with pytest.raises(DotSyntaxError):

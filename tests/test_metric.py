@@ -6,14 +6,7 @@ from crosscc.basis import Provenance
 from crosscc.cfg import lower
 from crosscc.errors import ZeroNu
 from crosscc.graph import SpanningTree, WeightedDigraph
-from crosscc.metric import (
-    CrossComplexity,
-    Mode,
-    Region,
-    classify_region,
-    cross_complexity,
-    refactor_indicator,
-)
+from crosscc.metric import CrossComplexity, Region, classify_region, cross_complexity
 from crosscc.minilang import parse
 
 from conftest import FAN_TREE_1, FAN_TREE_2, fixture_text, weighted_fan
@@ -50,12 +43,12 @@ class TestCrossComplexity:
         # fundamental system of the drawn tree confirms 12 exactly.
         g = bubble_sort_cfg()
         tree = SpanningTree.from_edge_ids(g, 0, BUBBLE_TREE)
-        cc = cross_complexity(g, mode=Mode.TREE_BOUND, tree=tree)
+        cc = cross_complexity(g, mode=Provenance.TREE_BOUND, tree=tree)
         assert cc.as_tuple() == (4, 12)
         assert cc.provenance is Provenance.TREE_BOUND
 
     def test_bubble_sort_exact_is_lower(self):
-        cc = cross_complexity(bubble_sort_cfg(), mode=Mode.EXACT)
+        cc = cross_complexity(bubble_sort_cfg(), mode=Provenance.EXACT)
         assert cc.as_tuple() == (4, 11)
 
     def test_exact_never_exceeds_tree_bound(self):
@@ -64,8 +57,8 @@ class TestCrossComplexity:
                     fixture_text("listing1.mini")):
             for fn in parse(src).functions:
                 cfg = lower(fn)
-                exact = cross_complexity(cfg, mode=Mode.EXACT)
-                bound = cross_complexity(cfg, mode=Mode.TREE_BOUND)
+                exact = cross_complexity(cfg, mode=Provenance.EXACT)
+                bound = cross_complexity(cfg, mode=Provenance.TREE_BOUND)
                 assert exact.omega_min <= bound.omega_min
                 assert exact.nu == bound.nu
 
@@ -73,13 +66,17 @@ class TestCrossComplexity:
         g = weighted_fan()
         assert cross_complexity(g).as_tuple() == (3, 36)
         t2 = SpanningTree.from_edge_ids(g, 0, FAN_TREE_2)
-        assert cross_complexity(g, mode=Mode.TREE_BOUND, tree=t2).as_tuple() == (3, 45)
+        assert cross_complexity(g, mode=Provenance.TREE_BOUND, tree=t2).as_tuple() == (3, 45)
         t1 = SpanningTree.from_edge_ids(g, 0, FAN_TREE_1)
-        assert cross_complexity(g, mode=Mode.TREE_BOUND, tree=t1).as_tuple() == (3, 36)
+        assert cross_complexity(g, mode=Provenance.TREE_BOUND, tree=t1).as_tuple() == (3, 36)
 
     def test_acyclic_plain_graph_rejected(self):
         with pytest.raises(ZeroNu):
             cross_complexity(WeightedDigraph(3, [(0, 1), (1, 2)]))
+
+    def test_oracle_is_not_a_mode(self):
+        with pytest.raises(ValueError):
+            cross_complexity(weighted_fan(), mode=Provenance.ORACLE)
 
     def test_region_never_infeasible_for_real_graphs(self):
         for src in ("fn f() { x; }", "fn f() { while (c) { x; } }",
@@ -110,19 +107,17 @@ class TestClassifyRegion:
 
 class TestIndicator:
     def test_ratio_values(self):
-        mk = lambda nu, om: CrossComplexity(
-            nu=nu, omega_min=Fraction(om), provenance=Provenance.EXACT,
-            region=classify_region(nu, om), indicator=Fraction(om, nu))
-        assert refactor_indicator(mk(4, 12)) == 3
-        assert refactor_indicator(mk(10, 47)) == Fraction(47, 10)
-        assert refactor_indicator(mk(1, 1)) == 1
+        # omega/nu for the pairs (4, 12), (4, 15) and (1, 1).
+        tree = SpanningTree.from_edge_ids(bubble_sort_cfg(), 0, BUBBLE_TREE)
+        bubble = cross_complexity(tree.host, mode=Provenance.TREE_BOUND, tree=tree)
+        assert bubble.indicator == 3
+        assert cc_of(fixture_text("listing1.mini")).indicator == Fraction(15, 4)
+        assert cc_of("fn f() { x; }").indicator == 1
 
     def test_zero_nu_rejected(self):
-        bad = CrossComplexity(nu=0, omega_min=Fraction(0),
-                              provenance=Provenance.EXACT,
-                              region=Region.NON_TRIVIAL, indicator=Fraction(0))
         with pytest.raises(ZeroNu):
-            refactor_indicator(bad)
+            cross_complexity(WeightedDigraph(3, [(0, 1), (1, 2)]),
+                             mode=Provenance.TREE_BOUND)
 
     def test_published_ordering(self):
         pairs = [(4, 12), (6, 24), (10, 47)]
@@ -141,8 +136,7 @@ class TestIndicator:
         from crosscc.dot import dump_dot, parse_dot
         g1 = parse_dot(fixture_text("weighted_fan.dot")).graph
         scaled_doc = dump_dot(WeightedDigraph(
-            5, [(e.source, e.target, e.weight * 3) for e in g1.edges],
-            directed=False))
+            5, [(e.source, e.target, e.weight * 3) for e in g1.edges]))
         scaled = parse_dot(scaled_doc).graph
         a = cross_complexity(g1)
         b = cross_complexity(scaled)

@@ -59,9 +59,6 @@ class TestReport:
         rec = record("g2", 10, 47)
         assert rec.to_dict()["indicator"] == 4.7
 
-    def test_max_indicator(self):
-        assert paper_report().max_indicator() == Fraction(47, 10)
-
 
 class TestPlot:
     def test_points_csv(self):
