@@ -94,6 +94,8 @@ class _SourceTree:
     """Shortest paths out of one source, with memoized path edge sets."""
 
     def __init__(self, g: WeightedDigraph, source: int):
+        # Label-setting Dijkstra is unsound on negative weights.
+        _require_nonnegative(g)
         self.g = g
         self.source = source
         self.dist, self.tie, self.pred = _dijkstra(g, source)

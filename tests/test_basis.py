@@ -79,6 +79,10 @@ class TestAllPairsShortestPaths:
             for y in range(5):
                 assert g.weight_of(tree.path_edges(y)) == tree.dist[y]
 
+    def test_negative_weight_rejected(self):
+        with pytest.raises(NegativeWeight):
+            _SourceTree(negative_weight_pentagon(), 0)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             _SourceTree(WeightedDigraph(3, [(0, 1)]), 0)
