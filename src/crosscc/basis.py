@@ -6,8 +6,9 @@ candidate cycle ``shortest z-x path + e + shortest y-z path``, keeps the
 simple ones, sorts them by weight, and greedily admits candidates whose
 edge bitmask is independent over GF(2) until the cycle rank is reached.
 The candidate set is guaranteed to contain a minimum-weight basis when the
-shortest paths are unique, so path ties are broken by a deterministic
-additive perturbation (see ``_dijkstra``).
+shortest paths are unique, so path ties are broken by the path's edge
+bitmask (bit i set iff edge i is on the path). That tie-break mask is the
+path itself: a candidate cycle is two path masks and the bit of e, OR-ed.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .errors import DisconnectedGraph, NegativeWeight, NotACycle, TooLarge
+from .errors import DisconnectedGraph, NegativeWeight, TooLarge
 from .graph import (
     Cycle,
     Gf2Basis,
@@ -55,90 +56,67 @@ def _require_nonnegative(g: WeightedDigraph) -> None:
             raise NegativeWeight(f"edge {e.id} has weight {e.weight}")
 
 
-def _dijkstra(g: WeightedDigraph, source: int):
+def _mask(edge_ids: Iterable[int]) -> int:
+    return sum(1 << i for i in edge_ids)
+
+
+def _edge_ids(mask: int) -> List[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _shortest_paths(g: WeightedDigraph, source: int):
     """Single-source shortest paths on the unoriented graph.
 
-    Labels are ``(distance, tiebreak)`` where tiebreak sums ``2**edge_id``
-    over the path. Distinct edge sets give distinct tiebreak sums, so the
-    optimum per vertex is unique and the chosen paths form one consistent
-    shortest-path tree per source. Both label components are additive and
-    non-negative, so plain label-setting Dijkstra applies.
+    Labels are ``(distance, path)`` where path is the edge bitmask of the
+    path. Distinct edge sets give distinct masks, so the optimum per vertex
+    is unique and the chosen paths form one consistent shortest-path tree
+    per source. Neither label component decreases along a path, so plain
+    label-setting Dijkstra applies.
 
-    Returns (dist, tiebreak, pred) maps; pred[v] is the edge entering v.
+    Returns (dist, path), two lists indexed by vertex.
     """
-    dist: Dict[int, Fraction] = {source: Fraction(0)}
-    tie: Dict[int, int] = {source: 0}
-    pred: Dict[int, Optional[int]] = {source: None}
-    done = set()
+    # Label-setting Dijkstra is unsound on negative weights.
+    _require_nonnegative(g)
+    n = g.vertex_count
+    dist = [None] * n
+    path = [0] * n
+    done = [False] * n
+    dist[source] = Fraction(0)
     heap = [(Fraction(0), 0, source)]
     while heap:
-        d, t, v = heappop(heap)
-        if v in done:
+        d, p, v = heappop(heap)
+        if done[v]:
             continue
-        done.add(v)
+        done[v] = True
         for e in g.incident(v):
             u = e.other(v)
-            if u in done:
+            if done[u]:
                 continue
             nd = d + e.weight
-            nt = t + (1 << e.id)
-            if u not in dist or (nd, nt) < (dist[u], tie[u]):
+            npath = p | 1 << e.id
+            if dist[u] is None or (nd, npath) < (dist[u], path[u]):
                 dist[u] = nd
-                tie[u] = nt
-                pred[u] = e.id
-                heappush(heap, (nd, nt, u))
-    return dist, tie, pred
+                path[u] = npath
+                heappush(heap, (nd, npath, u))
+    if not all(done):
+        raise DisconnectedGraph(f"vertex unreachable from {source} (unoriented)")
+    return dist, path
 
 
-class _SourceTree:
-    """Shortest paths out of one source, with memoized path edge sets."""
-
-    def __init__(self, g: WeightedDigraph, source: int):
-        # Label-setting Dijkstra is unsound on negative weights.
-        _require_nonnegative(g)
-        self.g = g
-        self.source = source
-        self.dist, self.tie, self.pred = _dijkstra(g, source)
-        if len(self.dist) != g.vertex_count:
-            raise DisconnectedGraph(
-                f"vertex unreachable from {source} (unoriented)"
-            )
-        self._paths: Dict[int, frozenset] = {source: frozenset()}
-
-    def path_edges(self, target: int) -> frozenset:
-        chain = []
-        v = target
-        while v not in self._paths:
-            eid = self.pred[v]
-            chain.append((v, eid))
-            v = self.g.edge(eid).other(v)
-        acc = set(self._paths[v])
-        for vertex, eid in reversed(chain):
-            acc.add(eid)
-            self._paths[vertex] = frozenset(acc)
-        return self._paths[target]
-
-
-def _candidate_cycles(g: WeightedDigraph, trees: Sequence[_SourceTree]):
-    """All simple candidate cycles ``P(z,x) + e + P(y,z)``, deduplicated."""
-    seen = {}
+def _candidate_cycles(g: WeightedDigraph) -> Dict[int, Fraction]:
+    """All simple candidate cycles ``P(z,x) + e + P(y,z)``, as mask -> weight."""
+    candidates = {}
     for z in range(g.vertex_count):
-        tree = trees[z]
+        dist, path = _shortest_paths(g, z)
         for e in g.edges:
-            p_zx = tree.path_edges(e.source)
-            p_zy = tree.path_edges(e.target)
-            if e.id in p_zx or e.id in p_zy:
+            p_zx, p_zy = path[e.source], path[e.target]
+            bit = 1 << e.id
+            if (p_zx | p_zy) & bit or p_zx & p_zy:
                 continue
-            if p_zx & p_zy:
-                continue
-            ids = p_zx | p_zy | {e.id}
-            if ids in seen:
-                continue
-            try:
-                seen[ids] = Cycle.from_edges(g, ids)
-            except NotACycle:
-                continue
-    return list(seen.values())
+            # Two edge-disjoint root paths of one tree meet only at the root,
+            # so with e they form a simple cycle.
+            candidates[p_zx | p_zy | bit] = dist[e.source] + dist[e.target] + e.weight
+    return candidates
 
 
 def horton_basis(g: WeightedDigraph) -> CycleBasis:
@@ -151,31 +129,31 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     nu = cycle_rank(g)
     if nu == 0:
         return CycleBasis(cycles=(), total_weight=Fraction(0), provenance=Provenance.EXACT)
-    trees = [_SourceTree(g, s) for s in range(g.vertex_count)]
-    candidates = _candidate_cycles(g, trees)
-    candidates.sort(key=lambda c: (c.weight, c.canonical_key()))
-    chosen = _greedy_independent(candidates, nu)
+    candidates = _candidate_cycles(g)
+    ordered = sorted(candidates, key=lambda m: (candidates[m], m))
+    chosen = _greedy_independent(ordered, nu)
     if len(chosen) < nu:
         # Cannot happen for a connected graph: the candidate set contains a
         # minimum basis. Guard against silent nonsense anyway.
         raise AssertionError("candidate cycles did not span the cycle space")
-    total = sum((c.weight for c in chosen), Fraction(0))
-    return CycleBasis(cycles=tuple(chosen), total_weight=total, provenance=Provenance.EXACT)
+    cycles = tuple(Cycle.from_edges(g, _edge_ids(m)) for m in chosen)
+    total = sum((c.weight for c in cycles), Fraction(0))
+    return CycleBasis(cycles=cycles, total_weight=total, provenance=Provenance.EXACT)
 
 
-def _greedy_independent(ordered_cycles, nu: int):
-    """First nu cycles, in the given order, whose edge bitmasks are independent.
+def _greedy_independent(ordered_masks: Iterable[int], nu: int) -> List[int]:
+    """First nu edge bitmasks, in the given order, independent over GF(2).
 
-    Every cycle was built through ``Cycle.from_edges``, which looked up each
-    edge id in the graph, so the masks need no range check of their own.
+    Every mask is a set of edge ids of the graph, so none needs a range
+    check of its own.
     """
     basis = Gf2Basis()
     chosen = []
-    for cycle in ordered_cycles:
+    for mask in ordered_masks:
         if len(chosen) == nu:
             break
-        if basis.try_add(sum(1 << i for i in cycle.edge_ids)):
-            chosen.append(cycle)
+        if basis.try_add(mask):
+            chosen.append(mask)
     return chosen
 
 
@@ -209,9 +187,9 @@ def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
                 u = e.other(v)
                 if u == start:
                     if path_edges:
-                        ids = frozenset(path_edges) | {e.id}
-                        if ids not in found:
-                            found[ids] = Cycle.from_edges(g, ids)
+                        mask = _mask(path_edges) | 1 << e.id
+                        if mask not in found:
+                            found[mask] = Cycle.from_edges(g, path_edges + [e.id])
                             if len(found) > limit:
                                 raise TooLarge(
                                     f"more than {limit} simple cycles; oracle refused"
@@ -220,7 +198,7 @@ def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
                 if u < start or u in path_vertices:
                     continue
                 stack.append((u, path_edges + [e.id], path_vertices | {u}))
-    return sorted(found.values(), key=lambda c: (c.weight, c.canonical_key()))
+    return [found[m] for m in sorted(found, key=lambda m: (found[m].weight, m))]
 
 
 def oracle_min_basis(g: WeightedDigraph, limit: int = 10_000) -> CycleBasis:
@@ -232,8 +210,8 @@ def oracle_min_basis(g: WeightedDigraph, limit: int = 10_000) -> CycleBasis:
     check each other.
     """
     nu = cycle_rank(g)
-    cycles = enumerate_simple_cycles(g, limit=limit)
-    chosen = _greedy_independent(cycles, nu)
+    cycles = {_mask(c.edge_ids): c for c in enumerate_simple_cycles(g, limit=limit)}
+    chosen = [cycles[m] for m in _greedy_independent(cycles, nu)]
     if len(chosen) < nu:
         raise AssertionError("cycle enumeration did not span the cycle space")
     total = sum((c.weight for c in chosen), Fraction(0))

@@ -54,9 +54,7 @@ class DotGraphDoc:
     virtual_arc: Optional[int]
     tree_edge_ids: Tuple[int, ...]
     duplicate_arcs: Tuple[Tuple[str, str], ...]
-
-    def node_id(self, name: str) -> int:
-        return self.node_names.index(name)
+    filename: Optional[str] = None
 
     def is_cfg(self) -> bool:
         """True when the document can be analyzed as a control-flow graph:
@@ -78,29 +76,30 @@ class DotGraphDoc:
             graph=self.graph, start=self.start, exit=self.exit,
             virtual_arc=self.virtual_arc, node_labels=self.node_names,
             name=self.name)
-        check_reachability(cfg)
+        check_reachability(cfg, filename=self.filename)
         return cfg
 
-    def marked_tree(self, root: Optional[int] = None) -> Optional[SpanningTree]:
-        """The spanning tree carried by tree=true marks, if any were given."""
+    def marked_tree(self) -> Optional[SpanningTree]:
+        """The spanning tree carried by tree=true marks, if any were given,
+        rooted at the start vertex (vertex 0 when there is none)."""
         if not self.tree_edge_ids:
             return None
-        if root is None:
-            root = self.start if self.start is not None else 0
+        root = self.start if self.start is not None else 0
         tree_ids = set(self.tree_edge_ids)
         if self.virtual_arc is not None:
             tree_ids.discard(self.virtual_arc)
         return SpanningTree.from_edge_ids(self.graph, root, tree_ids)
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, filename: Optional[str]):
     tokens = []
     line = 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise DotSyntaxError(f"unexpected character {text[pos]!r}", line)
+            raise DotSyntaxError(f"unexpected character {text[pos]!r}", line,
+                                 None, filename)
         pos = m.end()
         chunk = m.group(0)
         if m.lastgroup == "ws":
@@ -119,7 +118,7 @@ def _unquote(text: str) -> str:
 
 class _DotParser:
     def __init__(self, text: str, filename: Optional[str] = None):
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, filename)
         self.filename = filename
         self.pos = 0
 
@@ -234,7 +233,7 @@ class _DotParser:
             start=node_ids[start] if start is not None else None,
             exit=node_ids[exit_] if exit_ is not None else None,
             virtual_arc=virtual_arc, tree_edge_ids=tree_ids,
-            duplicate_arcs=tuple(duplicates))
+            duplicate_arcs=tuple(duplicates), filename=self.filename)
 
     def _attr_list(self) -> Dict[str, str]:
         attrs: Dict[str, str] = {}

@@ -270,9 +270,6 @@ class Cycle:
             raise NotACycle("edge set is a union of disjoint cycles, not one cycle")
         return cls(edge_ids=ids, weight=g.weight_of(ids))
 
-    def canonical_key(self) -> tuple:
-        return tuple(sorted(self.edge_ids))
-
 
 def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
     """The unique unoriented cycle in ``tree + e``: tree path between e's endpoints plus e."""

@@ -21,8 +21,6 @@ KEYWORDS = {
     "case", "default", "break", "continue", "return",
 }
 
-LOOP_KEYWORDS = {"while", "for"}
-
 
 @dataclass(frozen=True)
 class Token:

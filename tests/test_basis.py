@@ -4,25 +4,31 @@ import pytest
 
 from crosscc.basis import (
     Provenance,
-    _SourceTree,
+    _candidate_cycles,
+    _shortest_paths,
     enumerate_simple_cycles,
     horton_basis,
     oracle_min_basis,
     tree_bound,
 )
+from crosscc.cfg import lower
+from crosscc.dot import parse_dot
 from crosscc.errors import DisconnectedGraph, NegativeWeight, TooLarge
 from crosscc.graph import (
+    Cycle,
     Gf2Basis,
     SpanningTree,
     WeightedDigraph,
     cycle_rank,
     spanning_tree,
 )
+from crosscc.minilang import parse
 
 from conftest import (
     FAN_TREE_1,
     FAN_TREE_2,
     FAN_TREE_3,
+    FIXTURES,
     negative_weight_pentagon,
     random_connected_graph,
     random_spanning_tree,
@@ -45,47 +51,87 @@ def ifelse_cfg():
         4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (3, 0, 0)])
 
 
-def source_trees(g):
-    """One shortest-path tree per source, as ``horton_basis`` builds them."""
-    return [_SourceTree(g, s) for s in range(g.vertex_count)]
+def edge_ids(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def all_pairs(g):
+    """``(dist, path)`` per source, as ``horton_basis`` builds them."""
+    return [_shortest_paths(g, s) for s in range(g.vertex_count)]
 
 
 class TestAllPairsShortestPaths:
-    """All-pairs distances and paths, read from one ``_SourceTree`` per source."""
+    """All-pairs distances and path masks, read from one ``_shortest_paths``
+    call per source."""
 
     def test_fan_b_to_d(self):
         # All simple b-d walks weigh 6 (b-a-d), 9 (b-c-d), 10, 11, 11, 15.
-        trees = source_trees(weighted_fan())
-        assert trees[1].dist[3] == 6
-        assert trees[1].path_edges(3) == {0, 2}
+        dist, path = _shortest_paths(weighted_fan(), 1)
+        assert dist[3] == 6
+        assert path[3] == 0b101
 
     def test_unit_path_graph(self):
         g = WeightedDigraph(5, [(i, i + 1, 1) for i in range(4)])
-        assert _SourceTree(g, 0).dist[4] == 4
+        dist, _ = _shortest_paths(g, 0)
+        assert dist[4] == 4
 
     def test_diagonal_zero_and_symmetry(self):
-        trees = source_trees(weighted_fan())
+        pairs = all_pairs(weighted_fan())
         for x in range(5):
-            assert trees[x].dist[x] == 0
-            assert trees[x].path_edges(x) == frozenset()
+            assert pairs[x][0][x] == 0
+            assert pairs[x][1][x] == 0
             for y in range(5):
-                assert trees[x].dist[y] == trees[y].dist[x]
+                assert pairs[x][0][y] == pairs[y][0][x]
                 # The tie-break makes the optimum unique, so both ends agree.
-                assert trees[x].path_edges(y) == trees[y].path_edges(x)
+                assert pairs[x][1][y] == pairs[y][1][x]
 
     def test_paths_achieve_distances(self):
         g = weighted_fan()
-        for tree in source_trees(g):
+        for dist, path in all_pairs(g):
             for y in range(5):
-                assert g.weight_of(tree.path_edges(y)) == tree.dist[y]
+                assert g.weight_of(edge_ids(path[y])) == dist[y]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeight):
-            _SourceTree(negative_weight_pentagon(), 0)
+            _shortest_paths(negative_weight_pentagon(), 0)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
-            _SourceTree(WeightedDigraph(3, [(0, 1)]), 0)
+            _shortest_paths(WeightedDigraph(3, [(0, 1)]), 0)
+
+
+def fixture_graphs():
+    """The graph of every fixture: each lowered .mini function, each .dot."""
+    graphs = []
+    for path in sorted(FIXTURES.glob("*.mini")):
+        program = parse(path.read_text(encoding="utf-8"), path.name)
+        graphs.extend(lower(fn).graph for fn in program.functions)
+    for path in sorted(FIXTURES.glob("*.dot")):
+        graphs.append(parse_dot(path.read_text(encoding="utf-8")).graph)
+    return graphs
+
+
+class TestCandidateCycles:
+    """Every candidate is a simple cycle whose weight is its edges' weight,
+    which ``_candidate_cycles`` relies on instead of walking each one."""
+
+    @staticmethod
+    def check(g):
+        for mask, weight in _candidate_cycles(g).items():
+            ids = edge_ids(mask)
+            assert Cycle.from_edges(g, ids).edge_ids == ids
+            assert g.weight_of(ids) == weight
+
+    def test_random_graphs(self):
+        rng = random.Random(0xCA11D)
+        for _ in range(200):
+            self.check(random_connected_graph(rng))
+
+    def test_fixture_graphs(self):
+        graphs = fixture_graphs()
+        assert len(graphs) > 10
+        for g in graphs:
+            self.check(g)
 
 
 class TestHortonBasis:

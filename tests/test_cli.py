@@ -108,6 +108,21 @@ class TestAnalyze:
         assert "'x' lies on no start-to-exit path" in captured.err
         assert json.loads(captured.out)["records"] == []
 
+    def test_dot_reachability_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "stray.dot"
+        path.write_text("digraph g { start=s; exit=r; s -> r; x -> s; x -> r; }",
+                        encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert (f"{path}: error: {path}: node 'x' lies on no start-to-exit path"
+                in capsys.readouterr().err)
+
+    def test_dot_token_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "tok.dot"
+        path.write_text('digraph g {\n  a -> "b;\n}\n', encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert (f"{path}: error: {path}:2: unexpected character '\"'"
+                in capsys.readouterr().err)
+
     def test_unsupported_extension(self, tmp_path, capsys):
         path = tmp_path / "what.txt"
         path.write_text("", encoding="utf-8")
