@@ -1,19 +1,32 @@
 """Minimum-weight cycle bases: exact greedy-over-candidates algorithm, the
 spanning-tree upper bound, and an independent brute-force oracle.
 
-The exact algorithm builds, for every vertex z and edge e=(x,y), the
-candidate cycle ``shortest z-x path + e + shortest y-z path``, keeps the
-simple ones, sorts them by weight, and greedily admits candidates whose
-edge bitmask is independent over GF(2) until the cycle rank is reached.
-The candidate set is guaranteed to contain a minimum-weight basis when the
-shortest paths are unique, so path ties are broken by the path's edge
-bitmask (bit i set iff edge i is on the path). That tie-break mask is the
-path itself: a candidate cycle is two path masks and the bit of e, OR-ed.
+The exact algorithm builds, for every root z of a feedback vertex set and
+every edge e=(x,y), the candidate cycle ``shortest z-x path + e + shortest
+y-z path``, keeps the simple ones, sorts them by weight, and greedily admits
+candidates whose edge bitmask is independent over GF(2) until the cycle rank
+is reached. Horton (1987) showed that with every vertex as a root this
+candidate set contains a minimum-weight basis when the shortest paths are
+unique; Mehlhorn & Michail ("Minimum cycle bases: faster and simpler", ACM
+TALG 2009) showed that roots over any feedback vertex set (a vertex set that
+meets every cycle) suffice, so the roots are a greedy one. Path ties are
+broken by the path's edge bitmask (bit i set iff edge i is on the path),
+which gives one consistent shortest-path tree per root. That tie-break mask
+is the path itself: a candidate cycle is two path masks and the bit of e,
+OR-ed.
+
+Weights are scaled to ints on entry, by the least common multiple of their
+denominators, so no ``Fraction`` arithmetic runs in the shortest paths or
+the candidate weights. Scaling by a positive constant keeps the
+``(weight, mask)`` order, so the trees and the greedy order are those of the
+exact weights; the chosen cycles carry their exact ``Fraction`` weights back
+out.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -51,9 +64,16 @@ class CycleBasis:
 
 
 def _require_nonnegative(g: WeightedDigraph) -> None:
+    # Reads the numerator only: cheaper than a Fraction comparison.
     for e in g.edges:
-        if e.weight < 0:
+        if e.weight.numerator < 0:
             raise NegativeWeight(f"edge {e.id} has weight {e.weight}")
+
+
+def _integer_weights(g: WeightedDigraph) -> List[int]:
+    """Every edge weight times the LCM of their denominators, by edge id."""
+    scale = math.lcm(*(e.weight.denominator for e in g.edges))
+    return [e.weight.numerator * (scale // e.weight.denominator) for e in g.edges]
 
 
 def _mask(edge_ids: Iterable[int]) -> int:
@@ -64,9 +84,46 @@ def _edge_ids(mask: int) -> List[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _shortest_paths(g: WeightedDigraph, source: int):
+def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
+    """A greedy feedback vertex set of the unoriented graph.
+
+    Repeatedly prunes vertices of degree at most 1, which lie on no cycle,
+    then takes the vertex of highest remaining degree (lowest id on ties),
+    until no vertex is left. Degree counts parallel arcs one by one, so a
+    2-cycle between parallel arcs keeps its vertices until one is taken.
+    """
+    n = g.vertex_count
+    degree = [len(g.incident(v)) for v in range(n)]
+    alive = [True] * n
+    prune = [v for v in range(n) if degree[v] <= 1]
+    fvs = []
+
+    def remove(v):
+        alive[v] = False
+        for e in g.incident(v):
+            u = e.other(v)
+            if alive[u]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    prune.append(u)
+
+    while True:
+        while prune:
+            v = prune.pop()
+            if alive[v]:
+                remove(v)
+        rest = [v for v in range(n) if alive[v]]
+        if not rest:
+            return fvs
+        v = max(rest, key=lambda v: (degree[v], -v))
+        fvs.append(v)
+        remove(v)
+
+
+def _shortest_paths(g: WeightedDigraph, weights: List[int], source: int):
     """Single-source shortest paths on the unoriented graph.
 
+    ``weights`` are the non-negative integer edge weights by edge id.
     Labels are ``(distance, path)`` where path is the edge bitmask of the
     path. Distinct edge sets give distinct masks, so the optimum per vertex
     is unique and the chosen paths form one consistent shortest-path tree
@@ -75,14 +132,12 @@ def _shortest_paths(g: WeightedDigraph, source: int):
 
     Returns (dist, path), two lists indexed by vertex.
     """
-    # Label-setting Dijkstra is unsound on negative weights.
-    _require_nonnegative(g)
     n = g.vertex_count
     dist = [None] * n
     path = [0] * n
     done = [False] * n
-    dist[source] = Fraction(0)
-    heap = [(Fraction(0), 0, source)]
+    dist[source] = 0
+    heap = [(0, 0, source)]
     while heap:
         d, p, v = heappop(heap)
         if done[v]:
@@ -92,7 +147,7 @@ def _shortest_paths(g: WeightedDigraph, source: int):
             u = e.other(v)
             if done[u]:
                 continue
-            nd = d + e.weight
+            nd = d + weights[e.id]
             npath = p | 1 << e.id
             if dist[u] is None or (nd, npath) < (dist[u], path[u]):
                 dist[u] = nd
@@ -103,11 +158,12 @@ def _shortest_paths(g: WeightedDigraph, source: int):
     return dist, path
 
 
-def _candidate_cycles(g: WeightedDigraph) -> Dict[int, Fraction]:
-    """All simple candidate cycles ``P(z,x) + e + P(y,z)``, as mask -> weight."""
+def _candidate_cycles(g: WeightedDigraph, weights: List[int]) -> Dict[int, int]:
+    """All simple candidate cycles ``P(z,x) + e + P(y,z)`` over the roots z of
+    a feedback vertex set, as mask -> integer weight (``weights`` scale)."""
     candidates = {}
-    for z in range(g.vertex_count):
-        dist, path = _shortest_paths(g, z)
+    for z in _feedback_vertex_set(g):
+        dist, path = _shortest_paths(g, weights, z)
         for e in g.edges:
             p_zx, p_zy = path[e.source], path[e.target]
             bit = 1 << e.id
@@ -115,7 +171,7 @@ def _candidate_cycles(g: WeightedDigraph) -> Dict[int, Fraction]:
                 continue
             # Two edge-disjoint root paths of one tree meet only at the root,
             # so with e they form a simple cycle.
-            candidates[p_zx | p_zy | bit] = dist[e.source] + dist[e.target] + e.weight
+            candidates[p_zx | p_zy | bit] = dist[e.source] + dist[e.target] + weights[e.id]
     return candidates
 
 
@@ -125,11 +181,12 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     Acyclic graphs (cycle rank 0) yield an empty basis rather than an error,
     so straight-line control-flow subgraphs stay total.
     """
+    # Label-setting Dijkstra is unsound on negative weights.
     _require_nonnegative(g)
     nu = cycle_rank(g)
     if nu == 0:
         return CycleBasis(cycles=(), total_weight=Fraction(0), provenance=Provenance.EXACT)
-    candidates = _candidate_cycles(g)
+    candidates = _candidate_cycles(g, _integer_weights(g))
     ordered = sorted(candidates, key=lambda m: (candidates[m], m))
     chosen = _greedy_independent(ordered, nu)
     if len(chosen) < nu:
@@ -162,6 +219,7 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> CycleBasis:
     bound on the minimum basis weight (not necessarily minimal)."""
     if t.host is not g:
         raise ValueError("tree does not belong to this graph")
+    _require_nonnegative(g)
     cycles = []
     for eid in t.chords():
         cycles.append(fundamental_cycle(t, g.edge(eid)))

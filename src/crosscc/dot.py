@@ -191,6 +191,9 @@ class _DotParser:
                 except (ValueError, ZeroDivisionError):
                     raise DotSyntaxError(f"bad weight {raw_weight!r}",
                                          self.line(), None, self.filename)
+                if weight.numerator < 0:
+                    raise DotSyntaxError(f"negative weight {raw_weight!r}",
+                                         self.line(), None, self.filename)
                 tree_mark = attrs.get("tree", "false").lower() in ("true", "1")
                 src, dst = intern(first), intern(target)
                 if (src, dst) in seen_pairs:

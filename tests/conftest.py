@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,33 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 9,
     rng.shuffle(candidates)
     for u, v in candidates[:rng.randint(0, max_nu)]:
         edges.append((u, v, 1))
+    return WeightedDigraph(n, edges)
+
+
+CORPUS_WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                  Fraction(3, 2), Fraction(7, 4), Fraction(2))
+
+
+def random_weighted_multigraph(rng: random.Random, max_vertices: int = 8,
+                               max_nu: int = 5) -> WeightedDigraph:
+    """Random connected graph with weights from CORPUS_WEIGHTS, random arc
+    directions, and extra arcs of which about a third run parallel to an
+    existing arc (either direction)."""
+    n = rng.randint(2, max_vertices)
+    arcs = []
+    for v in range(1, n):
+        arcs.append((rng.randrange(v), v))
+    for _ in range(rng.randint(0, max_nu)):
+        if rng.random() < 0.35:
+            u, v = rng.choice(arcs)
+        else:
+            u, v = rng.sample(range(n), 2)
+        arcs.append((u, v))
+    edges = []
+    for u, v in arcs:
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v, rng.choice(CORPUS_WEIGHTS)))
     return WeightedDigraph(n, edges)
 
 

@@ -1,10 +1,16 @@
+import math
 import random
+from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from crosscc.basis import (
     Provenance,
     _candidate_cycles,
+    _feedback_vertex_set,
+    _integer_weights,
+    _require_nonnegative,
     _shortest_paths,
     enumerate_simple_cycles,
     horton_basis,
@@ -25,6 +31,7 @@ from crosscc.graph import (
 from crosscc.minilang import parse
 
 from conftest import (
+    CORPUS_WEIGHTS,
     FAN_TREE_1,
     FAN_TREE_2,
     FAN_TREE_3,
@@ -32,6 +39,7 @@ from conftest import (
     negative_weight_pentagon,
     random_connected_graph,
     random_spanning_tree,
+    random_weighted_multigraph,
     weighted_fan,
 )
 
@@ -55,9 +63,16 @@ def edge_ids(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
+def scale_of(g):
+    """The factor ``_integer_weights`` multiplies every weight by."""
+    return math.lcm(*(e.weight.denominator for e in g.edges))
+
+
 def all_pairs(g):
-    """``(dist, path)`` per source, as ``horton_basis`` builds them."""
-    return [_shortest_paths(g, s) for s in range(g.vertex_count)]
+    """``(dist, path)`` per source, on the integer weights ``horton_basis``
+    uses (the weighted fan's are already integers, so its scale is 1)."""
+    weights = _integer_weights(g)
+    return [_shortest_paths(g, weights, s) for s in range(g.vertex_count)]
 
 
 class TestAllPairsShortestPaths:
@@ -66,13 +81,14 @@ class TestAllPairsShortestPaths:
 
     def test_fan_b_to_d(self):
         # All simple b-d walks weigh 6 (b-a-d), 9 (b-c-d), 10, 11, 11, 15.
-        dist, path = _shortest_paths(weighted_fan(), 1)
+        g = weighted_fan()
+        dist, path = _shortest_paths(g, _integer_weights(g), 1)
         assert dist[3] == 6
         assert path[3] == 0b101
 
     def test_unit_path_graph(self):
         g = WeightedDigraph(5, [(i, i + 1, 1) for i in range(4)])
-        dist, _ = _shortest_paths(g, 0)
+        dist, _ = _shortest_paths(g, _integer_weights(g), 0)
         assert dist[4] == 4
 
     def test_diagonal_zero_and_symmetry(self):
@@ -92,12 +108,14 @@ class TestAllPairsShortestPaths:
                 assert g.weight_of(edge_ids(path[y])) == dist[y]
 
     def test_negative_weight_rejected(self):
+        # Checked once per graph, before any shortest path runs.
         with pytest.raises(NegativeWeight):
-            _shortest_paths(negative_weight_pentagon(), 0)
+            _require_nonnegative(negative_weight_pentagon())
 
     def test_disconnected_rejected(self):
+        g = WeightedDigraph(3, [(0, 1)])
         with pytest.raises(DisconnectedGraph):
-            _shortest_paths(WeightedDigraph(3, [(0, 1)]), 0)
+            _shortest_paths(g, _integer_weights(g), 0)
 
 
 def fixture_graphs():
@@ -117,21 +135,62 @@ class TestCandidateCycles:
 
     @staticmethod
     def check(g):
-        for mask, weight in _candidate_cycles(g).items():
+        scale = scale_of(g)
+        for mask, weight in _candidate_cycles(g, _integer_weights(g)).items():
             ids = edge_ids(mask)
             assert Cycle.from_edges(g, ids).edge_ids == ids
-            assert g.weight_of(ids) == weight
+            assert type(weight) is int
+            assert g.weight_of(ids) * scale == weight
 
     def test_random_graphs(self):
         rng = random.Random(0xCA11D)
         for _ in range(200):
             self.check(random_connected_graph(rng))
+        # Rational weights (scale above 1) and parallel arcs.
+        rng = random.Random(0xF1A7)
+        for _ in range(100):
+            self.check(random_weighted_multigraph(rng))
 
     def test_fixture_graphs(self):
         graphs = fixture_graphs()
         assert len(graphs) > 10
         for g in graphs:
             self.check(g)
+
+
+def is_forest_without(g, removed):
+    """True iff deleting ``removed`` leaves no (unoriented) cycle, parallel
+    arcs included: union-find over the remaining edges never closes a loop."""
+    removed = set(removed)
+    parent = list(range(g.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in g.edges:
+        if e.source in removed or e.target in removed:
+            continue
+        ru, rv = find(e.source), find(e.target)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+class TestFeedbackVertexSet:
+    def test_parallel_arcs_keep_a_root(self):
+        g = WeightedDigraph(3, [(0, 1), (1, 2), (2, 1)])
+        assert _feedback_vertex_set(g) == [1]
+
+    def test_acyclic_graph_needs_no_root(self):
+        assert _feedback_vertex_set(WeightedDigraph(4, [(0, 1), (1, 2), (1, 3)])) == []
+
+    def test_highest_degree_then_lowest_id(self):
+        # K4: every degree is 3, so vertex 0 goes first; the rest is a
+        # triangle of degree 2, so vertex 1 goes next.
+        assert _feedback_vertex_set(k4()) == [0, 1]
 
 
 class TestHortonBasis:
@@ -247,6 +306,22 @@ class TestOracle:
             enumerate_simple_cycles(g, limit=3)
 
 
+class TestWeightedCorpus:
+    """Rational and zero weights and parallel arcs: the cases of the integer
+    scaling and of 2-cycles that the unit-weight corpus never reaches."""
+
+    def test_exact_matches_oracle_and_roots_meet_every_cycle(self):
+        rng = random.Random(0x5CA1ED)
+        for _ in range(1000):
+            g = random_weighted_multigraph(rng)
+            exact = horton_basis(g).total_weight
+            assert isinstance(exact, Fraction)
+            assert exact == oracle_min_basis(g).total_weight
+            assert is_forest_without(g, _feedback_vertex_set(g))
+        for g in fixture_graphs():
+            assert is_forest_without(g, _feedback_vertex_set(g))
+
+
 class TestCorpusProperties:
     """Seeded random corpus shared with the acceptance suite: the exact
     algorithm must agree with brute force, and every tree bound dominates."""
@@ -269,3 +344,70 @@ class TestCorpusProperties:
             for _ in range(3):
                 t = random_spanning_tree(g, rng)
                 assert tree_bound(g, t).total_weight >= exact
+
+
+def weighted_dot_cfg(rng, nodes=48, extra=27, parallel=4):
+    """DOT text of a weighted CFG: a start-to-exit chain, ``extra`` random
+    arcs, and ``parallel`` of those arcs declared a second time."""
+    arcs = [(i, i + 1) for i in range(nodes - 1)]
+    arcs += [tuple(rng.sample(range(nodes), 2)) for _ in range(extra)]
+    arcs += rng.sample(arcs, parallel)
+    body = "".join(f"  n{u} -> n{v} [weight={rng.choice(CORPUS_WEIGHTS)}];\n"
+                   for u, v in arcs)
+    return f"digraph g {{\n  start=n0; exit=n{nodes - 1};\n{body}}}\n"
+
+
+def nested_mini_function(rng, decisions):
+    """MiniLang text of one function: a random nest of if, if/else, while
+    and for, ``decisions`` of them in all."""
+    lines = []
+    heads = {"if": ("if (a < b) {", ()),
+             "ifelse": ("if (x != 0) {", ("} else {", "  y = 2;")),
+             "while": ("while (i < n) {", ()),
+             "for": ("for (j = 0; j < n; j = j + 1) {", ())}
+
+    def block(budget, pad):
+        while budget > 0:
+            head, tail = heads[rng.choice(sorted(heads))]
+            inner = rng.randint(0, min(budget - 1, 6))
+            lines.extend([pad + "x = f(x);", pad + head])
+            block(inner, pad + "  ")
+            lines.append(pad + "  i = i + 1;")
+            lines.extend(pad + t for t in tail)
+            lines.append(pad + "}")
+            budget -= inner + 1
+
+    block(decisions, "  ")
+    return "fn big(n) {\n" + "\n".join(lines) + "\n  return x;\n}\n"
+
+
+def networkx_min_basis(g):
+    """(cycle count, total weight) of ``networkx.minimum_cycle_basis``.
+
+    Each arc becomes a path through a vertex of its own, so parallel arcs
+    survive in networkx's simple graph, and the induced subgraph of a
+    returned cycle's vertices is exactly that cycle. Integer-scaled weights
+    keep networkx off ``Fraction`` arithmetic, which is many times slower.
+    """
+    scale = scale_of(g)
+    h = nx.Graph()
+    for e in g.edges:
+        h.add_edge(e.source, ("arc", e.id), weight=int(e.weight * scale))
+        h.add_edge(("arc", e.id), e.target, weight=0)
+    cycles = nx.minimum_cycle_basis(h, weight="weight")
+    total = sum(w for c in cycles for _, _, w in h.subgraph(c).edges(data="weight"))
+    return len(cycles), Fraction(total, scale)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("graph", [
+    lambda: parse_dot(weighted_dot_cfg(random.Random(48))).graph,
+    lambda: lower(parse(nested_mini_function(random.Random(70), 25), "big.mini")
+                  .functions[0]).graph,
+], ids=["weighted-dot", "mini-function"])
+def test_networkx_agrees_above_the_oracle_size(graph):
+    g = graph()
+    with pytest.raises(TooLarge):
+        oracle_min_basis(g)
+    basis = horton_basis(g)
+    assert networkx_min_basis(g) == (len(basis), basis.total_weight)

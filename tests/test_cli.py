@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,16 @@ class TestAnalyze:
         assert (f"{path}: error: {path}:2: unexpected character '\"'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("mode", ["exact", "treebound"])
+    def test_negative_dot_weight_is_a_located_error(self, tmp_path, capsys, mode):
+        path = tmp_path / "w.dot"
+        path.write_text("digraph g {\n  start=s; exit=e;\n  s -> a [weight=-5];\n"
+                        "  a -> e;\n  a -> s;\n}\n", encoding="utf-8")
+        assert main(["analyze", "--mode", mode, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}: error: {path}:3: negative weight '-5'" in captured.err
+        assert json.loads(captured.out)["records"] == []
+
     def test_unsupported_extension(self, tmp_path, capsys):
         path = tmp_path / "what.txt"
         path.write_text("", encoding="utf-8")
@@ -205,3 +219,16 @@ class TestDumpCfg:
         bad.write_text("fn f() {", encoding="utf-8")
         assert main(["analyze", str(bad)]) == 1
         assert "\x1b[" not in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    path = str(FIXTURES / "listing1.mini")
+    assert main(["analyze", path]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "crosscc", "analyze", path],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0
+    assert run.stdout == expected

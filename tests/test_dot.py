@@ -5,8 +5,13 @@ import pytest
 from crosscc.basis import horton_basis, tree_bound
 from crosscc.cfg import lower
 from crosscc.dot import dump_cfg_dot, dump_dot, parse_dot
-from crosscc.errors import DotSyntaxError, MissingStartExit, UnreachableCode
-from crosscc.graph import cycle_rank
+from crosscc.errors import (
+    DotSyntaxError,
+    MissingStartExit,
+    NegativeWeight,
+    UnreachableCode,
+)
+from crosscc.graph import WeightedDigraph, cycle_rank, spanning_tree
 from crosscc.minilang import parse
 
 from conftest import fixture_text
@@ -33,8 +38,9 @@ class TestParse:
         assert doc.graph.edge(1).weight == 2
 
     def test_negative_number_is_still_one_word(self):
-        doc = parse_dot("digraph g { a -> b [weight=-3/2]; b -> a; }")
-        assert doc.graph.edge(0).weight == Fraction(-3, 2)
+        # The whole '-3/2' reaches the weight check, which rejects it.
+        with pytest.raises(DotSyntaxError, match="negative weight '-3/2'"):
+            parse_dot("digraph g { a -> b [weight=-3/2]; b -> a; }")
 
     def test_empty_body(self):
         doc = parse_dot("digraph g { }")
@@ -96,11 +102,16 @@ class TestParse:
         with pytest.raises(DotSyntaxError):
             parse_dot('digraph g { start="a"; exit="a"; a -> b; b -> a; }')
 
-    def test_negative_weights_parse_but_exact_mode_rejects(self):
-        doc = parse_dot("digraph g { a -> b [weight=-1]; b -> a; }")
-        from crosscc.errors import NegativeWeight
+    def test_negative_weight_is_a_parse_error_and_both_modes_reject(self):
+        with pytest.raises(DotSyntaxError, match="<input>:1: negative weight '-1'"):
+            parse_dot("digraph g { a -> b [weight=-1]; b -> a; }")
+        # Library callers who build the graph themselves meet the same check
+        # in either mode.
+        g = WeightedDigraph(2, [(0, 1, -1), (1, 0)])
         with pytest.raises(NegativeWeight):
-            horton_basis(doc.graph)
+            horton_basis(g)
+        with pytest.raises(NegativeWeight):
+            tree_bound(g, spanning_tree(g, 0))
 
 
 class TestTreeMarks:
