@@ -66,6 +66,8 @@ class WeightedDigraph:
         for i, spec in enumerate(edges):
             if isinstance(spec, Edge):
                 e = spec
+                if not isinstance(e.weight, Fraction):
+                    e = Edge(e.id, e.source, e.target, as_weight(e.weight))
             else:
                 source, target = spec[0], spec[1]
                 weight = as_weight(spec[2]) if len(spec) > 2 else Fraction(1)

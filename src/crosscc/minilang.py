@@ -11,8 +11,10 @@ The grammar in EBNF form ships in docs/minilang.md.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DuplicateFunction, MiniLangSyntaxError, UnresolvedLabel
 
@@ -22,85 +24,71 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | number | string | punct | eof
     text: str
-    line: int
-    col: int
     start: int
     end: int
 
 
+# Word and number tails; the token pattern uses them after an ASCII start,
+# _tokenize after a non-ASCII one, which str.isalpha/isdigit classify.
+_IDENT_TAIL = r"\w*"
+_NUMBER_TAIL = r"[^\W_]*(?:\.[^\W_]*)*"
+_TOKEN = re.compile(rf"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*      # skipped: whitespace, comments
+    (?: (?P<ident>[A-Za-z_]{_IDENT_TAIL})
+      | (?P<number>[0-9]{_NUMBER_TAIL})
+      | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+      | (?P<comment>/\*)                           # unterminated block comment
+      | (?P<quote>")                               # unterminated string literal
+      | (?P<eof>\Z)
+      | (?P<punct>[\x00-\x7f])
+      | (?P<other>.) )
+""", re.VERBOSE | re.DOTALL)
+_TAILS = {"ident": re.compile(_IDENT_TAIL), "number": re.compile(_NUMBER_TAIL)}
+_UNTERMINATED = {"comment": "unterminated block comment",
+                 "quote": "unterminated string literal"}
+
+
+def _line_starts(source: str):
+    return [0, *(m.end() for m in re.finditer("\n", source))]
+
+
+def _position(line_starts, offset: int) -> Tuple[int, int]:
+    """1-based ``(line, col)`` of a source offset. Every character but
+    ``\n`` is one column, ``\t`` and ``\r`` included."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
 def _tokenize(source: str, filename: str):
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def bump(count):
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            bump(1)
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                bump(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            bump(2)
-            while i < n and not source.startswith("*/", i):
-                bump(1)
-            if i >= n:
-                raise MiniLangSyntaxError("unterminated block comment",
-                                          start_line, start_col, filename)
-            bump(2)
-            continue
-        start = i
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                bump(1)
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col, start, i))
-            continue
-        if ch.isdigit():
-            while i < n and (source[i].isalnum() or source[i] == "."):
-                bump(1)
-            tokens.append(Token("number", source[start:i], start_line, start_col, start, i))
-            continue
-        if ch == '"':
-            bump(1)
-            while i < n and source[i] != '"':
-                if source[i] == "\\" and i + 1 < n:
-                    bump(2)
-                else:
-                    bump(1)
-            if i >= n:
-                raise MiniLangSyntaxError("unterminated string literal",
-                                          start_line, start_col, filename)
-            bump(1)
-            tokens.append(Token("string", source[start:i], start_line, start_col, start, i))
-            continue
-        # Any other single character is punctuation; expression text is
-        # recovered by raw source slices, so operator granularity is moot.
-        bump(1)
-        tokens.append(Token("punct", ch, start_line, start_col, start, i))
-    tokens.append(Token("eof", "", line, col, n, n))
-    return tokens
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(source, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        text = m.group(kind)
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "keyword"
+        elif kind == "other":
+            # A non-ASCII start: a letter starts an identifier, a digit
+            # (``²`` too) a number, and anything else is punctuation like
+            # every other single character. Expression text is recovered by
+            # raw source slices, so operator granularity is moot.
+            kind = "ident" if text.isalpha() else "number" if text.isdigit() else "punct"
+            if kind != "punct":
+                pos = _TAILS[kind].match(source, pos).end()
+                text = source[start:pos]
+        elif kind in _UNTERMINATED:
+            raise MiniLangSyntaxError(_UNTERMINATED[kind],
+                                      *_position(_line_starts(source), start), filename)
+        tokens.append(Token(kind, text, start, pos))
+        if kind == "eof":
+            return tokens
 
 
 # --- AST ---------------------------------------------------------------
@@ -212,10 +200,17 @@ class _Parser:
         self.source = source
         self.filename = filename
         self.tokens = _tokenize(source, filename)
+        self.line_starts = _line_starts(source)
         self.pos = 0
 
     def peek(self, offset=0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # The eof token is last and next() never passes it; offset 1 is
+        # only asked for behind an identifier.
+        return self.tokens[self.pos + offset]
+
+    def at(self, tok: Token) -> Tuple[int, int]:
+        """The ``(line, col)`` of a token's first character."""
+        return _position(self.line_starts, tok.start)
 
     def next(self) -> Token:
         tok = self.peek()
@@ -225,7 +220,7 @@ class _Parser:
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        raise MiniLangSyntaxError(message, tok.line, tok.col, self.filename)
+        raise MiniLangSyntaxError(message, *self.at(tok), self.filename)
 
     def expect(self, text) -> Token:
         tok = self.peek()
@@ -302,8 +297,7 @@ class _Parser:
         name = self.expect_ident()
         params = self.capture_parenthesized()
         body = self.parse_block()
-        return Function(name=name.text, params=params, body=body,
-                        line=tok.line, col=tok.col)
+        return Function(name.text, params, body, *self.at(tok))
 
     def parse_block(self) -> Block:
         self.expect("{")
@@ -329,33 +323,33 @@ class _Parser:
             self.next()
             label = self.next().text if self.peek().kind == "ident" else None
             self.expect(";")
-            return Break(label=label, line=tok.line, col=tok.col)
+            return Break(label, *self.at(tok))
         if tok.text == "continue":
             self.next()
             label = self.next().text if self.peek().kind == "ident" else None
             self.expect(";")
-            return Continue(label=label, line=tok.line, col=tok.col)
+            return Continue(label, *self.at(tok))
         if tok.text == "return":
             self.next()
             value = None
             if self.peek().text != ";":
                 value = self.capture_until(";")
             self.expect(";")
-            return Return(value=value, line=tok.line, col=tok.col)
+            return Return(value, *self.at(tok))
         if tok.kind == "keyword":
             self.error(f"unexpected keyword {tok.text!r}")
         if tok.kind == "ident" and self.peek(1).text == ":":
             self.next()
             self.expect(":")
             stmt = self.parse_stmt()
-            return Labeled(label=tok.text, stmt=stmt, line=tok.line, col=tok.col)
+            return Labeled(tok.text, stmt, *self.at(tok))
         if tok.text == "{":
             self.error("bare blocks are not statements; braces follow a control keyword")
         text = self.capture_until(";")
         if not text:
             self.error("empty statement")
         self.expect(";")
-        return ExprStmt(text=text, line=tok.line, col=tok.col)
+        return ExprStmt(text, *self.at(tok))
 
     def parse_if(self) -> If:
         tok = self.expect("if")
@@ -369,13 +363,13 @@ class _Parser:
                 orelse = Block(stmts=(nested,))
             else:
                 orelse = self.parse_block()
-        return If(cond=cond, then=then, orelse=orelse, line=tok.line, col=tok.col)
+        return If(cond, then, orelse, *self.at(tok))
 
     def parse_while(self) -> While:
         tok = self.expect("while")
         cond = self.capture_parenthesized()
         body = self.parse_block()
-        return While(cond=cond, body=body, line=tok.line, col=tok.col)
+        return While(cond, body, *self.at(tok))
 
     def parse_for(self) -> For:
         tok = self.expect("for")
@@ -387,8 +381,7 @@ class _Parser:
         step = self.capture_until(")") or None
         self.expect(")")
         body = self.parse_block()
-        return For(init=init, cond=cond, step=step, body=body,
-                   line=tok.line, col=tok.col)
+        return For(init, cond, step, body, *self.at(tok))
 
     def parse_switch(self) -> Switch:
         tok = self.expect("switch")
@@ -405,8 +398,7 @@ class _Parser:
                     self.error("case needs a label expression")
                 self.expect(":")
                 body = self.parse_block()
-                cases.append(SwitchCase(label=label, body=body,
-                                        line=branch.line, col=branch.col))
+                cases.append(SwitchCase(label, body, *self.at(branch)))
             elif branch.text == "default":
                 self.next()
                 self.expect(":")
@@ -418,8 +410,7 @@ class _Parser:
         self.expect("}")
         if not cases and default is None:
             self.error("switch needs at least one case or a default", tok)
-        return Switch(scrutinee=scrutinee, cases=tuple(cases), default=default,
-                      line=tok.line, col=tok.col)
+        return Switch(scrutinee, tuple(cases), default, *self.at(tok))
 
 
 def _check_labels(fn: Function, filename: str) -> None:

@@ -22,6 +22,7 @@ from crosscc.dot import parse_dot
 from crosscc.errors import DisconnectedGraph, NegativeWeight, TooLarge
 from crosscc.graph import (
     Cycle,
+    Edge,
     Gf2Basis,
     SpanningTree,
     WeightedDigraph,
@@ -277,6 +278,14 @@ class TestTreeBound:
         t = spanning_tree(g1, 0)
         with pytest.raises(ValueError):
             tree_bound(g2, t)
+
+
+def test_edge_objects_with_float_weights_become_fractions():
+    g = WeightedDigraph(2, [Edge(0, 0, 1, 0.5), Edge(1, 1, 0, 1)])
+    assert all(type(e.weight) is Fraction for e in g.edges)
+    for basis in (horton_basis(g), tree_bound(g, spanning_tree(g, 0))):
+        assert basis.total_weight == Fraction(3, 2)
+        assert type(basis.total_weight) is Fraction
 
 
 class TestOracle:

@@ -1,0 +1,168 @@
+"""The MiniLang scanner against its character-by-character predecessor, the
+positions it reports, and arbitrary text through both frontends.
+
+``minilang_reference._tokenize`` is the scanner ``crosscc.minilang`` used
+before its one-pattern scanner; the two must give the same token stream,
+the same ``line:col`` for every token, and the same diagnostics.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import minilang_reference as reference
+from crosscc import minilang
+from crosscc.dot import parse_dot
+from crosscc.errors import CrossCCError, MiniLangSyntaxError
+
+from conftest import FIXTURES
+
+# Non-ASCII letters and digits (``²`` and ``①`` are str.isdigit but not
+# regex \d; ``½`` is numeric but neither), escapes, line ends, comment
+# delimiters, keywords and braces.
+PIECES = ["é", "²", "①", "٣", "½", "_", "9", "0", ".", "\r", "\t", "\n", " ",
+          '"', "\\", "/*", "*/", "//", "/", "*", "x", "a1", "\x0b",
+          "{", "}", "(", ")", "[", "]", ";", ":", ",", "=",
+          *sorted(minilang.KEYWORDS)]
+SCANNER_TEXT = st.lists(st.one_of(st.sampled_from(PIECES), st.characters()),
+                        max_size=80).map("".join)
+
+
+def error_of(err):
+    return type(err).__name__, str(err), err.line, err.col
+
+
+def scan(tokenize, source):
+    """Every token as (kind, text, start, end, line, col), or the error."""
+    try:
+        tokens = tokenize(source, "t.mini")
+    except MiniLangSyntaxError as err:
+        return error_of(err)
+    if tokenize is reference._tokenize:
+        return [(t.kind, t.text, t.start, t.end, t.line, t.col) for t in tokens]
+    starts = minilang._line_starts(source)
+    return [(*t, *minilang._position(starts, t.start)) for t in tokens]
+
+
+def reference_tokens(source, filename):
+    return [minilang.Token(t.kind, t.text, t.start, t.end)
+            for t in reference._tokenize(source, filename)]
+
+
+def parse_outcome(source):
+    try:
+        return minilang.parse(source, "t.mini")
+    except CrossCCError as err:
+        return error_of(err)
+
+
+def assert_scanners_agree(source):
+    assert scan(minilang._tokenize, source) == scan(reference._tokenize, source)
+    new = parse_outcome(source)
+    with mock.patch.object(minilang, "_tokenize", reference_tokens):
+        assert parse_outcome(source) == new
+
+
+@settings(max_examples=400, deadline=None)
+@given(SCANNER_TEXT)
+@example("fn ²x() { y = ①.5_a; z = ½b; }")
+@example('fn f() { s = "a\\"b\\\\"; /* c\n */ t; }')
+@example('"tail\\')
+@example("x /*/ y")
+def test_scanners_agree_on_generated_text(source):
+    assert_scanners_agree(source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["fn f() {", "fn g(a, b) {", "}", "if (c) {",
+                                 "} else {", "while (i < n) {", "x = 1;",
+                                 "return y;", "break;", "L: for (;;) {",
+                                 "switch (k) { case 1: {", "default: {",
+                                 "/* c\n */", "// c\n", '"s\n"', "\r\n", "²"]),
+                max_size=30).map(" ".join))
+def test_scanners_agree_on_statement_soup(source):
+    assert_scanners_agree(source)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mini")), ids=lambda p: p.name)
+def test_token_streams_identical_on_fixtures(path):
+    source = path.read_text(encoding="utf-8")
+    tokens = scan(minilang._tokenize, source)
+    assert isinstance(tokens, list) and len(tokens) > 1
+    assert tokens == scan(reference._tokenize, source)
+
+
+@pytest.mark.parametrize("digit", ["²", "①", "٣"])
+def test_unicode_digits_start_a_number(digit):
+    kinds = [(t.kind, t.text) for t in minilang._tokenize(f"{digit}a.b_c", "t")]
+    assert kinds == [("number", f"{digit}a.b"), ("ident", "_c"), ("eof", "")]
+
+
+def test_numeric_non_digit_is_punctuation():
+    kinds = [(t.kind, t.text) for t in minilang._tokenize("½x é1", "t")]
+    assert kinds == [("punct", "½"), ("ident", "x"), ("ident", "é1"), ("eof", "")]
+
+
+class TestPositions:
+    def test_unterminated_block_comment_reports_its_opening(self):
+        with pytest.raises(MiniLangSyntaxError) as err:
+            minilang.parse("fn f() {\n  x; /* never\n  closed }\n", "t.mini")
+        assert error_of(err.value) == (
+            "MiniLangSyntaxError", "t.mini:2:6: unterminated block comment", 2, 6)
+
+    def test_unterminated_string_reports_its_opening_quote(self):
+        with pytest.raises(MiniLangSyntaxError) as err:
+            minilang.parse('fn f() {\n  s = "abc\n  def;\n}\n', "t.mini")
+        assert error_of(err.value) == (
+            "MiniLangSyntaxError", "t.mini:2:7: unterminated string literal", 2, 7)
+
+    def test_statement_after_multiline_block_comment(self):
+        fn, = minilang.parse("fn f() {\n  /* a\n  b */ x;\n  y;\n}").functions
+        assert [(s.text, s.line, s.col) for s in fn.body.stmts] == [
+            ("x", 3, 8), ("y", 4, 3)]
+
+    def test_statement_after_multiline_string(self):
+        fn, = minilang.parse('fn f() {\n  s = "a\nb"; z;\n  y;\n}').functions
+        assert [(s.line, s.col) for s in fn.body.stmts] == [(2, 3), (3, 5), (4, 3)]
+
+    def test_carriage_return_counts_as_a_column(self):
+        source = "fn f() {\r\n  x;\r\n  if (c) {\r y; }\r\n}\r\n"
+        fn, = minilang.parse(source).functions
+        x, branch = fn.body.stmts
+        assert (x.line, x.col) == (2, 3)
+        assert (branch.line, branch.col) == (3, 3)
+        (y,) = branch.then.stmts
+        assert (y.line, y.col) == (3, 13)
+        assert_scanners_agree(source)
+
+    def test_end_of_file_error_is_placed_after_the_last_character(self):
+        with pytest.raises(MiniLangSyntaxError) as err:
+            minilang.parse("fn f() {\r\n  x;\r\n", "t.mini")
+        assert (err.value.line, err.value.col) == (3, 1)
+
+
+# Arbitrary text through both frontends: any outcome but a CrossCCError is
+# a traceback for the user. 200 characters cannot nest deeply enough to
+# reach the recursion limit.
+FRONTEND_WORDS = ["fn", "if", "while", "switch", "case", "digraph", "->", "start",
+                  "exit", "weight", "tree", "addvirtual", "=", "true", "false",
+                  "1/2", "-1", '"', "{", "}", "(", ")", "[", "]", ";", ":", ",",
+                  "//", "/*", "*/", "\n", " ", "a", "b"]
+ARBITRARY_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.one_of(st.sampled_from(FRONTEND_WORDS), st.characters()),
+             max_size=60).map("".join).filter(lambda s: len(s) <= 200))
+
+
+@pytest.mark.parametrize("frontend", [minilang.parse, parse_dot], ids=["minilang", "dot"])
+@settings(max_examples=300, deadline=None)
+@given(text=ARBITRARY_TEXT)
+@example(text="digraph g { start = a; exit = b; a -> b; }")
+@example(text="fn f() { while (c) { if (d) { x; } } }")
+def test_arbitrary_text_gives_a_result_or_a_crosscc_error(frontend, text):
+    try:
+        frontend(text)
+    except CrossCCError:
+        pass
