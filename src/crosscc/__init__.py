@@ -15,7 +15,7 @@ from .basis import (
     oracle_min_basis,
     tree_bound,
 )
-from .cfg import ControlFlowGraph, lower, mcc
+from .cfg import ControlFlowGraph, lower
 from .dot import DotGraphDoc, dump_cfg_dot, dump_dot, parse_dot
 from .errors import CrossCCError
 from .graph import (
@@ -52,7 +52,6 @@ __all__ = [
     "parse",
     "ControlFlowGraph",
     "lower",
-    "mcc",
     "CrossComplexity",
     "Region",
     "cross_complexity",

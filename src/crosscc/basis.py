@@ -81,7 +81,13 @@ def _mask(edge_ids: Iterable[int]) -> int:
 
 
 def _edge_ids(mask: int) -> List[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of ``mask``, lowest first, one step per set bit."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
@@ -229,7 +235,10 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> CycleBasis:
 
 def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
     """Every unoriented simple cycle of ``g`` (including 2-cycles between
-    parallel edges), as Cycle objects. Raises TooLarge past ``limit``."""
+    parallel edges), as Cycle objects. Raises TooLarge past ``limit``.
+
+    Cycles are kept as edge-id lists while the search runs and validated
+    as Cycle objects only once it finishes within ``limit``."""
     found = {}
     n = g.vertex_count
     for start in range(n):
@@ -247,7 +256,7 @@ def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
                     if path_edges:
                         mask = _mask(path_edges) | 1 << e.id
                         if mask not in found:
-                            found[mask] = Cycle.from_edges(g, path_edges + [e.id])
+                            found[mask] = path_edges + [e.id]
                             if len(found) > limit:
                                 raise TooLarge(
                                     f"more than {limit} simple cycles; oracle refused"
@@ -256,7 +265,8 @@ def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
                 if u < start or u in path_vertices:
                     continue
                 stack.append((u, path_edges + [e.id], path_vertices | {u}))
-    return [found[m] for m in sorted(found, key=lambda m: (found[m].weight, m))]
+    cycles = {m: Cycle.from_edges(g, ids) for m, ids in found.items()}
+    return [cycles[m] for m in sorted(cycles, key=lambda m: (cycles[m].weight, m))]
 
 
 def oracle_min_basis(g: WeightedDigraph, limit: int = 10_000) -> CycleBasis:

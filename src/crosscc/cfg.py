@@ -15,7 +15,10 @@ shapes:
 * loop bodies exit to both the loop condition (back arc) and the code after
   the loop, so a bare ``while`` is three nodes and three arcs; when a body
   never falls through, the condition's false arc becomes the loop exit
-  instead, so the loop's branch is never lost;
+  instead, so the loop's branch is never lost; when a body falls through
+  at more than one place, those exits first join one empty latch node,
+  which loops back and leaves, so each loop adds exactly one to the cycle
+  rank and nu is McCabe's count of decisions plus one;
 * ``switch`` lowers to a cascade of two-way tests, one per alternative
   including ``default``, which makes each case label count toward the
   cyclomatic number the way complexity checkers count them;
@@ -36,7 +39,7 @@ from typing import List, Optional, Tuple
 
 from . import minilang as ast
 from .errors import UnreachableCode, UnresolvedLabel
-from .graph import WeightedDigraph, cycle_rank
+from .graph import WeightedDigraph
 
 EXIT_LABEL = "exit"
 
@@ -51,10 +54,6 @@ class ControlFlowGraph:
     virtual_arc: int
     node_labels: Tuple[str, ...]
     name: str = ""
-
-    @property
-    def real_edge_count(self) -> int:
-        return self.graph.edge_count - 1
 
 
 class _LoopContext:
@@ -255,6 +254,10 @@ class _Lowerer:
             self._append(step, pos)
         body_exits = self._exits()
         self.contexts.pop()
+        if len(body_exits) > 1:
+            # One latch joins the exits, so the loop's branch counts once.
+            self._resume(body_exits)
+            body_exits = [self._enter_node("", pos)]
         for src in body_exits:
             self._arc(src, cond)  # back arc; the same nodes also exit the loop
         if body_exits:
@@ -359,12 +362,3 @@ def check_reachability(cfg: ControlFlowGraph,
 def lower(fn: ast.Function, filename: str = "<input>") -> ControlFlowGraph:
     """Lower one parsed function to its control-flow graph."""
     return _Lowerer(fn, filename).build()
-
-
-def mcc(cfg: ControlFlowGraph) -> int:
-    """McCabe's cyclomatic complexity: the cycle rank of the closed graph.
-
-    Equals #real arcs - #nodes + 2; the synthetic arc makes this the plain
-    cycle-space dimension of the stored graph.
-    """
-    return cycle_rank(cfg.graph)

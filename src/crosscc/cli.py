@@ -26,10 +26,10 @@ from typing import List, Optional
 
 from . import __version__
 from .basis import Provenance
-from .cfg import lower, mcc
+from .cfg import lower
 from .dot import dump_cfg_dot, parse_dot
 from .errors import CrossCCError
-from .graph import as_weight
+from .graph import as_weight, cycle_rank
 from .metric import CrossComplexity, cross_complexity
 from .minilang import parse
 from .plot import halfplane_svg, points_csv
@@ -136,7 +136,7 @@ def _cmd_dump_cfg(args) -> int:
             program = parse(path.read_text(encoding="utf-8"), str(path))
             for fn in program.functions:
                 cfg = lower(fn, str(path))
-                chunks.append(f"// {path}:{fn.name}  mcc={mcc(cfg)}")
+                chunks.append(f"// {path}:{fn.name}  mcc={cycle_rank(cfg.graph)}")
                 chunks.append(dump_cfg_dot(cfg))
         except (CrossCCError, OSError, UnicodeDecodeError) as ex:
             _diag(f"{path}: error: {ex}")

@@ -14,7 +14,6 @@ values so equality assertions are exact.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -105,18 +104,7 @@ class WeightedDigraph:
         return sum((self.edge(i).weight for i in edge_ids), Fraction(0))
 
     def is_connected(self) -> bool:
-        if self.vertex_count <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for e in self._incidence[v]:
-                u = e.other(v)
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.vertex_count
+        return self.vertex_count <= 1 or len(_bfs_parents(self, 0)) == self.vertex_count - 1
 
     def require_connected(self) -> None:
         if self.vertex_count == 0:
@@ -126,6 +114,27 @@ class WeightedDigraph:
 
     def __repr__(self):
         return f"WeightedDigraph(V={self.vertex_count}, E={len(self.edges)})"
+
+
+def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
+    """Breadth-first search of the unoriented graph from ``root``.
+
+    Returns ``{v: (parent_vertex, edge_id)}`` for every vertex reached other
+    than the root, following only the edge ids in ``allowed`` when given.
+    Neighbors are explored in ascending edge id, so the result is a pure
+    function of the arguments: reruns and platforms agree bit for bit.
+    """
+    parent = {}
+    order = [root]
+    for v in order:  # grows while it is read: a FIFO queue
+        for e in g.incident(v):
+            if allowed is not None and e.id not in allowed:
+                continue
+            u = e.other(v)
+            if u != root and u not in parent:
+                parent[u] = (v, e.id)
+                order.append(u)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -140,31 +149,9 @@ class SpanningTree:
     tree_edges: frozenset
     parent: Mapping[int, tuple]
 
-    @property
-    def weight(self) -> Fraction:
-        return self.host.weight_of(self.tree_edges)
-
     def chords(self) -> list:
         """Non-tree edge ids in ascending order."""
         return [e.id for e in self.host.edges if e.id not in self.tree_edges]
-
-    def path_to_root(self, vertex: int) -> frozenset:
-        """Edge ids of the unique tree path from ``vertex`` up to the root."""
-        ids = []
-        v = vertex
-        while v != self.root:
-            p, eid = self.parent[v]
-            ids.append(eid)
-            v = p
-        return frozenset(ids)
-
-    def path_between(self, u: int, v: int) -> frozenset:
-        """Edge ids of the unique tree path between ``u`` and ``v``.
-
-        The shared climb above the meeting point cancels under symmetric
-        difference, which is exactly the u-v path.
-        """
-        return self.path_to_root(u) ^ self.path_to_root(v)
 
     @classmethod
     def from_edge_ids(cls, g: WeightedDigraph, root: int, edge_ids: Iterable[int]) -> "SpanningTree":
@@ -180,52 +167,26 @@ class SpanningTree:
             raise NotASpanningTree(
                 f"{len(ids)} edges cannot span {g.vertex_count} vertices"
             )
-        parent = {}
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e in g.incident(v):
-                if e.id not in ids:
-                    continue
-                u = e.other(v)
-                if u not in seen:
-                    seen.add(u)
-                    parent[u] = (v, e.id)
-                    queue.append(u)
-        if len(seen) != g.vertex_count:
+        parent = _bfs_parents(g, root, ids)
+        if len(parent) != g.vertex_count - 1:
             raise NotASpanningTree("edge set does not reach every vertex acyclically")
         return cls(host=g, root=root, tree_edges=ids, parent=parent)
 
 
 def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
-    """BFS spanning tree rooted at ``root``, ignoring arc direction.
-
-    Neighbors are explored in ascending edge id, so the result is a pure
-    function of the graph: reruns and platforms agree bit for bit.
-    """
+    """BFS spanning tree rooted at ``root``, ignoring arc direction; a pure
+    function of the graph (see ``_bfs_parents``)."""
     if g.vertex_count == 0:
         raise EmptyGraph("graph has no vertices")
     if not (0 <= root < g.vertex_count):
         raise ValueError(f"root {root} out of range")
-    parent = {}
-    tree_ids = set()
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for e in g.incident(v):
-            u = e.other(v)
-            if u not in seen:
-                seen.add(u)
-                parent[u] = (v, e.id)
-                tree_ids.add(e.id)
-                queue.append(u)
-    if len(seen) != g.vertex_count:
+    parent = _bfs_parents(g, root)
+    if len(parent) != g.vertex_count - 1:
         raise DisconnectedGraph(
-            f"only {len(seen)} of {g.vertex_count} vertices reachable from {root}"
+            f"only {len(parent) + 1} of {g.vertex_count} vertices reachable from {root}"
         )
-    return SpanningTree(host=g, root=root, tree_edges=frozenset(tree_ids), parent=parent)
+    tree_edges = frozenset(eid for _, eid in parent.values())
+    return SpanningTree(host=g, root=root, tree_edges=tree_edges, parent=parent)
 
 
 @dataclass(frozen=True)
@@ -274,11 +235,33 @@ class Cycle:
 
 
 def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
-    """The unique unoriented cycle in ``tree + e``: tree path between e's endpoints plus e."""
+    """The unique unoriented cycle in ``tree + e``: e plus the tree path between its endpoints.
+
+    Climbs the parent map from both endpoints in turn until one climb reaches
+    a vertex the other has passed; that vertex is where the two paths meet.
+    Each edge id is collected once, and a tree plus one chord is a cycle by
+    construction, so the result needs no re-check.
+    """
     if e.id in t.tree_edges:
         raise EdgeInTree(f"edge {e.id} is a tree edge")
-    ids = t.path_between(e.source, e.target) | {e.id}
-    return Cycle.from_edges(t.host, ids)
+    ends = [e.source, e.target]
+    climbs = ([], [])
+    reached = ({e.source: 0}, {e.target: 0})  # per side: vertex -> edges climbed
+    side = 0
+    while True:
+        v = ends[side]
+        if v != t.root:
+            v, eid = t.parent[v]
+            climbs[side].append(eid)
+            depth = reached[1 - side].get(v)
+            if depth is not None:
+                break
+            reached[side][v] = len(climbs[side])
+            ends[side] = v
+        side = 1 - side
+    ids = climbs[side] + climbs[1 - side][:depth] + [e.id]
+    edges = t.host.edges
+    return Cycle(frozenset(ids), sum((edges[i].weight for i in ids), Fraction(0)))
 
 
 class Gf2Basis:

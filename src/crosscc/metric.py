@@ -43,9 +43,6 @@ class CrossComplexity:
     region: Region
     indicator: Fraction  # omega/nu: distance from the diagonal, smaller is better
 
-    def as_tuple(self):
-        return (self.nu, self.omega_min)
-
 
 def classify_region(nu: int, omega, slope=DEFAULT_SLOPE) -> Region:
     """Halfplane classification of a (nu, omega) point.

@@ -8,6 +8,7 @@ import pytest
 from crosscc.basis import (
     Provenance,
     _candidate_cycles,
+    _edge_ids,
     _feedback_vertex_set,
     _integer_weights,
     _require_nonnegative,
@@ -286,6 +287,11 @@ def test_edge_objects_with_float_weights_become_fractions():
     for basis in (horton_basis(g), tree_bound(g, spanning_tree(g, 0))):
         assert basis.total_weight == Fraction(3, 2)
         assert type(basis.total_weight) is Fraction
+
+
+@pytest.mark.parametrize("ids", [[], [0], [3, 5], [0, 1, 2, 63, 64, 200], [1000]])
+def test_edge_ids_are_the_set_bits_in_order(ids):
+    assert _edge_ids(sum(1 << i for i in ids)) == ids
 
 
 class TestOracle:

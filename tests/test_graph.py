@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from crosscc.cfg import lower
+from crosscc.dot import parse_dot
 from crosscc.errors import (
     DisconnectedGraph,
     EdgeInTree,
@@ -18,7 +21,16 @@ from crosscc.graph import (
     spanning_tree,
 )
 
-from conftest import negative_weight_pentagon, weighted_fan
+from crosscc.minilang import parse
+
+from conftest import (
+    FIXTURES,
+    negative_weight_pentagon,
+    random_connected_graph,
+    random_spanning_tree,
+    random_weighted_multigraph,
+    weighted_fan,
+)
 
 
 def diamond():
@@ -59,7 +71,7 @@ class TestSpanningTree:
         # Tree {a-b, a-c, c-d, c-e} of the mixed-sign graph weighs 10.
         g = negative_weight_pentagon()
         t = SpanningTree.from_edge_ids(g, 0, [0, 2, 4, 5])
-        assert t.weight == 10
+        assert g.weight_of(t.tree_edges) == 10
 
     def test_single_vertex_graph_empty_tree(self):
         t = spanning_tree(WeightedDigraph(1, []), 0)
@@ -92,7 +104,7 @@ class TestSpanningTree:
         g = weighted_fan()
         t = spanning_tree(g, 0)
         complement = g.weight_of(e.id for e in g.edges if e.id not in t.tree_edges)
-        assert t.weight + complement == total_weight(g)
+        assert g.weight_of(t.tree_edges) + complement == total_weight(g)
 
 
 class TestFundamentalCycle:
@@ -146,6 +158,37 @@ class TestFundamentalCycle:
         masks = [mask(c.edge_ids) for c in cycles]
         combined = mask(cycles[0].edge_ids ^ cycles[1].edge_ids)
         assert rank(masks + [combined]) == rank(masks)
+
+
+def trees_to_climb():
+    """Random graphs with random spanning trees, and every fixture graph
+    with its BFS tree and, for a DOT fixture, its marked tree."""
+    rng = random.Random(6)
+    for _ in range(150):
+        g = random_connected_graph(rng)
+        yield g, random_spanning_tree(g, rng)
+        g = random_weighted_multigraph(rng)
+        yield g, random_spanning_tree(g, rng)
+    for path in sorted(FIXTURES.glob("*.mini")):
+        for fn in parse(path.read_text(encoding="utf-8"), path.name).functions:
+            g = lower(fn).graph
+            yield g, spanning_tree(g, 0)
+    for path in sorted(FIXTURES.glob("*.dot")):
+        doc = parse_dot(path.read_text(encoding="utf-8"))
+        yield doc.graph, spanning_tree(doc.graph, 0)
+        if doc.marked_tree() is not None:
+            yield doc.graph, doc.marked_tree()
+
+
+def test_fundamental_cycles_pass_the_cycle_check():
+    # The climb builds each cycle without re-checking it; Cycle.from_edges
+    # raises NotACycle if the climb stops short of the meeting point or
+    # climbs past it.
+    for g, t in trees_to_climb():
+        for eid in t.chords():
+            c = fundamental_cycle(t, g.edge(eid))
+            assert c == Cycle.from_edges(g, c.edge_ids)
+            assert c.edge_ids - {eid} <= t.tree_edges
 
 
 class TestRingSum:

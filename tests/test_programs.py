@@ -1,0 +1,137 @@
+"""Properties of generated MiniLang functions: nu is McCabe's count, the
+tree bound never undercuts the exact minimum, and a DOT round trip keeps
+the pair.
+
+The generator nests if/else, while, for (with and without init and step),
+switch (with and without default), labeled loops, and
+break/continue/return with and without labels. Every function it writes is
+reachable: a block ends at its first statement that cannot fall through.
+It counts decisions as complexity checkers do: one per if and per loop,
+one per switch alternative, ``default`` included.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crosscc.basis import Provenance
+from crosscc.cfg import lower
+from crosscc.dot import dump_cfg_dot, parse_dot
+from crosscc.graph import cycle_rank
+from crosscc.metric import cross_complexity
+from crosscc.minilang import parse
+
+MAX_DEPTH = 3
+
+
+class _Writer:
+    def __init__(self, draw):
+        self.draw = draw
+        self.decisions = 0
+        self.labels = 0
+
+    def block(self, depth, loops, breakable):
+        """``{ ... }`` and whether control can fall out of its end.
+
+        ``loops`` holds the label (or None) of each enclosing loop, innermost
+        last; ``breakable`` says whether a bare ``break`` has a target.
+        """
+        stmts, falls_through = [], True
+        for _ in range(self.draw(st.integers(0, 3))):
+            text, falls_through = self.stmt(depth, loops, breakable)
+            stmts.append(text)
+            if not falls_through:
+                break
+        return "{ " + " ".join(stmts) + " }", falls_through
+
+    def stmt(self, depth, loops, breakable):
+        kinds = ["expr", "return", "return value"]
+        if depth < MAX_DEPTH:
+            kinds += ["if", "if-else", "while", "for", "switch"]
+        if breakable:
+            kinds.append("break")
+        if loops:
+            kinds.append("continue")
+        kind = self.draw(st.sampled_from(kinds))
+        if kind == "expr":
+            return "x = x + 1;", True
+        if kind == "return":
+            return "return;", False
+        if kind == "return value":
+            return "return x;", False
+        if kind in ("break", "continue"):
+            targets = [None] + [label for label in loops if label is not None]
+            label = self.draw(st.sampled_from(targets))
+            return (f"{kind} {label};" if label else f"{kind};"), False
+        self.decisions += 1
+        if kind == "if":
+            then, _ = self.block(depth + 1, loops, breakable)
+            return f"if (c) {then}", True
+        if kind == "if-else":
+            then, then_falls = self.block(depth + 1, loops, breakable)
+            orelse, else_falls = self.block(depth + 1, loops, breakable)
+            return f"if (c) {then} else {orelse}", then_falls or else_falls
+        if kind == "switch":
+            cases = self.draw(st.integers(0, 2))
+            default = self.draw(st.booleans()) or cases == 0
+            self.decisions += cases + default - 1
+            arms = [f"case {i}: " + self.block(depth + 1, loops, True)[0]
+                    for i in range(cases)]
+            if default:
+                arms.append("default: " + self.block(depth + 1, loops, True)[0])
+            return "switch (s) { " + " ".join(arms) + " }", True
+        label = None
+        if self.draw(st.booleans()):
+            label = f"L{self.labels}"
+            self.labels += 1
+        body, _ = self.block(depth + 1, loops + [label], True)
+        if kind == "while":
+            head = "while (c)"
+        else:
+            init = self.draw(st.sampled_from(["", "i = 0"]))
+            step = self.draw(st.sampled_from(["", "i = i + 1"]))
+            head = f"for ({init}; i < n; {step})"
+        return (f"{label}: " if label else "") + f"{head} {body}", True
+
+
+@st.composite
+def functions(draw):
+    """(source of one reachable function, its number of decisions)."""
+    writer = _Writer(draw)
+    body, _ = writer.block(0, [], False)
+    return f"fn f() {body}", writer.decisions
+
+
+def lower_one(source):
+    return lower(parse(source).functions[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(functions())
+@example(("fn f() { while (c) { if (c) { x = x + 1; } } }", 2))
+@example(("fn f() { for (; i < n; ) { if (c) { break; } else { } } }", 2))
+@example(("fn f() { L0: while (c) { switch (s) { case 0: { continue L0; } "
+          "default: { } } } }", 3))
+def test_cycle_rank_is_decisions_plus_one(program):
+    source, decisions = program
+    assert cycle_rank(lower_one(source).graph) == decisions + 1, source
+
+
+@settings(max_examples=150, deadline=None)
+@given(functions())
+def test_tree_bound_is_at_least_exact(program):
+    cfg = lower_one(program[0])
+    exact = cross_complexity(cfg, mode=Provenance.EXACT)
+    bound = cross_complexity(cfg, mode=Provenance.TREE_BOUND)
+    assert bound.nu == exact.nu
+    assert bound.omega_min >= exact.omega_min
+
+
+@settings(max_examples=150, deadline=None)
+@given(functions())
+def test_dump_cfg_dot_round_trip_keeps_the_pair(program):
+    cfg = lower_one(program[0])
+    again = parse_dot(dump_cfg_dot(cfg)).to_cfg()
+    for mode in (Provenance.EXACT, Provenance.TREE_BOUND):
+        before = cross_complexity(cfg, mode=mode)
+        after = cross_complexity(again, mode=mode)
+        assert (after.nu, after.omega_min) == (before.nu, before.omega_min)
