@@ -26,7 +26,6 @@ out.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -68,12 +67,6 @@ def _require_nonnegative(g: WeightedDigraph) -> None:
     for e in g.edges:
         if e.weight.numerator < 0:
             raise NegativeWeight(f"edge {e.id} has weight {e.weight}")
-
-
-def _integer_weights(g: WeightedDigraph) -> List[int]:
-    """Every edge weight times the LCM of their denominators, by edge id."""
-    scale = math.lcm(*(e.weight.denominator for e in g.edges))
-    return [e.weight.numerator * (scale // e.weight.denominator) for e in g.edges]
 
 
 def _mask(edge_ids: Iterable[int]) -> int:
@@ -192,7 +185,7 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     nu = cycle_rank(g)
     if nu == 0:
         return CycleBasis(cycles=(), total_weight=Fraction(0), provenance=Provenance.EXACT)
-    candidates = _candidate_cycles(g, _integer_weights(g))
+    candidates = _candidate_cycles(g, g.integer_weights()[0])
     ordered = sorted(candidates, key=lambda m: (candidates[m], m))
     chosen = _greedy_independent(ordered, nu)
     if len(chosen) < nu:
@@ -222,15 +215,19 @@ def _greedy_independent(ordered_masks: Iterable[int], nu: int) -> List[int]:
 
 def tree_bound(g: WeightedDigraph, t: SpanningTree) -> CycleBasis:
     """The fundamental system of cycles of ``t``: a valid basis, so an upper
-    bound on the minimum basis weight (not necessarily minimal)."""
+    bound on the minimum basis weight (not necessarily minimal).
+
+    Each cycle weight is its integer weight over the graph's scale, so the
+    total adds the integer weights back up and divides once.
+    """
     if t.host is not g:
         raise ValueError("tree does not belong to this graph")
     _require_nonnegative(g)
-    cycles = []
-    for eid in t.chords():
-        cycles.append(fundamental_cycle(t, g.edge(eid)))
-    total = sum((c.weight for c in cycles), Fraction(0))
-    return CycleBasis(cycles=tuple(cycles), total_weight=total, provenance=Provenance.TREE_BOUND)
+    cycles = tuple(fundamental_cycle(t, g.edges[eid]) for eid in t.chords())
+    scale = g.integer_weights()[1]
+    total = Fraction(sum(c.weight.numerator * (scale // c.weight.denominator) for c in cycles),
+                     scale)
+    return CycleBasis(cycles=cycles, total_weight=total, provenance=Provenance.TREE_BOUND)
 
 
 def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):

@@ -9,14 +9,17 @@ Cycles are unoriented edge-id sets: arc direction matters to control-flow
 semantics, never to the cycle algebra, so every algorithm here traverses
 the underlying undirected graph. Over GF(2) a cycle is an int bitmask with
 bit i set iff edge i is in it. All weights are exact ``fractions.Fraction``
-values so equality assertions are exact.
+values so equality assertions are exact; sums over many edges run on the
+graph's integer weights (``WeightedDigraph.integer_weights``), which are
+the same weights times one common factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -56,7 +59,7 @@ class Edge:
 class WeightedDigraph:
     """Immutable weighted digraph over dense vertex ids ``0..vertex_count-1``."""
 
-    __slots__ = ("vertex_count", "edges", "_incidence")
+    __slots__ = ("vertex_count", "edges", "_incidence", "_integer_weights")
 
     def __init__(self, vertex_count: int, edges: Iterable[Union[Edge, tuple]]):
         if vertex_count < 0:
@@ -86,6 +89,7 @@ class WeightedDigraph:
             incidence[e.target].append(e)
         # Ascending edge id per vertex makes every traversal deterministic.
         self._incidence = tuple(tuple(sorted(inc, key=lambda e: e.id)) for inc in incidence)
+        self._integer_weights = None
 
     @property
     def edge_count(self) -> int:
@@ -99,6 +103,16 @@ class WeightedDigraph:
     def incident(self, vertex: int) -> Sequence[Edge]:
         """Edges touching ``vertex`` (unoriented view), ascending edge id."""
         return self._incidence[vertex]
+
+    def integer_weights(self) -> Tuple[List[int], int]:
+        """``(weights, scale)``: every edge weight times ``scale``, the least
+        common multiple of their denominators, by edge id. Computed once per
+        graph; a sum of these over ``scale`` is the exact ``Fraction`` sum."""
+        if self._integer_weights is None:
+            ratios = [e.weight.as_integer_ratio() for e in self.edges]
+            scale = math.lcm(*{d for _, d in ratios})
+            self._integer_weights = ([n * (scale // d) for n, d in ratios], scale)
+        return self._integer_weights
 
     def weight_of(self, edge_ids: Iterable[int]) -> Fraction:
         return sum((self.edge(i).weight for i in edge_ids), Fraction(0))
@@ -240,18 +254,20 @@ def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
     Climbs the parent map from both endpoints in turn until one climb reaches
     a vertex the other has passed; that vertex is where the two paths meet.
     Each edge id is collected once, and a tree plus one chord is a cycle by
-    construction, so the result needs no re-check.
+    construction, so the result needs no re-check. The weight is the sum of
+    the host's integer weights over their scale: one ``Fraction`` per cycle.
     """
     if e.id in t.tree_edges:
         raise EdgeInTree(f"edge {e.id} is a tree edge")
+    parent, root = t.parent, t.root
     ends = [e.source, e.target]
     climbs = ([], [])
     reached = ({e.source: 0}, {e.target: 0})  # per side: vertex -> edges climbed
     side = 0
     while True:
         v = ends[side]
-        if v != t.root:
-            v, eid = t.parent[v]
+        if v != root:
+            v, eid = parent[v]
             climbs[side].append(eid)
             depth = reached[1 - side].get(v)
             if depth is not None:
@@ -260,8 +276,8 @@ def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
             ends[side] = v
         side = 1 - side
     ids = climbs[side] + climbs[1 - side][:depth] + [e.id]
-    edges = t.host.edges
-    return Cycle(frozenset(ids), sum((edges[i].weight for i in ids), Fraction(0)))
+    weights, scale = t.host.integer_weights()
+    return Cycle(frozenset(ids), Fraction(sum([weights[i] for i in ids]), scale))
 
 
 class Gf2Basis:

@@ -31,15 +31,24 @@ class Token(NamedTuple):
     end: int
 
 
+# The lexical rules, each written once and shared by every pattern below:
+# whitespace, a comment, a string literal. The repetitions are possessive
+# (Python 3.11+): a match never gives back a comment or a string it has
+# read, so a pattern that skips them cannot stop inside one.
+_SPACE = r"[ \t\r\n]++"
+_COMMENT = r"//[^\n]*+|/\*.*?\*/"
+_STRING = r'"[^"\\]*+(?:\\.[^"\\]*+)*+"'
+_BLANKS = rf"(?:{_SPACE}|{_COMMENT})*+"
+
 # Word and number tails; the token pattern uses them after an ASCII start,
 # _tokenize after a non-ASCII one, which str.isalpha/isdigit classify.
 _IDENT_TAIL = r"\w*"
 _NUMBER_TAIL = r"[^\W_]*(?:\.[^\W_]*)*"
 _TOKEN = re.compile(rf"""
-    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*      # skipped: whitespace, comments
+    {_BLANKS}                                    # skipped: whitespace, comments
     (?: (?P<ident>[A-Za-z_]{_IDENT_TAIL})
       | (?P<number>[0-9]{_NUMBER_TAIL})
-      | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+      | (?P<string>{_STRING})
       | (?P<comment>/\*)                           # unterminated block comment
       | (?P<quote>")                               # unterminated string literal
       | (?P<eof>\Z)
@@ -62,33 +71,60 @@ def _position(line_starts, offset: int) -> Tuple[int, int]:
     return line, offset - line_starts[line - 1] + 1
 
 
-def _tokenize(source: str, filename: str):
+def _token_at(source: str, pos: int, filename: str) -> Token:
+    """The token at or after ``pos``, past any whitespace and comments."""
+    m = _TOKEN.match(source, pos)
+    kind = m.lastgroup
+    start, end = m.span(kind)
+    text = m.group(kind)
+    if kind == "ident":
+        if text in KEYWORDS:
+            kind = "keyword"
+    elif kind == "other":
+        # A non-ASCII start: a letter starts an identifier, a digit (``²``
+        # too) a number, and anything else is punctuation like every other
+        # single character. Expression text is recovered by raw source
+        # slices, so operator granularity is moot.
+        kind = "ident" if text.isalpha() else "number" if text.isdigit() else "punct"
+        if kind != "punct":
+            end = _TAILS[kind].match(source, end).end()
+            text = source[start:end]
+    elif kind in _UNTERMINATED:
+        raise MiniLangSyntaxError(_UNTERMINATED[kind],
+                                  *_position(_line_starts(source), start), filename)
+    return Token(kind, text, start, end)
+
+
+def _tokenize(source: str, filename: str, pos: int = 0):
+    """Every token from ``pos`` to the end, eof included."""
     tokens = []
-    match = _TOKEN.match
-    pos = 0
     while True:
-        m = match(source, pos)
-        kind = m.lastgroup
-        start, pos = m.span(kind)
-        text = m.group(kind)
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = "keyword"
-        elif kind == "other":
-            # A non-ASCII start: a letter starts an identifier, a digit
-            # (``²`` too) a number, and anything else is punctuation like
-            # every other single character. Expression text is recovered by
-            # raw source slices, so operator granularity is moot.
-            kind = "ident" if text.isalpha() else "number" if text.isdigit() else "punct"
-            if kind != "punct":
-                pos = _TAILS[kind].match(source, pos).end()
-                text = source[start:pos]
-        elif kind in _UNTERMINATED:
-            raise MiniLangSyntaxError(_UNTERMINATED[kind],
-                                      *_position(_line_starts(source), start), filename)
-        tokens.append(Token(kind, text, start, pos))
-        if kind == "eof":
+        tok = _token_at(source, pos, filename)
+        tokens.append(tok)
+        if tok.kind == "eof":
             return tokens
+        pos = tok.end
+
+
+# Expression text is opaque: only ``; : ( ) [ ]`` outside strings and
+# comments delimit it. _SKIP jumps over it in one match: runs of other
+# characters, whole strings and comments (a ``/`` that starts neither is
+# text), and ``(...)``/``[...]`` groups, closed by their own kind of bracket,
+# up to two levels deep. It stops before a delimiter, an unterminated
+# string or comment, or a group it cannot close; the parser's depth loops
+# take over from there.
+_OPAQUE = rf"{_STRING}|{_COMMENT}|/(?!\*)"
+
+
+def _groups(inner: str) -> str:
+    return rf"\((?:{inner})*+\)|\[(?:{inner})*+\]"
+
+
+_NESTED = rf'[^()\[\]"/]++|{_OPAQUE}'
+_GROUP = _groups(f"{_NESTED}|{_groups(_NESTED)}")
+_SKIP = re.compile(rf'(?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+', re.DOTALL)
+# Whitespace and comments, then ``:``: what makes an identifier a label.
+_LABEL_COLON = re.compile(rf"{_BLANKS}:", re.DOTALL)
 
 
 # --- AST ---------------------------------------------------------------
@@ -196,41 +232,52 @@ class Program:
 # --- Parser ------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over tokens scanned on demand: ``tok`` is the
+    current one, and expression text is skipped rather than tokenized."""
+
     def __init__(self, source: str, filename: str):
         self.source = source
         self.filename = filename
-        self.tokens = _tokenize(source, filename)
         self.line_starts = _line_starts(source)
-        self.pos = 0
-
-    def peek(self, offset=0) -> Token:
-        # The eof token is last and next() never passes it; offset 1 is
-        # only asked for behind an identifier.
-        return self.tokens[self.pos + offset]
+        self.tok = _token_at(source, 0, filename)
 
     def at(self, tok: Token) -> Tuple[int, int]:
         """The ``(line, col)`` of a token's first character."""
         return _position(self.line_starts, tok.start)
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "eof":
-            self.pos += 1
+            self.tok = _token_at(self.source, tok.end, self.filename)
         return tok
 
+    def skip_opaque(self) -> None:
+        """Move to the first token at or after the current one that ``_SKIP``
+        does not jump over."""
+        start = self.tok.start
+        end = _SKIP.match(self.source, start).end()
+        if end != start:
+            self.tok = _token_at(self.source, end, self.filename)
+
+    def scan_rest(self) -> None:
+        """Raise the first lexical error from the current token on, if any:
+        a lexical error anywhere in a file is reported before a syntax error."""
+        _tokenize(self.source, self.filename, self.tok.start)
+
     def error(self, message, tok=None):
-        tok = tok or self.peek()
+        self.scan_rest()
+        tok = tok or self.tok
         raise MiniLangSyntaxError(message, *self.at(tok), self.filename)
 
     def expect(self, text) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.text != text:
             got = tok.text or "end of file"
             self.error(f"expected {text!r}, got {got!r}")
         return self.next()
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "ident":
             self.error(f"expected identifier, got {tok.text!r}")
         return self.next()
@@ -238,10 +285,12 @@ class _Parser:
     def capture_parenthesized(self) -> str:
         """Consume ``( ... )`` with balanced nesting; return the inner text."""
         self.expect("(")
-        start = self.peek()
+        start = self.tok.start
         depth = 0
         while True:
-            tok = self.peek()
+            if depth == 0:
+                self.skip_opaque()
+            tok = self.tok
             if tok.kind == "eof":
                 self.error("unbalanced parenthesis")
             if tok.text == "(":
@@ -249,20 +298,22 @@ class _Parser:
             elif tok.text == ")":
                 if depth == 0:
                     self.next()
-                    return self.source[start.start:tok.start].strip()
+                    return self.source[start:tok.start].strip()
                 depth -= 1
             self.next()
 
     def capture_until(self, *stops: str) -> str:
         """Consume tokens (paren-balanced) up to one of the stop puncts, exclusive."""
-        start = self.peek()
+        start = self.tok.start
         depth = 0
         while True:
-            tok = self.peek()
+            if depth == 0:
+                self.skip_opaque()
+            tok = self.tok
             if tok.kind == "eof":
                 self.error(f"expected one of {stops} before end of file")
             if depth == 0 and tok.text in stops:
-                return self.source[start.start:tok.start].strip()
+                return self.source[start:tok.start].strip()
             if tok.text in "([":
                 depth += 1
             elif tok.text in ")]":
@@ -276,9 +327,10 @@ class _Parser:
     def parse_program(self) -> Program:
         functions = []
         names = {}
-        while self.peek().kind != "eof":
+        while self.tok.kind != "eof":
             fn = self.parse_function()
             if fn.name in names:
+                self.scan_rest()
                 raise DuplicateFunction(
                     f"function {fn.name!r} already defined at line {names[fn.name]}",
                     fn.line, fn.col, self.filename)
@@ -290,7 +342,7 @@ class _Parser:
         return program
 
     def parse_function(self) -> Function:
-        tok = self.peek()
+        tok = self.tok
         if tok.text != "fn":
             self.error(f"expected 'fn', got {tok.text!r}")
         self.next()
@@ -302,15 +354,15 @@ class _Parser:
     def parse_block(self) -> Block:
         self.expect("{")
         stmts = []
-        while self.peek().text != "}":
-            if self.peek().kind == "eof":
+        while self.tok.text != "}":
+            if self.tok.kind == "eof":
                 self.error("expected '}' before end of file")
             stmts.append(self.parse_stmt())
         self.expect("}")
         return Block(stmts=tuple(stmts))
 
     def parse_stmt(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.text == "if":
             return self.parse_if()
         if tok.text == "while":
@@ -321,28 +373,29 @@ class _Parser:
             return self.parse_switch()
         if tok.text == "break":
             self.next()
-            label = self.next().text if self.peek().kind == "ident" else None
+            label = self.next().text if self.tok.kind == "ident" else None
             self.expect(";")
             return Break(label, *self.at(tok))
         if tok.text == "continue":
             self.next()
-            label = self.next().text if self.peek().kind == "ident" else None
+            label = self.next().text if self.tok.kind == "ident" else None
             self.expect(";")
             return Continue(label, *self.at(tok))
         if tok.text == "return":
             self.next()
             value = None
-            if self.peek().text != ";":
+            if self.tok.text != ";":
                 value = self.capture_until(";")
             self.expect(";")
             return Return(value, *self.at(tok))
         if tok.kind == "keyword":
             self.error(f"unexpected keyword {tok.text!r}")
-        if tok.kind == "ident" and self.peek(1).text == ":":
-            self.next()
-            self.expect(":")
-            stmt = self.parse_stmt()
-            return Labeled(tok.text, stmt, *self.at(tok))
+        if tok.kind == "ident":
+            label = _LABEL_COLON.match(self.source, tok.end)
+            if label:
+                self.tok = _token_at(self.source, label.end(), self.filename)
+                stmt = self.parse_stmt()
+                return Labeled(tok.text, stmt, *self.at(tok))
         if tok.text == "{":
             self.error("bare blocks are not statements; braces follow a control keyword")
         text = self.capture_until(";")
@@ -356,9 +409,9 @@ class _Parser:
         cond = self.capture_parenthesized()
         then = self.parse_block()
         orelse = None
-        if self.peek().text == "else":
+        if self.tok.text == "else":
             self.next()
-            if self.peek().text == "if":
+            if self.tok.text == "if":
                 nested = self.parse_if()
                 orelse = Block(stmts=(nested,))
             else:
@@ -389,8 +442,8 @@ class _Parser:
         self.expect("{")
         cases = []
         default = None
-        while self.peek().text != "}":
-            branch = self.peek()
+        while self.tok.text != "}":
+            branch = self.tok
             if branch.text == "case":
                 self.next()
                 label = self.capture_until(":")

@@ -10,7 +10,6 @@ from crosscc.basis import (
     _candidate_cycles,
     _edge_ids,
     _feedback_vertex_set,
-    _integer_weights,
     _require_nonnegative,
     _shortest_paths,
     enumerate_simple_cycles,
@@ -66,14 +65,14 @@ def edge_ids(mask):
 
 
 def scale_of(g):
-    """The factor ``_integer_weights`` multiplies every weight by."""
+    """The factor ``WeightedDigraph.integer_weights`` multiplies every weight by."""
     return math.lcm(*(e.weight.denominator for e in g.edges))
 
 
 def all_pairs(g):
     """``(dist, path)`` per source, on the integer weights ``horton_basis``
     uses (the weighted fan's are already integers, so its scale is 1)."""
-    weights = _integer_weights(g)
+    weights = g.integer_weights()[0]
     return [_shortest_paths(g, weights, s) for s in range(g.vertex_count)]
 
 
@@ -84,13 +83,13 @@ class TestAllPairsShortestPaths:
     def test_fan_b_to_d(self):
         # All simple b-d walks weigh 6 (b-a-d), 9 (b-c-d), 10, 11, 11, 15.
         g = weighted_fan()
-        dist, path = _shortest_paths(g, _integer_weights(g), 1)
+        dist, path = _shortest_paths(g, g.integer_weights()[0], 1)
         assert dist[3] == 6
         assert path[3] == 0b101
 
     def test_unit_path_graph(self):
         g = WeightedDigraph(5, [(i, i + 1, 1) for i in range(4)])
-        dist, _ = _shortest_paths(g, _integer_weights(g), 0)
+        dist, _ = _shortest_paths(g, g.integer_weights()[0], 0)
         assert dist[4] == 4
 
     def test_diagonal_zero_and_symmetry(self):
@@ -117,7 +116,7 @@ class TestAllPairsShortestPaths:
     def test_disconnected_rejected(self):
         g = WeightedDigraph(3, [(0, 1)])
         with pytest.raises(DisconnectedGraph):
-            _shortest_paths(g, _integer_weights(g), 0)
+            _shortest_paths(g, g.integer_weights()[0], 0)
 
 
 def fixture_graphs():
@@ -138,7 +137,7 @@ class TestCandidateCycles:
     @staticmethod
     def check(g):
         scale = scale_of(g)
-        for mask, weight in _candidate_cycles(g, _integer_weights(g)).items():
+        for mask, weight in _candidate_cycles(g, g.integer_weights()[0]).items():
             ids = edge_ids(mask)
             assert Cycle.from_edges(g, ids).edge_ids == ids
             assert type(weight) is int
@@ -273,6 +272,19 @@ class TestTreeBound:
         for ids in (FAN_TREE_1, FAN_TREE_2, FAN_TREE_3):
             t = SpanningTree.from_edge_ids(g, 0, ids)
             assert tree_bound(g, t).total_weight >= exact
+
+    def test_weights_are_exact_on_the_weighted_corpus(self):
+        # The graphs of TestWeightedCorpus (rational and zero weights,
+        # parallel arcs), each with a random spanning tree of its own.
+        graphs, trees = random.Random(0x5CA1ED), random.Random(0x7EE)
+        for _ in range(1000):
+            g = random_weighted_multigraph(graphs)
+            bound = tree_bound(g, random_spanning_tree(g, trees))
+            for c in bound.cycles:
+                assert type(c.weight) is Fraction
+                assert c.weight == g.weight_of(c.edge_ids)
+            assert type(bound.total_weight) is Fraction
+            assert bound.total_weight == sum((c.weight for c in bound.cycles), Fraction(0))
 
     def test_foreign_tree_rejected(self):
         g1, g2 = weighted_fan(), weighted_fan()

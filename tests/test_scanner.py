@@ -1,12 +1,13 @@
-"""The MiniLang scanner against its character-by-character predecessor, the
-positions it reports, and arbitrary text through both frontends.
+"""The MiniLang scanner and parser against their predecessors, the
+positions they report, and arbitrary text through both frontends.
 
 ``minilang_reference._tokenize`` is the scanner ``crosscc.minilang`` used
 before its one-pattern scanner; the two must give the same token stream,
 the same ``line:col`` for every token, and the same diagnostics.
+``minilang_reference.parse`` is the parser that read that scanner's full
+token list before the parser scanned on demand and skipped expression
+text; the two must give the same ``Program`` or the same diagnostic.
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,23 +47,16 @@ def scan(tokenize, source):
     return [(*t, *minilang._position(starts, t.start)) for t in tokens]
 
 
-def reference_tokens(source, filename):
-    return [minilang.Token(t.kind, t.text, t.start, t.end)
-            for t in reference._tokenize(source, filename)]
-
-
-def parse_outcome(source):
+def parse_outcome(parse, source):
     try:
-        return minilang.parse(source, "t.mini")
+        return parse(source, "t.mini")
     except CrossCCError as err:
         return error_of(err)
 
 
 def assert_scanners_agree(source):
     assert scan(minilang._tokenize, source) == scan(reference._tokenize, source)
-    new = parse_outcome(source)
-    with mock.patch.object(minilang, "_tokenize", reference_tokens):
-        assert parse_outcome(source) == new
+    assert parse_outcome(minilang.parse, source) == parse_outcome(reference.parse, source)
 
 
 @settings(max_examples=400, deadline=None)
@@ -71,6 +65,17 @@ def assert_scanners_agree(source):
 @example('fn f() { s = "a\\"b\\\\"; /* c\n */ t; }')
 @example('"tail\\')
 @example("x /*/ y")
+@example("fn f() { x = (a]; }")
+@example("fn f() { if ((a] ) { x; } while (a[)]) { y; } }")
+@example("fn f() { x = (a[b(c)]); y = [(a[b(c)])]; z = (a(b(c(d)))e); }")
+@example("fn f() { if (g(a[b(c)])) { x; } while ((a(b(c)))) { y; } }")
+@example('fn f() { x = g(";", \':\', ")" /* ; : ) */, a // ; : )\n); y = ":)"; }')
+@example('fn f() { for (i = ";"; i < ")" /* ; */; i = i + 1 // )\n) { x; } }')
+@example("fn f() { x //L: y;\n z; }")
+@example("fn f() { x /* a */ y */ : z; }")
+@example('fn f() { if x { y; } }\nfn g() { s = "never closed; }')
+@example("fn f() { x; }\nfn f() { y; }\nfn g() { /* never closed")
+@example('fn f() { break; }\nfn g() { "never closed }')
 def test_scanners_agree_on_generated_text(source):
     assert_scanners_agree(source)
 
@@ -84,6 +89,24 @@ def test_scanners_agree_on_generated_text(source):
                 max_size=30).map(" ".join))
 def test_scanners_agree_on_statement_soup(source):
     assert_scanners_agree(source)
+
+
+# Expression text where the delimiters sit in strings, comments and
+# groups of every depth, matched or not; sometimes a file that ends in an
+# unterminated string or comment, which must beat any syntax error before it.
+EXPRESSION_PIECES = ["a", " ", "(", ")", "[", "]", ";", ":", '";"', '")"', "/* ; ) */",
+                     "// ; )\n", "/", "*", "\n"]
+STATEMENT = st.tuples(st.sampled_from(["x = ", "return ", "case ", "if (", "for (", "L: ",
+                                       "while ((", "s["]),
+                      st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=14).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STATEMENT, max_size=5), st.sampled_from(["", "", '"', "/*"]))
+def test_parsers_agree_on_expression_soup(statements, tail):
+    body = " ".join(f"{head}{text};" for head, text in statements)
+    assert_scanners_agree(f"fn f(a) {{ {body} }}{tail}")
+    assert_scanners_agree(f"fn f(a) {{ switch (k) {{ {body} : {{ }} }} }}{tail}")
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mini")), ids=lambda p: p.name)
