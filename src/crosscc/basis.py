@@ -19,8 +19,16 @@ Weights are scaled to ints on entry, by the least common multiple of their
 denominators, so no ``Fraction`` arithmetic runs in the shortest paths or
 the candidate weights. Scaling by a positive constant keeps the
 ``(weight, mask)`` order, so the trees and the greedy order are those of the
-exact weights; the chosen cycles carry their exact ``Fraction`` weights back
-out.
+exact weights.
+
+Per graph, the edges are read once into an adjacency of ``(neighbor,
+integer weight, edge bit)`` triples and a list of arcs, which every root's
+shortest paths and the candidate loop share. A relaxation compares the
+integer distances first and builds a path mask only when the new distance
+beats the old one or ties it, where the mask decides. Every candidate is a
+simple cycle with its integer weight by construction, so each chosen cycle
+is taken straight from its mask, with the exact ``Fraction`` weight of its
+integer weight over the scale, and is not walked again.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import DisconnectedGraph, NegativeWeight, TooLarge
@@ -90,11 +98,15 @@ def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
     then takes the vertex of highest remaining degree (lowest id on ties),
     until no vertex is left. Degree counts parallel arcs one by one, so a
     2-cycle between parallel arcs keeps its vertices until one is taken.
+    The choice reads a heap of ``(-degree, vertex)``: degrees only fall, so
+    an entry whose degree has fallen goes back in at its current degree.
     """
     n = g.vertex_count
     degree = [len(g.incident(v)) for v in range(n)]
     alive = [True] * n
     prune = [v for v in range(n) if degree[v] <= 1]
+    heap = [(-d, v) for v, d in enumerate(degree)]
+    heapify(heap)
     fvs = []
 
     def remove(v):
@@ -111,27 +123,44 @@ def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
             v = prune.pop()
             if alive[v]:
                 remove(v)
-        rest = [v for v in range(n) if alive[v]]
-        if not rest:
+        while heap:
+            key, v = heappop(heap)
+            if alive[v]:
+                if -key == degree[v]:
+                    break
+                heappush(heap, (-degree[v], v))
+        else:
             return fvs
-        v = max(rest, key=lambda v: (degree[v], -v))
         fvs.append(v)
         remove(v)
 
 
-def _shortest_paths(g: WeightedDigraph, weights: List[int], source: int):
-    """Single-source shortest paths on the unoriented graph.
+def _adjacency(g: WeightedDigraph, weights: List[int]) -> List[List[Tuple[int, int, int]]]:
+    """Per vertex, ``(neighbor, weight, 1 << edge id)`` for every incident
+    edge in ascending edge id, on the integer ``weights`` by edge id."""
+    adjacency = [[] for _ in range(g.vertex_count)]
+    for e in g.edges:
+        w, bit = weights[e.id], 1 << e.id
+        adjacency[e.source].append((e.target, w, bit))
+        adjacency[e.target].append((e.source, w, bit))
+    return adjacency
 
-    ``weights`` are the non-negative integer edge weights by edge id.
+
+def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int):
+    """Single-source shortest paths on the unoriented graph of ``adjacency``
+    (see ``_adjacency``; weights are non-negative integers).
+
     Labels are ``(distance, path)`` where path is the edge bitmask of the
     path. Distinct edge sets give distinct masks, so the optimum per vertex
     is unique and the chosen paths form one consistent shortest-path tree
     per source. Neither label component decreases along a path, so plain
-    label-setting Dijkstra applies.
+    label-setting Dijkstra applies. A relaxation compares distances first
+    and builds the new path mask only when its distance beats or ties the
+    old one: the mask can decide nothing else.
 
     Returns (dist, path), two lists indexed by vertex.
     """
-    n = g.vertex_count
+    n = len(adjacency)
     dist = [None] * n
     path = [0] * n
     done = [False] * n
@@ -142,15 +171,15 @@ def _shortest_paths(g: WeightedDigraph, weights: List[int], source: int):
         if done[v]:
             continue
         done[v] = True
-        for e in g.incident(v):
-            u = e.other(v)
+        for u, w, bit in adjacency[v]:
             if done[u]:
                 continue
-            nd = d + weights[e.id]
-            npath = p | 1 << e.id
-            if dist[u] is None or (nd, npath) < (dist[u], path[u]):
+            nd = d + w
+            old = dist[u]
+            # The path mask is built only where it wins or decides a tie.
+            if old is None or nd < old or nd == old and p | bit < path[u]:
                 dist[u] = nd
-                path[u] = npath
+                path[u] = npath = p | bit
                 heappush(heap, (nd, npath, u))
     if not all(done):
         raise DisconnectedGraph(f"vertex unreachable from {source} (unoriented)")
@@ -160,17 +189,18 @@ def _shortest_paths(g: WeightedDigraph, weights: List[int], source: int):
 def _candidate_cycles(g: WeightedDigraph, weights: List[int]) -> Dict[int, int]:
     """All simple candidate cycles ``P(z,x) + e + P(y,z)`` over the roots z of
     a feedback vertex set, as mask -> integer weight (``weights`` scale)."""
+    adjacency = _adjacency(g, weights)
+    arcs = [(e.source, e.target, weights[e.id], 1 << e.id) for e in g.edges]
     candidates = {}
     for z in _feedback_vertex_set(g):
-        dist, path = _shortest_paths(g, weights, z)
-        for e in g.edges:
-            p_zx, p_zy = path[e.source], path[e.target]
-            bit = 1 << e.id
+        dist, path = _shortest_paths(adjacency, z)
+        for x, y, w, bit in arcs:
+            p_zx, p_zy = path[x], path[y]
             if (p_zx | p_zy) & bit or p_zx & p_zy:
                 continue
             # Two edge-disjoint root paths of one tree meet only at the root,
             # so with e they form a simple cycle.
-            candidates[p_zx | p_zy | bit] = dist[e.source] + dist[e.target] + weights[e.id]
+            candidates[p_zx | p_zy | bit] = dist[x] + dist[y] + w
     return candidates
 
 
@@ -185,15 +215,18 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     nu = cycle_rank(g)
     if nu == 0:
         return CycleBasis(cycles=(), total_weight=Fraction(0), provenance=Provenance.EXACT)
-    candidates = _candidate_cycles(g, g.integer_weights()[0])
+    weights, scale = g.integer_weights()
+    candidates = _candidate_cycles(g, weights)
     ordered = sorted(candidates, key=lambda m: (candidates[m], m))
     chosen = _greedy_independent(ordered, nu)
     if len(chosen) < nu:
         # Cannot happen for a connected graph: the candidate set contains a
         # minimum basis. Guard against silent nonsense anyway.
         raise AssertionError("candidate cycles did not span the cycle space")
-    cycles = tuple(Cycle.from_edges(g, _edge_ids(m)) for m in chosen)
-    total = sum((c.weight for c in cycles), Fraction(0))
+    # Every candidate is a simple cycle with its integer weight by
+    # construction, so the chosen ones need no walk of their own.
+    cycles = tuple(Cycle(frozenset(_edge_ids(m)), Fraction(candidates[m], scale)) for m in chosen)
+    total = Fraction(sum(candidates[m] for m in chosen), scale)
     return CycleBasis(cycles=cycles, total_weight=total, provenance=Provenance.EXACT)
 
 

@@ -34,12 +34,11 @@ frontend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import minilang as ast
 from .errors import UnreachableCode, UnresolvedLabel
-from .graph import WeightedDigraph
+from .graph import ONE, ZERO, WeightedDigraph
 
 EXIT_LABEL = "exit"
 
@@ -309,9 +308,9 @@ class _Lowerer:
                                   "the loops)", self.fn.line, self.fn.col,
                                   self.filename)
         start = 0
-        edges = [(src, dst, Fraction(1)) for src, dst in self.arcs]
+        edges = [(src, dst, ONE) for src, dst in self.arcs]
         virtual_arc = len(edges)
-        edges.append((exit_node, start, Fraction(0)))
+        edges.append((exit_node, start, ZERO))
         cfg = ControlFlowGraph(graph=WeightedDigraph(len(self.labels), edges),
                                start=start, exit=exit_node,
                                virtual_arc=virtual_arc,

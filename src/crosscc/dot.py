@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .cfg import ControlFlowGraph, check_reachability
 from .errors import DotSyntaxError, MissingStartExit
-from .graph import SpanningTree, WeightedDigraph, as_weight
+from .graph import ONE, ZERO, SpanningTree, WeightedDigraph, as_weight
 
 _TOKEN_RE = re.compile(
     r"""
@@ -185,9 +185,9 @@ class _DotParser:
                     raise DotSyntaxError(f"self-loop on {first!r} not allowed",
                                          self.line(), None, self.filename)
                 attrs = self._attr_list()
-                raw_weight = attrs.get("weight", "1")
+                raw_weight = attrs.get("weight")
                 try:
-                    weight = as_weight(raw_weight)
+                    weight = ONE if raw_weight is None else as_weight(raw_weight)
                 except (ValueError, ZeroDivisionError):
                     raise DotSyntaxError(f"bad weight {raw_weight!r}",
                                          self.line(), None, self.filename)
@@ -229,7 +229,7 @@ class _DotParser:
                     "start and exit must be distinct vertices",
                     self.line(), None, self.filename)
             virtual_arc = len(edges)
-            edges.append((node_ids[exit_], node_ids[start], Fraction(0)))
+            edges.append((node_ids[exit_], node_ids[start], ZERO))
         graph = WeightedDigraph(len(node_names), edges)
         return DotGraphDoc(
             name=name, graph=graph, node_names=tuple(node_names),

@@ -89,3 +89,7 @@ class MissingStartExit(CrossCCError):
 
 class EmptyReport(CrossCCError):
     """Plotting was requested for a report with no records."""
+
+
+class MalformedReport(CrossCCError):
+    """A saved report is JSON, but not shaped like a crosscc report."""

@@ -32,6 +32,10 @@ from .errors import (
 
 WeightLike = Union[int, float, str, Fraction]
 
+# Shared weights of unit and virtual arcs: one Fraction each, not one per arc.
+ONE = Fraction(1)
+ZERO = Fraction(0)
+
 
 def as_weight(value: WeightLike) -> Fraction:
     """Coerce a number (or a string like ``1/2`` or ``0.5``) to an exact Fraction."""
@@ -59,7 +63,7 @@ class Edge:
 class WeightedDigraph:
     """Immutable weighted digraph over dense vertex ids ``0..vertex_count-1``."""
 
-    __slots__ = ("vertex_count", "edges", "_incidence", "_integer_weights")
+    __slots__ = ("vertex_count", "edges", "_incidence", "_integer_weights", "_connected")
 
     def __init__(self, vertex_count: int, edges: Iterable[Union[Edge, tuple]]):
         if vertex_count < 0:
@@ -72,7 +76,7 @@ class WeightedDigraph:
                     e = Edge(e.id, e.source, e.target, as_weight(e.weight))
             else:
                 source, target = spec[0], spec[1]
-                weight = as_weight(spec[2]) if len(spec) > 2 else Fraction(1)
+                weight = as_weight(spec[2]) if len(spec) > 2 else ONE
                 e = Edge(i, source, target, weight)
             if e.id != i:
                 raise ValueError(f"edge ids must be dense and ordered, got {e.id} at {i}")
@@ -84,12 +88,14 @@ class WeightedDigraph:
         self.vertex_count = vertex_count
         self.edges = tuple(built)
         incidence = [[] for _ in range(vertex_count)]
+        # Edges come in id order (checked above), so every incidence list is
+        # in ascending edge id, which makes every traversal deterministic.
         for e in self.edges:
             incidence[e.source].append(e)
             incidence[e.target].append(e)
-        # Ascending edge id per vertex makes every traversal deterministic.
-        self._incidence = tuple(tuple(sorted(inc, key=lambda e: e.id)) for inc in incidence)
+        self._incidence = tuple(map(tuple, incidence))
         self._integer_weights = None
+        self._connected = None
 
     @property
     def edge_count(self) -> int:
@@ -118,7 +124,11 @@ class WeightedDigraph:
         return sum((self.edge(i).weight for i in edge_ids), Fraction(0))
 
     def is_connected(self) -> bool:
-        return self.vertex_count <= 1 or len(_bfs_parents(self, 0)) == self.vertex_count - 1
+        """Whether the unoriented graph is connected; computed once per graph."""
+        if self._connected is None:
+            self._connected = (self.vertex_count <= 1
+                               or len(_bfs_parents(self, 0)) == self.vertex_count - 1)
+        return self._connected
 
     def require_connected(self) -> None:
         if self.vertex_count == 0:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from .errors import MalformedReport
+
 SCHEMA_VERSION = 1
 
 
@@ -87,18 +89,38 @@ class AnalysisReport:
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    """Rehydrate a report (e.g. for plotting a previously saved analysis)."""
+    """Rehydrate a report (e.g. for plotting a previously saved analysis).
+
+    Text that is not JSON raises ``ValueError``; JSON that is not shaped
+    like a report raises ``MalformedReport``.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
+        raise MalformedReport('expected a JSON object with a "records" list')
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise MalformedReport('"config" is not a JSON object')
     records = []
     for i, rec in enumerate(doc["records"]):
-        records.append(UnitRecord(
-            unit=rec["unit"], source=rec["source"], file=rec["source"],
-            position=i, nu=int(rec["nu"]),
-            omega=Fraction(str(rec["omega"])),
-            provenance=rec["provenance"], region=rec["region"],
-            indicator=Fraction(str(rec["indicator"]))))
+        if not isinstance(rec, dict):
+            raise MalformedReport(f"record {i} is not a JSON object")
+        try:
+            records.append(UnitRecord(
+                unit=rec["unit"], source=rec["source"], file=rec["source"],
+                position=i, nu=int(rec["nu"]),
+                omega=Fraction(str(rec["omega"])),
+                provenance=rec["provenance"], region=rec["region"],
+                indicator=Fraction(str(rec["indicator"]))))
+        except KeyError as ex:
+            raise MalformedReport(f"record {i} has no {ex} field") from None
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as ex:
+            raise MalformedReport(f"record {i}: {ex}") from None
+    try:
+        slope = Fraction(str(config.get("slope", 2)))
+    except (ValueError, ZeroDivisionError) as ex:
+        raise MalformedReport(f"slope: {ex}") from None
     return AnalysisReport(
         records=tuple(records),
         tool_version=doc.get("tool_version", ""),
-        mode=doc.get("config", {}).get("mode", "exact"),
-        slope=Fraction(str(doc.get("config", {}).get("slope", 2))))
+        mode=config.get("mode", "exact"),
+        slope=slope)

@@ -5,8 +5,10 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+import basis_reference
 from crosscc.basis import (
     Provenance,
+    _adjacency,
     _candidate_cycles,
     _edge_ids,
     _feedback_vertex_set,
@@ -69,11 +71,16 @@ def scale_of(g):
     return math.lcm(*(e.weight.denominator for e in g.edges))
 
 
+def shortest_paths(g, source):
+    """``_shortest_paths`` from ``source`` on the adjacency of the integer
+    weights ``horton_basis`` uses (the weighted fan's are already integers,
+    so its scale is 1)."""
+    return _shortest_paths(_adjacency(g, g.integer_weights()[0]), source)
+
+
 def all_pairs(g):
-    """``(dist, path)`` per source, on the integer weights ``horton_basis``
-    uses (the weighted fan's are already integers, so its scale is 1)."""
-    weights = g.integer_weights()[0]
-    return [_shortest_paths(g, weights, s) for s in range(g.vertex_count)]
+    """``(dist, path)`` per source."""
+    return [shortest_paths(g, s) for s in range(g.vertex_count)]
 
 
 class TestAllPairsShortestPaths:
@@ -83,13 +90,13 @@ class TestAllPairsShortestPaths:
     def test_fan_b_to_d(self):
         # All simple b-d walks weigh 6 (b-a-d), 9 (b-c-d), 10, 11, 11, 15.
         g = weighted_fan()
-        dist, path = _shortest_paths(g, g.integer_weights()[0], 1)
+        dist, path = shortest_paths(g, 1)
         assert dist[3] == 6
         assert path[3] == 0b101
 
     def test_unit_path_graph(self):
         g = WeightedDigraph(5, [(i, i + 1, 1) for i in range(4)])
-        dist, _ = _shortest_paths(g, g.integer_weights()[0], 0)
+        dist, _ = shortest_paths(g, 0)
         assert dist[4] == 4
 
     def test_diagonal_zero_and_symmetry(self):
@@ -116,7 +123,7 @@ class TestAllPairsShortestPaths:
     def test_disconnected_rejected(self):
         g = WeightedDigraph(3, [(0, 1)])
         with pytest.raises(DisconnectedGraph):
-            _shortest_paths(g, g.integer_weights()[0], 0)
+            shortest_paths(g, 0)
 
 
 def fixture_graphs():
@@ -157,6 +164,35 @@ class TestCandidateCycles:
         assert len(graphs) > 10
         for g in graphs:
             self.check(g)
+
+
+def reference_corpus():
+    """The graphs ``TestCandidateCycles`` checks: 200 unit-weight random
+    graphs, 100 weighted multigraphs, and every fixture graph."""
+    rng = random.Random(0xCA11D)
+    graphs = [random_connected_graph(rng) for _ in range(200)]
+    rng = random.Random(0xF1A7)
+    graphs += [random_weighted_multigraph(rng) for _ in range(100)]
+    return graphs + fixture_graphs()
+
+
+class TestReferenceDijkstra:
+    """The Dijkstra on a prebuilt adjacency, which builds a path mask only
+    when a label can win, against the one that built a mask and a tuple on
+    every relaxation (``basis_reference``)."""
+
+    def test_same_labels_from_every_root(self):
+        for g in reference_corpus():
+            weights = g.integer_weights()[0]
+            adjacency = _adjacency(g, weights)
+            for s in range(g.vertex_count):
+                assert _shortest_paths(adjacency, s) == \
+                    basis_reference._shortest_paths(g, weights, s)
+
+    def test_same_roots_and_basis(self):
+        for g in reference_corpus():
+            assert _feedback_vertex_set(g) == basis_reference._feedback_vertex_set(g)
+            assert list(horton_basis(g).cycles) == basis_reference.horton_cycles(g)
 
 
 def is_forest_without(g, removed):
@@ -347,6 +383,19 @@ class TestWeightedCorpus:
             assert is_forest_without(g, _feedback_vertex_set(g))
         for g in fixture_graphs():
             assert is_forest_without(g, _feedback_vertex_set(g))
+
+    def test_chosen_cycles_pass_the_cycle_check(self):
+        # horton_basis takes each chosen cycle straight from its mask and
+        # integer weight; Cycle.from_edges walks it and sums its weights.
+        rng = random.Random(0x5CA1ED)
+        graphs = [random_weighted_multigraph(rng) for _ in range(1000)]
+        for g in graphs + fixture_graphs():
+            basis = horton_basis(g)
+            for c in basis.cycles:
+                assert type(c.weight) is Fraction
+                assert c == Cycle.from_edges(g, c.edge_ids)
+            assert type(basis.total_weight) is Fraction
+            assert basis.total_weight == sum((c.weight for c in basis.cycles), Fraction(0))
 
 
 class TestCorpusProperties:

@@ -194,6 +194,22 @@ class TestPlotCommand:
         assert main(["plot", str(report), "-o", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '[1,2]', '"x"', '{"records": 5}', '{"records": [1]}',
+        '{"config": 5, "records": []}', '{"config": {"slope": "1/0"}, "records": []}',
+        '{"records": [{"unit": "f", "source": "a", "nu": 1, "omega": "1/0",'
+        ' "provenance": "exact", "region": "non-trivial", "indicator": 1}]}',
+        '{"records": [{"unit": "f", "source": "a", "nu": 1e400, "omega": 1,'
+        ' "provenance": "exact", "region": "non-trivial", "indicator": 1}]}',
+    ])
+    def test_plot_wrong_shape_is_a_diagnostic(self, tmp_path, capsys, text):
+        report = tmp_path / "report.json"
+        report.write_text(text, encoding="utf-8")
+        out = tmp_path / "plot.svg"
+        assert main(["plot", str(report), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"{report}: error: ")
+        assert not out.exists()
+
 
 class TestDumpCfg:
     def test_dump_is_valid_dot(self, tmp_path, capsys):
