@@ -17,6 +17,19 @@ order; the synthetic arc, when added, is appended last with weight 0.
 ``tree=true`` marks let a fixture carry a specific spanning tree for the
 upper-bound mode. ``//`` comments are skipped, so exported graphs can carry
 node-label comments and still re-parse.
+
+The graph name, each node, each attribute key and value, and each graph
+attribute value is a word (a run of characters other than white space,
+``{}[];=,"`` and ``->``) or a quoted string, which may hold any punctuation
+and span lines. Punctuation or end of input where a name belongs is a
+syntax error.
+
+A document is scanned in one pass: one ``findall`` over a pattern that skips
+white space and comments inside each match yields the token strings, and
+nothing else is recorded per token. A diagnostic finds its token's offset
+again and counts the line ends before it, so line numbers cost nothing
+until an error, and line ends inside quoted strings count too. Each
+distinct weight text is parsed to a ``Fraction`` once per document.
 """
 
 from __future__ import annotations
@@ -24,22 +37,34 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .cfg import ControlFlowGraph, check_reachability
 from .errors import DotSyntaxError, MissingStartExit
-from .graph import ONE, ZERO, SpanningTree, WeightedDigraph, as_weight
+from .graph import ONE, ZERO, SpanningTree, WeightedDigraph
 
+# One match per token: whitespace and ``//`` comments are skipped inside the
+# match, so ``findall`` yields exactly the tokens. The pattern matches at
+# every offset ``findall`` resumes from, end of input included (as the empty
+# token), so it never searches ahead into a comment. A lone ``"`` opens a
+# string that never closes, the one lexical error.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<arrow>->)
-  | (?P<punct>[{}\[\];=,])
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<word>(?:(?!->)[^\s{}\[\];=,"])+)
+    (?:\s++|//[^\n]*+)*+
+    (   ->
+      | [{}\[\];=,]
+      | "(?:[^"\\]|\\.)*+"
+      | (?:(?!->)[^\s{}\[\];=,"])++
+      | "
+      | \Z
+    )
     """,
     re.VERBOSE,
 )
+
+# Tokens that cannot stand where a name belongs: punctuation and end of input.
+_NOT_NAMES = frozenset(("", "->", "{", "}", "[", "]", ";", "=", ","))
 
 
 @dataclass(frozen=True)
@@ -91,64 +116,49 @@ class DotGraphDoc:
         return SpanningTree.from_edge_ids(self.graph, root, tree_ids)
 
 
-def _tokenize(text: str, filename: Optional[str]):
-    tokens = []
-    line = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DotSyntaxError(f"unexpected character {text[pos]!r}", line,
-                                 None, filename)
-        pos = m.end()
-        chunk = m.group(0)
-        if m.lastgroup == "ws":
-            line += chunk.count("\n")
-            continue
-        tokens.append((chunk, line))
-    tokens.append(("", line))
-    return tokens
-
-
-def _unquote(text: str) -> str:
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    return text
-
-
 class _DotParser:
     def __init__(self, text: str, filename: Optional[str] = None):
-        self.tokens = _tokenize(text, filename)
+        self.text = text
         self.filename = filename
+        self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
+        if '"' in self.tokens:
+            self.pos = self.tokens.index('"')
+            raise self.error("unexpected character '\"'")
+
+    def error(self, message: str) -> DotSyntaxError:
+        """A diagnostic at the current token. Its line is counted only here,
+        from the line ends before the token's offset."""
+        match = next(islice(_TOKEN_RE.finditer(self.text), self.pos, None))
+        line = self.text.count("\n", 0, match.start(1)) + 1
+        return DotSyntaxError(message, line, None, self.filename)
 
     def peek(self):
-        return self.tokens[self.pos][0]
-
-    def line(self):
-        return self.tokens[self.pos][1]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "":
-            self.pos += 1
-        return tok[0]
+        return self.tokens[self.pos]
 
     def expect(self, text):
         got = self.peek()
         if got != text:
-            raise DotSyntaxError(f"expected {text!r}, got {got or 'end of input'!r}",
-                                 self.line(), None, self.filename)
-        return self.next()
+            raise self.error(f"expected {text!r}, got {got or 'end of input'!r}")
+        self.pos += 1
+
+    def name(self, what: str) -> str:
+        """A word or a quoted string, whatever the string holds."""
+        got = self.peek()
+        if got in _NOT_NAMES:
+            raise self.error(f"expected {what}, got {got or 'end of input'!r}")
+        self.pos += 1
+        if got[0] != '"':
+            return got
+        return got[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
     def parse(self) -> DotGraphDoc:
         if self.peek() != "digraph":
-            raise DotSyntaxError("input must begin with 'digraph'", self.line(),
-                                 None, self.filename)
-        self.next()
+            raise self.error("input must begin with 'digraph'")
+        self.pos += 1
         name = "g"
         if self.peek() != "{":
-            name = _unquote(self.next())
+            name = self.name("a graph name")
         self.expect("{")
 
         node_ids: Dict[str, int] = {}
@@ -157,6 +167,7 @@ class _DotParser:
         graph_attrs: Dict[str, str] = {}
         duplicates: List[Tuple[str, str]] = []
         seen_pairs = set()
+        weights: Dict[str, Fraction] = {}  # each distinct weight text, parsed once
 
         def intern(node: str) -> int:
             if node not in node_ids:
@@ -166,34 +177,27 @@ class _DotParser:
 
         while self.peek() != "}":
             if self.peek() == "":
-                raise DotSyntaxError("missing closing '}'", self.line(), None,
-                                     self.filename)
-            first = _unquote(self.next())
-            if self.peek() == "=":
-                self.next()
-                value = _unquote(self.next())
-                graph_attrs[first] = value
+                raise self.error("missing closing '}'")
+            first = self.name("a node or attribute name")
+            tok = self.peek()
+            if tok == "=":
+                self.pos += 1
+                graph_attrs[first] = self.name("an attribute value")
                 self._semi()
                 continue
-            if self.peek() == "->":
-                self.next()
-                target = _unquote(self.next())
-                if not target or target in "{}[];=":
-                    raise DotSyntaxError("arc needs a target node", self.line(),
-                                         None, self.filename)
+            if tok == "->":
+                self.pos += 1
+                target = self.name("a target node")
                 if target == first:
-                    raise DotSyntaxError(f"self-loop on {first!r} not allowed",
-                                         self.line(), None, self.filename)
+                    raise self.error(f"self-loop on {first!r} not allowed")
                 attrs = self._attr_list()
                 raw_weight = attrs.get("weight")
-                try:
-                    weight = ONE if raw_weight is None else as_weight(raw_weight)
-                except (ValueError, ZeroDivisionError):
-                    raise DotSyntaxError(f"bad weight {raw_weight!r}",
-                                         self.line(), None, self.filename)
-                if weight.numerator < 0:
-                    raise DotSyntaxError(f"negative weight {raw_weight!r}",
-                                         self.line(), None, self.filename)
+                if raw_weight is None:
+                    weight = ONE
+                else:
+                    weight = weights.get(raw_weight)
+                    if weight is None:
+                        weight = weights[raw_weight] = self._weight(raw_weight)
                 tree_mark = attrs.get("tree", "false").lower() in ("true", "1")
                 src, dst = intern(first), intern(target)
                 if (src, dst) in seen_pairs:
@@ -208,26 +212,21 @@ class _DotParser:
             self._semi()
         self.expect("}")
         if self.peek() != "":
-            raise DotSyntaxError("trailing input after closing '}'", self.line(),
-                                 None, self.filename)
+            raise self.error("trailing input after closing '}'")
 
         start = graph_attrs.get("start")
         exit_ = graph_attrs.get("exit")
         addvirtual = graph_attrs.get("addvirtual", "true").lower() in ("true", "1")
         for attr, value in (("start", start), ("exit", exit_)):
             if value is not None and value not in node_ids:
-                raise DotSyntaxError(
-                    f"{attr}={value!r} names a vertex that never appears",
-                    self.line(), None, self.filename)
+                raise self.error(f"{attr}={value!r} names a vertex that never appears")
 
         edges = [(src, dst, w) for src, dst, w, _ in arcs]
         tree_ids = tuple(i for i, (_, _, _, mark) in enumerate(arcs) if mark)
         virtual_arc = None
         if addvirtual and start is not None and exit_ is not None:
             if start == exit_:
-                raise DotSyntaxError(
-                    "start and exit must be distinct vertices",
-                    self.line(), None, self.filename)
+                raise self.error("start and exit must be distinct vertices")
             virtual_arc = len(edges)
             edges.append((node_ids[exit_], node_ids[start], ZERO))
         graph = WeightedDigraph(len(node_names), edges)
@@ -238,26 +237,34 @@ class _DotParser:
             virtual_arc=virtual_arc, tree_edge_ids=tree_ids,
             duplicate_arcs=tuple(duplicates), filename=self.filename)
 
+    def _weight(self, raw: str) -> Fraction:
+        try:
+            weight = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise self.error(f"bad weight {raw!r}")
+        if weight.numerator < 0:
+            raise self.error(f"negative weight {raw!r}")
+        return weight
+
     def _attr_list(self) -> Dict[str, str]:
         attrs: Dict[str, str] = {}
         if self.peek() != "[":
             return attrs
-        self.next()
+        self.pos += 1
         while self.peek() != "]":
             if self.peek() == "":
-                raise DotSyntaxError("missing closing ']'", self.line(), None,
-                                     self.filename)
-            key = _unquote(self.next())
+                raise self.error("missing closing ']'")
+            key = self.name("an attribute name")
             self.expect("=")
-            attrs[key] = _unquote(self.next())
+            attrs[key] = self.name("an attribute value")
             if self.peek() == ",":
-                self.next()
+                self.pos += 1
         self.expect("]")
         return attrs
 
     def _semi(self):
         if self.peek() == ";":
-            self.next()
+            self.pos += 1
 
 
 def parse_dot(text: str, filename: Optional[str] = None) -> DotGraphDoc:
