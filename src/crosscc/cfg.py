@@ -23,7 +23,9 @@ shapes:
   including ``default``, which makes each case label count toward the
   cyclomatic number the way complexity checkers count them;
 * ``break``/``continue``/bare ``return`` are pure control transfers and
-  materialize no node of their own.
+  materialize no node of their own; the parser has checked that each jump
+  has a target, which the lowerer looks up among the enclosing loops and
+  switches.
 
 Unreachable statements, and nodes that cannot reach the exit, are hard
 errors: the metric's strong-connectivity premise does not tolerate them.
@@ -55,15 +57,13 @@ class ControlFlowGraph:
     name: str = ""
 
 
-class _LoopContext:
-    def __init__(self, cond_node: int, label: Optional[str]):
-        self.cond_node = cond_node
+class _Target:
+    """An enclosing loop or switch: the node a ``continue`` goes to (a
+    loop's condition; None for a switch) and the sources of its breaks."""
+
+    def __init__(self, head: Optional[int], label: Optional[str] = None):
+        self.head = head
         self.label = label
-        self.breaks: List[int] = []
-
-
-class _SwitchContext:
-    def __init__(self):
         self.breaks: List[int] = []
 
 
@@ -76,9 +76,8 @@ class _Lowerer:
         self.arcs: List[Tuple[int, int]] = []
         self.current: Optional[int] = None
         self.pending: List[int] = []
-        self.alive = True
         self.exit_sources: List[int] = []
-        self.contexts: List[object] = []
+        self.targets: List[_Target] = []
 
     # node/arc plumbing --------------------------------------------------
 
@@ -116,8 +115,6 @@ class _Lowerer:
 
     def _exits(self) -> List[int]:
         """Sources of the dangling out-arcs at this point (empty if dead)."""
-        if not self.alive:
-            return []
         if self.current is not None:
             return [self.current]
         return list(self.pending)
@@ -125,67 +122,30 @@ class _Lowerer:
     def _resume(self, sources: List[int]) -> None:
         self.current = None
         self.pending = list(sources)
-        self.alive = bool(sources)
-
-    def _kill(self) -> None:
-        self.current = None
-        self.pending = []
-        self.alive = False
 
     def _require_alive(self, pos) -> None:
-        if not self.alive:
+        """A point is live at the entry, before any node, or where arcs
+        dangle; anywhere else a statement is unreachable."""
+        if self.current is None and not self.pending and self.labels:
             raise UnreachableCode("statement is unreachable", pos[0], pos[1],
                                   self.filename)
 
-    def _at_entry(self) -> bool:
-        return not self.labels
-
-    def _transfer_to(self, target: int, pos) -> None:
-        """Wire the dangling position to an existing node (continue-style)."""
+    def _jump(self, pos) -> List[int]:
+        """End the path at a jump; return the nodes it leaves from."""
         self._require_alive(pos)
-        sources = self._exits()
-        if not sources and self._at_entry():
-            sources = [self._enter_node("", pos)]
-        if target in sources:
-            # A direct self-arc (continue at the top of a loop body) is not
-            # representable in a loop-free edge set; give it a node.
-            hop = self._enter_node("", pos)
-            sources = [hop]
-        for src in sources:
-            self._arc(src, target)
-        self._kill()
+        sources = self._exits() or [self._enter_node("", pos)]  # at the entry
+        self._resume([])
+        return sources
 
-    def _transfer_to_exit(self, pos) -> None:
-        self._require_alive(pos)
-        sources = self._exits()
-        if not sources and self._at_entry():
-            sources = [self._enter_node("", pos)]
-        self.exit_sources.extend(sources)
-        self._kill()
-
-    def _collect_breaks(self, pos, label: Optional[str]) -> None:
-        self._require_alive(pos)
-        ctx = self._find_break_context(label, pos)
-        ctx.breaks.extend(self._exits())
-        self._kill()
-
-    def _find_break_context(self, label: Optional[str], pos):
-        if label is None:
-            if self.contexts:
-                return self.contexts[-1]
-        else:
-            for ctx in reversed(self.contexts):
-                if isinstance(ctx, _LoopContext) and ctx.label == label:
-                    return ctx
-        raise UnresolvedLabel("no enclosing loop or switch", pos[0], pos[1],
+    def _target(self, jump) -> _Target:
+        """The innermost loop or switch a break or continue goes to."""
+        for target in reversed(self.targets):
+            if (jump.label in (None, target.label)
+                    and (target.head is not None or isinstance(jump, ast.Break))):
+                return target
+        # The parser rejects such jumps; only a hand-built AST gets here.
+        raise UnresolvedLabel("jump has no enclosing target", jump.line, jump.col,
                               self.filename)
-
-    def _find_continue_target(self, label: Optional[str], pos) -> int:
-        for ctx in reversed(self.contexts):
-            if isinstance(ctx, _LoopContext):
-                if label is None or ctx.label == label:
-                    return ctx.cond_node
-        raise UnresolvedLabel("no enclosing loop", pos[0], pos[1], self.filename)
 
     # statement lowering -------------------------------------------------
 
@@ -198,21 +158,24 @@ class _Lowerer:
         if isinstance(stmt, ast.ExprStmt):
             self._append(stmt.text, pos)
         elif isinstance(stmt, ast.Return):
-            self._require_alive(pos)
             if stmt.value is not None:
                 self._append(f"return {stmt.value}", pos)
-            self._transfer_to_exit(pos)
+            self.exit_sources += self._jump(pos)
         elif isinstance(stmt, ast.Break):
-            self._collect_breaks(pos, stmt.label)
+            self._target(stmt).breaks += self._jump(pos)
         elif isinstance(stmt, ast.Continue):
-            target = self._find_continue_target(stmt.label, pos)
-            self._transfer_to(target, pos)
+            head = self._target(stmt).head
+            if head in self._exits():
+                # A continue at the top of a loop body would be a self-arc,
+                # which a loop-free edge set cannot hold; give it a node.
+                self._enter_node("", pos)
+            for src in self._jump(pos):
+                self._arc(src, head)
         elif isinstance(stmt, ast.If):
             self.lower_if(stmt)
         elif isinstance(stmt, ast.While):
             self.lower_loop(f"while ({stmt.cond})", stmt.body, None, pos, label)
         elif isinstance(stmt, ast.For):
-            self._require_alive(pos)
             if stmt.init:
                 self._append(stmt.init, pos)
             cond = stmt.cond if stmt.cond is not None else ""
@@ -225,57 +188,58 @@ class _Lowerer:
             raise TypeError(f"unknown statement {stmt!r}")
 
     def lower_if(self, stmt: ast.If) -> None:
-        pos = (stmt.line, stmt.col)
-        branch = self._append(f"if ({stmt.cond})", pos)
-        self._resume([branch])
-        self.lower_block(stmt.then)
-        then_exits = self._exits()
-        if stmt.orelse is not None:
+        """An ``if`` and, in a loop, each ``if`` alone in the ``else``
+        before it, so an ``else if`` chain of any length lowers."""
+        exits = []
+        while True:
+            branch = self._append(f"if ({stmt.cond})", (stmt.line, stmt.col))
             self._resume([branch])
-            self.lower_block(stmt.orelse)
-            else_exits = self._exits()
-        else:
-            else_exits = [branch]
-        self._resume(then_exits + else_exits)
+            self.lower_block(stmt.then)
+            exits += self._exits()
+            self._resume([branch])
+            orelse = stmt.orelse
+            if orelse is None:
+                exits.append(branch)
+                break
+            if len(orelse.stmts) != 1 or not isinstance(orelse.stmts[0], ast.If):
+                self.lower_block(orelse)
+                exits += self._exits()
+                break
+            stmt = orelse.stmts[0]
+        self._resume(exits)
 
     def lower_loop(self, head_label: str, body: ast.Block, step: Optional[str],
                    pos, label: Optional[str]) -> None:
         self._require_alive(pos)
         cond = self._enter_node(head_label, pos)
-        ctx = _LoopContext(cond_node=cond, label=label)
-        self.contexts.append(ctx)
+        target = _Target(cond, label)
+        self.targets.append(target)
         self._resume([cond])
         if body.stmts:
             self.lower_block(body)
         else:
             self._enter_node("", pos)
-        if self.alive and step:
+        if step and self._exits():
             self._append(step, pos)
         body_exits = self._exits()
-        self.contexts.pop()
+        self.targets.pop()
         if len(body_exits) > 1:
             # One latch joins the exits, so the loop's branch counts once.
             self._resume(body_exits)
             body_exits = [self._enter_node("", pos)]
         for src in body_exits:
             self._arc(src, cond)  # back arc; the same nodes also exit the loop
-        if body_exits:
-            loop_exits = body_exits
-        else:
-            # Body never falls through (it returns, breaks, or loops back
-            # unconditionally), so the condition's false arc is the only
-            # way out of the loop.
-            loop_exits = [cond]
-        self._resume(loop_exits + ctx.breaks)
+        # A body that never falls through (it returns, breaks, or loops back
+        # unconditionally) leaves the loop by the condition's false arc only.
+        self._resume((body_exits or [cond]) + target.breaks)
 
     def lower_switch(self, stmt: ast.Switch) -> None:
         pos = (stmt.line, stmt.col)
-        self._require_alive(pos)
         alternatives = [(f"case {c.label}", c.body, (c.line, c.col)) for c in stmt.cases]
         if stmt.default is not None:
             alternatives.append(("default", stmt.default, pos))
-        ctx = _SwitchContext()
-        self.contexts.append(ctx)
+        target = _Target(None)
+        self.targets.append(target)
         join_exits: List[int] = []
         test = None
         for i, (test_label, body, body_pos) in enumerate(alternatives):
@@ -287,15 +251,15 @@ class _Lowerer:
             self._resume([test])
             self.lower_block(body)
             join_exits.extend(self._exits())
-        self.contexts.pop()
-        self._resume(join_exits + [test] + ctx.breaks)
+        self.targets.pop()
+        self._resume(join_exits + [test] + target.breaks)
 
     # assembly -----------------------------------------------------------
 
     def build(self) -> ControlFlowGraph:
         self.lower_block(self.fn.body)
         fn_pos = (self.fn.line, self.fn.col)
-        if self._at_entry():
+        if not self.labels:  # an empty body
             self._enter_node("", fn_pos)
         tail_sources = self._exits()
         exit_node = self._new_node(EXIT_LABEL, fn_pos)
@@ -359,5 +323,9 @@ def check_reachability(cfg: ControlFlowGraph,
 
 
 def lower(fn: ast.Function, filename: str = "<input>") -> ControlFlowGraph:
-    """Lower one parsed function to its control-flow graph."""
+    """Lower one parsed function to its control-flow graph.
+
+    Raises UnreachableCode for a statement or an exit that no path reaches,
+    and UnresolvedLabel for a jump without a target, which only a hand-built
+    AST can hold."""
     return _Lowerer(fn, filename).build()

@@ -276,6 +276,11 @@ def _fmt_weight(w: Fraction) -> str:
     return str(w)  # Fraction prints p/q, or just p when integral
 
 
+def _quote(name: str) -> str:
+    """A quoted name that ``_DotParser.name`` reads back as ``name``."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dump_dot(
     graph: WeightedDigraph,
     name: str = "g",
@@ -289,31 +294,36 @@ def dump_dot(
 
     The synthetic arc, when identified, is not re-declared: the header says
     ``addvirtual = true`` and a fresh parse will append it again at the same
-    id, so dump/parse round-trips exactly.
+    id, so dump/parse round-trips exactly. Names are quoted (the graph's
+    unless it is a word), and each line of a node comment is a comment.
     """
-    names = node_names or tuple(f"v{i}" for i in range(graph.vertex_count))
+    raw_names = node_names or tuple(f"v{i}" for i in range(graph.vertex_count))
+    names = tuple(map(_quote, raw_names))
+    if not re.fullmatch(r"\w+", name):
+        name = _quote(name)
     lines = [f"digraph {name} {{"]
     if start is not None:
-        lines.append(f'    start = "{names[start]}";')
+        lines.append(f"    start = {names[start]};")
     if exit is not None:
-        lines.append(f'    exit = "{names[exit]}";')
+        lines.append(f"    exit = {names[exit]};")
     lines.append(f"    addvirtual = {'true' if virtual_arc is not None else 'false'};")
     if node_comments:
         for i, comment in enumerate(node_comments):
             if comment:
-                lines.append(f"    // {names[i]}: {comment}")
+                text = f"{raw_names[i]}: {comment}"
+                lines += (f"    // {part}" for part in text.split("\n"))
     mentioned = set()
     for e in graph.edges:
         if virtual_arc is not None and e.id == virtual_arc:
             continue
         lines.append(
-            f'    "{names[e.source]}" -> "{names[e.target]}" '
+            f"    {names[e.source]} -> {names[e.target]} "
             f"[weight={_fmt_weight(e.weight)}];")
         mentioned.add(e.source)
         mentioned.add(e.target)
     for v in range(graph.vertex_count):
         if v not in mentioned:
-            lines.append(f'    "{names[v]}";')
+            lines.append(f"    {names[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -231,15 +231,28 @@ class Program:
 
 # --- Parser ------------------------------------------------------------
 
+# Marks a switch on the parser's stack of jump targets; a loop stands there
+# as its label, or None.
+_SWITCH = object()
+
+
 class _Parser:
     """Recursive descent over tokens scanned on demand: ``tok`` is the
-    current one, and expression text is skipped rather than tokenized."""
+    current one, and expression text is skipped rather than tokenized.
+
+    A ``break``/``continue`` is checked as it is read against ``targets``,
+    the enclosing loops and switches. A jump without a target waits in
+    ``unresolved``; the first raises once the file has parsed, after any
+    other error, with a ``default`` body ranked after its switch's cases.
+    """
 
     def __init__(self, source: str, filename: str):
         self.source = source
         self.filename = filename
         self.line_starts = _line_starts(source)
         self.tok = _token_at(source, 0, filename)
+        self.targets = []
+        self.unresolved = []
 
     def at(self, tok: Token) -> Tuple[int, int]:
         """The ``(line, col)`` of a token's first character."""
@@ -336,10 +349,9 @@ class _Parser:
                     fn.line, fn.col, self.filename)
             names[fn.name] = fn.line
             functions.append(fn)
-        program = Program(functions=tuple(functions), filename=self.filename)
-        for fn in program.functions:
-            _check_labels(fn, self.filename)
-        return program
+        if self.unresolved:
+            raise self.unresolved[0]
+        return Program(functions=tuple(functions), filename=self.filename)
 
     def parse_function(self) -> Function:
         tok = self.tok
@@ -361,26 +373,21 @@ class _Parser:
         self.expect("}")
         return Block(stmts=tuple(stmts))
 
-    def parse_stmt(self):
+    def parse_stmt(self, label: Optional[str] = None):
+        """One statement; ``label`` is the one it carries, if any, which
+        makes a loop a target of labeled jumps."""
         tok = self.tok
         if tok.text == "if":
             return self.parse_if()
-        if tok.text == "while":
-            return self.parse_while()
-        if tok.text == "for":
-            return self.parse_for()
+        if tok.text in ("while", "for"):
+            self.targets.append(label)
+            loop = self.parse_while() if tok.text == "while" else self.parse_for()
+            self.targets.pop()
+            return loop
         if tok.text == "switch":
             return self.parse_switch()
-        if tok.text == "break":
-            self.next()
-            label = self.next().text if self.tok.kind == "ident" else None
-            self.expect(";")
-            return Break(label, *self.at(tok))
-        if tok.text == "continue":
-            self.next()
-            label = self.next().text if self.tok.kind == "ident" else None
-            self.expect(";")
-            return Continue(label, *self.at(tok))
+        if tok.text in ("break", "continue"):
+            return self.parse_jump()
         if tok.text == "return":
             self.next()
             value = None
@@ -391,10 +398,10 @@ class _Parser:
         if tok.kind == "keyword":
             self.error(f"unexpected keyword {tok.text!r}")
         if tok.kind == "ident":
-            label = _LABEL_COLON.match(self.source, tok.end)
-            if label:
-                self.tok = _token_at(self.source, label.end(), self.filename)
-                stmt = self.parse_stmt()
+            colon = _LABEL_COLON.match(self.source, tok.end)
+            if colon:
+                self.tok = _token_at(self.source, colon.end(), self.filename)
+                stmt = self.parse_stmt(tok.text)
                 return Labeled(tok.text, stmt, *self.at(tok))
         if tok.text == "{":
             self.error("bare blocks are not statements; braces follow a control keyword")
@@ -404,19 +411,41 @@ class _Parser:
         self.expect(";")
         return ExprStmt(text, *self.at(tok))
 
+    def parse_jump(self):
+        tok = self.next()
+        label = self.next().text if self.tok.kind == "ident" else None
+        self.expect(";")
+        if label is not None:
+            resolved = label in self.targets
+            message = f"{tok.text} label {label!r} names no enclosing labeled loop"
+        elif tok.text == "break":
+            resolved = bool(self.targets)
+            message = "break outside of loop or switch"
+        else:
+            resolved = any(target is not _SWITCH for target in self.targets)
+            message = "continue outside of loop"
+        if not resolved:
+            self.unresolved.append(UnresolvedLabel(message, *self.at(tok), self.filename))
+        return (Break if tok.text == "break" else Continue)(label, *self.at(tok))
+
     def parse_if(self) -> If:
-        tok = self.expect("if")
-        cond = self.capture_parenthesized()
-        then = self.parse_block()
+        """An ``if`` with its whole ``else if`` chain, read in a loop and
+        nested from the last arm out, so a chain of any length parses."""
+        arms = []
         orelse = None
-        if self.tok.text == "else":
+        while True:
+            tok = self.expect("if")
+            arms.append((tok, self.capture_parenthesized(), self.parse_block()))
+            if self.tok.text != "else":
+                break
             self.next()
-            if self.tok.text == "if":
-                nested = self.parse_if()
-                orelse = Block(stmts=(nested,))
-            else:
+            if self.tok.text != "if":
                 orelse = self.parse_block()
-        return If(cond, then, orelse, *self.at(tok))
+                break
+        for tok, cond, then in reversed(arms):
+            stmt = If(cond, then, orelse, *self.at(tok))
+            orelse = Block(stmts=(stmt,))
+        return stmt
 
     def parse_while(self) -> While:
         tok = self.expect("while")
@@ -440,8 +469,10 @@ class _Parser:
         tok = self.expect("switch")
         scrutinee = self.capture_parenthesized()
         self.expect("{")
+        self.targets.append(_SWITCH)
         cases = []
         default = None
+        deferred = []  # unresolved jumps in the default body
         while self.tok.text != "}":
             branch = self.tok
             if branch.text == "case":
@@ -457,62 +488,18 @@ class _Parser:
                 self.expect(":")
                 if default is not None:
                     self.error("duplicate default", branch)
+                first = len(self.unresolved)
                 default = self.parse_block()
+                deferred = self.unresolved[first:]
+                del self.unresolved[first:]
             else:
                 self.error(f"expected 'case' or 'default', got {branch.text!r}")
         self.expect("}")
+        self.targets.pop()
+        self.unresolved += deferred
         if not cases and default is None:
             self.error("switch needs at least one case or a default", tok)
         return Switch(scrutinee, tuple(cases), default, *self.at(tok))
-
-
-def _check_labels(fn: Function, filename: str) -> None:
-    """Resolve break/continue targets.
-
-    Unlabeled break needs an enclosing loop or switch, unlabeled continue an
-    enclosing loop, and labeled forms must name an enclosing labeled loop.
-    """
-
-    def walk(stmt, labels, loop_depth, switch_depth):
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                walk(s, labels, loop_depth, switch_depth)
-        elif isinstance(stmt, If):
-            walk(stmt.then, labels, loop_depth, switch_depth)
-            if stmt.orelse:
-                walk(stmt.orelse, labels, loop_depth, switch_depth)
-        elif isinstance(stmt, (While, For)):
-            walk(stmt.body, labels, loop_depth + 1, switch_depth)
-        elif isinstance(stmt, Switch):
-            for case in stmt.cases:
-                walk(case.body, labels, loop_depth, switch_depth + 1)
-            if stmt.default:
-                walk(stmt.default, labels, loop_depth, switch_depth + 1)
-        elif isinstance(stmt, Labeled):
-            inner_labels = labels
-            if isinstance(stmt.stmt, (While, For)):
-                inner_labels = {**labels, stmt.label: "loop"}
-            walk(stmt.stmt, inner_labels, loop_depth, switch_depth)
-        elif isinstance(stmt, Break):
-            if stmt.label is not None:
-                if labels.get(stmt.label) != "loop":
-                    raise UnresolvedLabel(
-                        f"break label {stmt.label!r} names no enclosing labeled loop",
-                        stmt.line, stmt.col, filename)
-            elif loop_depth == 0 and switch_depth == 0:
-                raise UnresolvedLabel(
-                    "break outside of loop or switch", stmt.line, stmt.col, filename)
-        elif isinstance(stmt, Continue):
-            if stmt.label is not None:
-                if labels.get(stmt.label) != "loop":
-                    raise UnresolvedLabel(
-                        f"continue label {stmt.label!r} names no enclosing labeled loop",
-                        stmt.line, stmt.col, filename)
-            elif loop_depth == 0:
-                raise UnresolvedLabel(
-                    "continue outside of loop", stmt.line, stmt.col, filename)
-
-    walk(fn.body, {}, 0, 0)
 
 
 def parse(source: str, filename: str = "<input>") -> Program:

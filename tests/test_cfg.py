@@ -2,9 +2,9 @@ import pytest
 
 from crosscc.basis import horton_basis
 from crosscc.cfg import lower
-from crosscc.errors import UnreachableCode
+from crosscc.errors import UnreachableCode, UnresolvedLabel
 from crosscc.graph import cycle_rank
-from crosscc.minilang import parse
+from crosscc.minilang import Block, Break, Continue, Function, Switch, SwitchCase, parse
 
 from conftest import fixture_text
 
@@ -155,6 +155,18 @@ class TestDiagnostics:
     def test_code_after_exhaustive_branches(self):
         with pytest.raises(UnreachableCode):
             lower_source("fn f() { if (c) { return a; } else { return b; } x; }")
+
+    @pytest.mark.parametrize("jump, in_switch", [(Break(None, 1, 9), False),
+                                                 (Continue(None, 1, 9), True),
+                                                 (Break("L", 1, 9), True)])
+    def test_hand_built_jump_without_a_target(self, jump, in_switch):
+        # The parser rejects these jumps; only a hand-built AST reaches lower.
+        body = Block((jump,))
+        if in_switch:
+            body = Block((Switch("k", (SwitchCase("1", body, 1, 5),), None, 1, 3),))
+        with pytest.raises(UnresolvedLabel) as err:
+            lower(Function("f", "", body, 1, 1))
+        assert (err.value.line, err.value.col) == (1, 9)
 
     def test_spinning_loop_inside_branch_still_reaches_exit(self):
         cfg = lower_source("fn f() { if (a) { while (c) { continue; } } y; }")

@@ -70,6 +70,18 @@ class TestAnalyze:
         doc = json.loads(captured.out)
         assert [r["unit"] for r in doc["records"]] == ["seq"]
 
+    @pytest.mark.parametrize("mode", ["exact", "treebound"])
+    def test_long_else_if_chain_is_analyzed(self, tmp_path, capsys, mode):
+        # The chain is read and lowered in loops; nested, it would overflow
+        # the stack (records are not compared: their equality recurses).
+        arms = " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(2000))
+        chain = tmp_path / "chain.mini"
+        chain.write_text(f"fn chain(x) {{ {arms} }}\n", encoding="utf-8")
+        good = copy_fixture(tmp_path, "atomic_seq.mini")
+        assert main(["analyze", "--mode", mode, str(good), str(chain)]) == 0
+        recs = json.loads(capsys.readouterr().out)["records"]
+        assert sorted((r["unit"], r["nu"]) for r in recs) == [("chain", 2001), ("seq", 1)]
+
     def test_fail_above_gate(self, tmp_path, capsys):
         path = copy_fixture(tmp_path, "listing1.mini")
         # sumOfPrimes indicator is 15/4 = 3.75; getWords 11/4 = 2.75.
@@ -219,6 +231,17 @@ class TestDumpCfg:
         doc = parse_dot(out[out.index("digraph"):])
         assert doc.is_cfg()
         assert doc.graph.vertex_count == 3
+
+    def test_statement_over_several_lines_dumps_and_analyzes(self, tmp_path, capsys):
+        path = tmp_path / "wrap.mini"
+        path.write_text("fn f(a) {\n  x = a +\n    1;\n  while (x) {\n    x =\n x - 1; }\n}\n",
+                        encoding="utf-8")
+        assert main(["dump-cfg", str(path)]) == 0
+        dumped = tmp_path / "wrap.dot"
+        dumped.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["analyze", str(path), str(dumped)]) == 0
+        recs = json.loads(capsys.readouterr().out)["records"]
+        assert [(r["nu"], r["omega"]) for r in recs] == [(2, 5), (2, 5)]
 
     def test_non_utf8_file_is_a_per_file_error(self, tmp_path, capsys):
         good = copy_fixture(tmp_path, "atomic_seq.mini")

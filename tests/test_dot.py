@@ -167,6 +167,12 @@ class TestRoundTrip:
         assert horton_basis(doc.graph).total_weight == \
                horton_basis(cfg.graph).total_weight
 
+    @pytest.mark.parametrize("name", ['a"b', "a\\", "my graph", 'x"y'])
+    def test_names_with_quotes_backslashes_and_spaces_round_trip(self, name):
+        g = WeightedDigraph(2, [(0, 1), (1, 0)])
+        doc = parse_dot(dump_dot(g, name=name, node_names=(name, "b"), start=0, exit=1))
+        assert (doc.name, doc.node_names, doc.start, doc.exit) == (name, (name, "b"), 0, 1)
+
     def test_fractional_weights_round_trip(self):
         doc = parse_dot('digraph g { a -> b [weight=1/2]; b -> a [weight=0.25]; }')
         again = parse_dot(dump_dot(doc.graph, node_names=doc.node_names))

@@ -76,6 +76,18 @@ def assert_scanners_agree(source):
 @example('fn f() { if x { y; } }\nfn g() { s = "never closed; }')
 @example("fn f() { x; }\nfn f() { y; }\nfn g() { /* never closed")
 @example('fn f() { break; }\nfn g() { "never closed }')
+# Which unresolved jump is reported: a default body ranks after every case
+# body of its switch, nested switches too; only a loop's innermost label
+# is a target; the first function wins; any other error wins over all.
+@example("fn f() { switch (k) { default: { continue; } case 1: { break L; } } }")
+@example("fn f() { switch (k) { case 1: { x; } default: { switch (j) { default: "
+         "{ continue; } case 2: { break M; } } } case 3: { continue N; } } }")
+@example("fn f() { L: switch (k) { case 1: { break L; } } }")
+@example("fn f() { a: b: while (c) { break a; } }")
+@example("fn f() { continue; }\nfn g() { break; }")
+@example("fn f() { break; }\nfn g() { if x { y; } }")
+@example("fn f() { break; }\nfn g() { x; }\nfn g() { y; }")
+@example("fn f() { if (a) { break; } else if (b) { y; } else if c { z; } else { w; } }")
 def test_scanners_agree_on_generated_text(source):
     assert_scanners_agree(source)
 
