@@ -63,7 +63,7 @@ class Edge:
 class WeightedDigraph:
     """Immutable weighted digraph over dense vertex ids ``0..vertex_count-1``."""
 
-    __slots__ = ("vertex_count", "edges", "_incidence", "_integer_weights", "_connected")
+    __slots__ = ("vertex_count", "edges", "_incidence", "_integer_weights", "_tree0")
 
     def __init__(self, vertex_count: int, edges: Iterable[Union[Edge, tuple]]):
         if vertex_count < 0:
@@ -95,7 +95,7 @@ class WeightedDigraph:
             incidence[e.target].append(e)
         self._incidence = tuple(map(tuple, incidence))
         self._integer_weights = None
-        self._connected = None
+        self._tree0 = None
 
     @property
     def edge_count(self) -> int:
@@ -123,12 +123,17 @@ class WeightedDigraph:
     def weight_of(self, edge_ids: Iterable[int]) -> Fraction:
         return sum((self.edge(i).weight for i in edge_ids), Fraction(0))
 
+    def _bfs_parents_of_0(self) -> dict:
+        """``_bfs_parents(self, 0)``, computed once per graph: it decides
+        connectivity, and it is the spanning tree rooted at 0."""
+        if self._tree0 is None:
+            self._tree0 = _bfs_parents(self, 0)
+        return self._tree0
+
     def is_connected(self) -> bool:
-        """Whether the unoriented graph is connected; computed once per graph."""
-        if self._connected is None:
-            self._connected = (self.vertex_count <= 1
-                               or len(_bfs_parents(self, 0)) == self.vertex_count - 1)
-        return self._connected
+        """Whether the unoriented graph is connected."""
+        return (self.vertex_count <= 1
+                or len(self._bfs_parents_of_0()) == self.vertex_count - 1)
 
     def require_connected(self) -> None:
         if self.vertex_count == 0:
@@ -204,7 +209,7 @@ def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
         raise EmptyGraph("graph has no vertices")
     if not (0 <= root < g.vertex_count):
         raise ValueError(f"root {root} out of range")
-    parent = _bfs_parents(g, root)
+    parent = g._bfs_parents_of_0() if root == 0 else _bfs_parents(g, root)
     if len(parent) != g.vertex_count - 1:
         raise DisconnectedGraph(
             f"only {len(parent) + 1} of {g.vertex_count} vertices reachable from {root}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from types import GeneratorType
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import DuplicateFunction, MiniLangSyntaxError, UnresolvedLabel
@@ -55,6 +55,9 @@ _TOKEN = re.compile(rf"""
       | (?P<punct>[\x00-\x7f])
       | (?P<other>.) )
 """, re.VERBOSE | re.DOTALL)
+# Token(...) wraps this call in a Python-level __new__; _token_at, run once
+# per token, builds the same tuple without that extra frame.
+_new_token = tuple.__new__
 _TAILS = {"ident": re.compile(_IDENT_TAIL), "number": re.compile(_NUMBER_TAIL)}
 _UNTERMINATED = {"comment": "unterminated block comment",
                  "quote": "unterminated string literal"}
@@ -92,7 +95,7 @@ def _token_at(source: str, pos: int, filename: str) -> Token:
     elif kind in _UNTERMINATED:
         raise MiniLangSyntaxError(_UNTERMINATED[kind],
                                   *_position(_line_starts(source), start), filename)
-    return Token(kind, text, start, end)
+    return _new_token(Token, (kind, text, start, end))
 
 
 def _tokenize(source: str, filename: str, pos: int = 0):
@@ -107,12 +110,12 @@ def _tokenize(source: str, filename: str, pos: int = 0):
 
 
 # Expression text is opaque: only ``; : ( ) [ ]`` outside strings and
-# comments delimit it. _SKIP jumps over it in one match: runs of other
-# characters, whole strings and comments (a ``/`` that starts neither is
-# text), and ``(...)``/``[...]`` groups, closed by their own kind of bracket,
-# up to two levels deep. It stops before a delimiter, an unterminated
-# string or comment, or a group it cannot close; the parser's depth loops
-# take over from there.
+# comments delimit it. _SKIP jumps over it in one match: blanks, which its
+# group leaves out, then runs of other characters, whole strings and
+# comments (a ``/`` that starts neither is text), and ``(...)``/``[...]``
+# groups, closed by their own kind of bracket, up to two levels deep. It
+# stops before a delimiter, an unterminated string or comment, or a group
+# it cannot close; the parser's token path takes over from there.
 _OPAQUE = rf"{_STRING}|{_COMMENT}|/(?!\*)"
 
 
@@ -122,114 +125,149 @@ def _groups(inner: str) -> str:
 
 _NESTED = rf'[^()\[\]"/]++|{_OPAQUE}'
 _GROUP = _groups(f"{_NESTED}|{_groups(_NESTED)}")
-_SKIP = re.compile(rf'(?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+', re.DOTALL)
-# Whitespace and comments, then ``:``: what makes an identifier a label.
-_LABEL_COLON = re.compile(rf"{_BLANKS}:", re.DOTALL)
+_SKIP = re.compile(rf'{_BLANKS}((?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+)', re.DOTALL)
+# Whitespace and comments alone: what may stand between a label and its
+# ``:``, and around the ``(`` and ``{`` of a head that _SKIP reads.
+_SKIP_BLANKS = re.compile(_BLANKS, re.DOTALL)
 
 
 # --- AST ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExprStmt:
-    text: str
-    line: int
-    col: int
+class _Node:
+    """An AST node, built once and never changed. Its fields are its
+    ``__slots__``, in constructor order. Nodes are equal when they are of
+    one class and their fields are equal: a ``Break`` never equals a
+    ``Continue``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Block:
-    stmts: Tuple
+class ExprStmt(_Node):
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text, self.line, self.col = text, line, col
 
 
-@dataclass(frozen=True)
-class If:
-    cond: str
-    then: Block
-    orelse: Optional[Block]
-    line: int
-    col: int
+class Block(_Node):
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: tuple):
+        self.stmts = stmts
 
 
-@dataclass(frozen=True)
-class While:
-    cond: str
-    body: Block
-    line: int
-    col: int
+class If(_Node):
+    __slots__ = ("cond", "then", "orelse", "line", "col")
+
+    def __init__(self, cond: str, then: Block, orelse: Optional[Block], line: int, col: int):
+        self.cond, self.then, self.orelse, self.line, self.col = cond, then, orelse, line, col
 
 
-@dataclass(frozen=True)
-class For:
-    init: Optional[str]
-    cond: Optional[str]
-    step: Optional[str]
-    body: Block
-    line: int
-    col: int
+class While(_Node):
+    __slots__ = ("cond", "body", "line", "col")
+
+    def __init__(self, cond: str, body: Block, line: int, col: int):
+        self.cond, self.body, self.line, self.col = cond, body, line, col
 
 
-@dataclass(frozen=True)
-class SwitchCase:
-    label: str
-    body: Block
-    line: int
-    col: int
+class For(_Node):
+    __slots__ = ("init", "cond", "step", "body", "line", "col")
+
+    def __init__(self, init: Optional[str], cond: Optional[str], step: Optional[str],
+                 body: Block, line: int, col: int):
+        self.init, self.cond, self.step = init, cond, step
+        self.body, self.line, self.col = body, line, col
 
 
-@dataclass(frozen=True)
-class Switch:
-    scrutinee: str
-    cases: Tuple[SwitchCase, ...]
-    default: Optional[Block]
-    line: int
-    col: int
+class SwitchCase(_Node):
+    __slots__ = ("label", "body", "line", "col")
+
+    def __init__(self, label: str, body: Block, line: int, col: int):
+        self.label, self.body, self.line, self.col = label, body, line, col
 
 
-@dataclass(frozen=True)
-class Break:
-    label: Optional[str]
-    line: int
-    col: int
+class Switch(_Node):
+    __slots__ = ("scrutinee", "cases", "default", "line", "col")
+
+    def __init__(self, scrutinee: str, cases: Tuple[SwitchCase, ...],
+                 default: Optional[Block], line: int, col: int):
+        self.scrutinee, self.cases, self.default = scrutinee, cases, default
+        self.line, self.col = line, col
 
 
-@dataclass(frozen=True)
-class Continue:
-    label: Optional[str]
-    line: int
-    col: int
+class Break(_Node):
+    __slots__ = ("label", "line", "col")
+
+    def __init__(self, label: Optional[str], line: int, col: int):
+        self.label, self.line, self.col = label, line, col
 
 
-@dataclass(frozen=True)
-class Return:
-    value: Optional[str]
-    line: int
-    col: int
+class Continue(_Node):
+    __slots__ = ("label", "line", "col")
+
+    def __init__(self, label: Optional[str], line: int, col: int):
+        self.label, self.line, self.col = label, line, col
 
 
-@dataclass(frozen=True)
-class Labeled:
-    label: str
-    stmt: object
-    line: int
-    col: int
+class Return(_Node):
+    __slots__ = ("value", "line", "col")
+
+    def __init__(self, value: Optional[str], line: int, col: int):
+        self.value, self.line, self.col = value, line, col
 
 
-@dataclass(frozen=True)
-class Function:
-    name: str
-    params: str
-    body: Block
-    line: int
-    col: int
+class Labeled(_Node):
+    __slots__ = ("label", "stmt", "line", "col")
+
+    def __init__(self, label: str, stmt: object, line: int, col: int):
+        self.label, self.stmt, self.line, self.col = label, stmt, line, col
 
 
-@dataclass(frozen=True)
-class Program:
-    functions: Tuple[Function, ...]
-    filename: str = "<input>"
+class Function(_Node):
+    __slots__ = ("name", "params", "body", "line", "col")
+
+    def __init__(self, name: str, params: str, body: Block, line: int, col: int):
+        self.name, self.params, self.body, self.line, self.col = name, params, body, line, col
+
+
+class Program(_Node):
+    __slots__ = ("functions", "filename")
+
+    def __init__(self, functions: Tuple[Function, ...], filename: str = "<input>"):
+        self.functions, self.filename = functions, filename
 
 
 # --- Parser ------------------------------------------------------------
+
+def trampoline(gen):
+    """Run ``gen``, which yields a generator where it would call a nested
+    parse or lowering: that one runs to its end first, and its return value
+    is sent back. Nesting grows this list, not the Python stack."""
+    stack = [gen]
+    value = None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
 
 # Marks a switch on the parser's stack of jump targets; a loop stands there
 # as its label, or None.
@@ -238,7 +276,12 @@ _SWITCH = object()
 
 class _Parser:
     """Recursive descent over tokens scanned on demand: ``tok`` is the
-    current one, and expression text is skipped rather than tokenized.
+    current one, and expression text is skipped rather than tokenized. A
+    compound statement's parse is a generator, run by ``trampoline``.
+
+    An expression statement, a ``return`` and an ``if``/``while``/``for``
+    head are read by ``_SKIP`` matches when each ends at the expected
+    delimiter; else the token path reads them, and gives every diagnostic.
 
     A ``break``/``continue`` is checked as it is read against ``targets``,
     the enclosing loops and switches. A jump without a target waits in
@@ -271,6 +314,48 @@ class _Parser:
         end = _SKIP.match(self.source, start).end()
         if end != start:
             self.tok = _token_at(self.source, end, self.filename)
+
+    def text_to(self, pos: int, delim: str):
+        """``(text, index past delim)`` when one ``_SKIP`` match from ``pos``
+        ends at ``delim``; the text leaves out the blanks around it. None
+        when the match ends anywhere else."""
+        m = _SKIP.match(self.source, pos)
+        end = m.end()
+        if self.source.startswith(delim, end):
+            return self.source[m.start(1):end].strip(), end + 1
+        return None
+
+    def head(self, *delims: str) -> list:
+        """The texts in the parentheses after a compound statement's
+        keyword, ended by each of ``delims`` in turn; the parser then stands
+        past the ``{`` of the body. ``text_to`` reads a head of the plain
+        shape; the token path reads any other."""
+        source = self.source
+        pos = _SKIP_BLANKS.match(source, self.tok.end).end() + 1
+        texts = []
+        if source.startswith("(", pos - 1):
+            for delim in delims:
+                got = self.text_to(pos, delim)
+                if got is None:
+                    break
+                texts.append(got[0])
+                pos = got[1]
+            else:
+                pos = _SKIP_BLANKS.match(source, pos).end()
+                if source.startswith("{", pos):
+                    self.tok = _token_at(source, pos + 1, self.filename)
+                    return texts
+        self.next()
+        if delims == (")",):
+            texts = [self.capture_parenthesized()]
+        else:
+            self.expect("(")
+            texts = []
+            for delim in delims:
+                texts.append(self.capture_until(delim))
+                self.expect(delim)
+        self.expect("{")
+        return texts
 
     def scan_rest(self) -> None:
         """Raise the first lexical error from the current token on, if any:
@@ -341,7 +426,7 @@ class _Parser:
         functions = []
         names = {}
         while self.tok.kind != "eof":
-            fn = self.parse_function()
+            fn = trampoline(self.parse_function())
             if fn.name in names:
                 self.scan_rest()
                 raise DuplicateFunction(
@@ -353,56 +438,68 @@ class _Parser:
             raise self.unresolved[0]
         return Program(functions=tuple(functions), filename=self.filename)
 
-    def parse_function(self) -> Function:
+    def parse_function(self):
         tok = self.tok
         if tok.text != "fn":
             self.error(f"expected 'fn', got {tok.text!r}")
         self.next()
         name = self.expect_ident()
         params = self.capture_parenthesized()
-        body = self.parse_block()
+        body = yield from self.parse_block()
         return Function(name.text, params, body, *self.at(tok))
 
-    def parse_block(self) -> Block:
+    def parse_block(self):
         self.expect("{")
+        return self.parse_block_body()
+
+    def parse_block_body(self):
+        """The statements after a block's ``{``, and its ``}``."""
         stmts = []
         while self.tok.text != "}":
             if self.tok.kind == "eof":
                 self.error("expected '}' before end of file")
-            stmts.append(self.parse_stmt())
-        self.expect("}")
-        return Block(stmts=tuple(stmts))
+            stmt = self.parse_stmt()
+            if stmt.__class__ is GeneratorType:
+                stmt = yield stmt
+            stmts.append(stmt)
+        self.next()
+        return Block(tuple(stmts))
 
     def parse_stmt(self, label: Optional[str] = None):
-        """One statement; ``label`` is the one it carries, if any, which
-        makes a loop a target of labeled jumps."""
+        """One statement, or a generator that parses it; ``label`` is the
+        one it carries, if any, which makes a loop a target of labeled
+        jumps."""
         tok = self.tok
-        if tok.text == "if":
-            return self.parse_if()
-        if tok.text in ("while", "for"):
-            self.targets.append(label)
-            loop = self.parse_while() if tok.text == "while" else self.parse_for()
-            self.targets.pop()
-            return loop
-        if tok.text == "switch":
-            return self.parse_switch()
-        if tok.text in ("break", "continue"):
-            return self.parse_jump()
-        if tok.text == "return":
-            self.next()
-            value = None
-            if self.tok.text != ";":
-                value = self.capture_until(";")
-            self.expect(";")
-            return Return(value, *self.at(tok))
         if tok.kind == "keyword":
-            self.error(f"unexpected keyword {tok.text!r}")
-        if tok.kind == "ident":
-            colon = _LABEL_COLON.match(self.source, tok.end)
-            if colon:
-                self.tok = _token_at(self.source, colon.end(), self.filename)
-                stmt = self.parse_stmt(tok.text)
-                return Labeled(tok.text, stmt, *self.at(tok))
+            text = tok.text
+            if text == "if":
+                return self.parse_if()
+            if text == "while":
+                return self.parse_while(label)
+            if text == "for":
+                return self.parse_for(label)
+            if text == "switch":
+                return self.parse_switch()
+            if text in ("break", "continue"):
+                return self.parse_jump()
+            if text == "return":
+                got = self.text_to(tok.end, ";")
+                if got is not None:
+                    self.tok = _token_at(self.source, got[1], self.filename)
+                    return Return(got[0] or None, *self.at(tok))
+                self.next()
+                value = None if self.tok.text == ";" else self.capture_until(";")
+                self.expect(";")
+                return Return(value, *self.at(tok))
+            self.error(f"unexpected keyword {text!r}")
+        if tok.text != "{":
+            got = self.text_to(tok.start, ";")
+            if got is not None and got[0]:
+                self.tok = _token_at(self.source, got[1], self.filename)
+                return ExprStmt(got[0], *self.at(tok))
+        if tok.kind == "ident" and self.source.startswith(
+                ":", _SKIP_BLANKS.match(self.source, tok.end).end()):
+            return self.parse_labeled()
         if tok.text == "{":
             self.error("bare blocks are not statements; braces follow a control keyword")
         text = self.capture_until(";")
@@ -410,6 +507,25 @@ class _Parser:
             self.error("empty statement")
         self.expect(";")
         return ExprStmt(text, *self.at(tok))
+
+    def parse_labeled(self):
+        """A chain of labels, read in a loop, and the statement they mark,
+        which carries the last label as its own."""
+        source = self.source
+        labels = []
+        tok = self.tok
+        while tok.kind == "ident":
+            colon = _SKIP_BLANKS.match(source, tok.end).end()
+            if not source.startswith(":", colon):
+                break
+            labels.append(tok)
+            self.tok = tok = _token_at(source, colon + 1, self.filename)
+        stmt = self.parse_stmt(labels[-1].text)
+        if stmt.__class__ is GeneratorType:
+            stmt = yield from stmt
+        for tok in reversed(labels):
+            stmt = Labeled(tok.text, stmt, *self.at(tok))
+        return stmt
 
     def parse_jump(self):
         tok = self.next()
@@ -428,45 +544,45 @@ class _Parser:
             self.unresolved.append(UnresolvedLabel(message, *self.at(tok), self.filename))
         return (Break if tok.text == "break" else Continue)(label, *self.at(tok))
 
-    def parse_if(self) -> If:
+    def parse_if(self):
         """An ``if`` with its whole ``else if`` chain, read in a loop and
         nested from the last arm out, so a chain of any length parses."""
         arms = []
         orelse = None
         while True:
-            tok = self.expect("if")
-            arms.append((tok, self.capture_parenthesized(), self.parse_block()))
+            tok = self.tok
+            cond, = self.head(")")
+            arms.append((tok, cond, (yield from self.parse_block_body())))
             if self.tok.text != "else":
                 break
             self.next()
             if self.tok.text != "if":
-                orelse = self.parse_block()
+                orelse = yield from self.parse_block()
                 break
         for tok, cond, then in reversed(arms):
             stmt = If(cond, then, orelse, *self.at(tok))
-            orelse = Block(stmts=(stmt,))
+            orelse = Block((stmt,))
         return stmt
 
-    def parse_while(self) -> While:
-        tok = self.expect("while")
-        cond = self.capture_parenthesized()
-        body = self.parse_block()
+    def parse_while(self, label: Optional[str]):
+        tok = self.tok
+        cond, = self.head(")")
+        self.targets.append(label)
+        body = yield from self.parse_block_body()
+        self.targets.pop()
         return While(cond, body, *self.at(tok))
 
-    def parse_for(self) -> For:
-        tok = self.expect("for")
-        self.expect("(")
-        init = self.capture_until(";") or None
-        self.expect(";")
-        cond = self.capture_until(";") or None
-        self.expect(";")
-        step = self.capture_until(")") or None
-        self.expect(")")
-        body = self.parse_block()
+    def parse_for(self, label: Optional[str]):
+        tok = self.tok
+        init, cond, step = (text or None for text in self.head(";", ";", ")"))
+        self.targets.append(label)
+        body = yield from self.parse_block_body()
+        self.targets.pop()
         return For(init, cond, step, body, *self.at(tok))
 
-    def parse_switch(self) -> Switch:
-        tok = self.expect("switch")
+    def parse_switch(self):
+        tok = self.tok
+        self.next()
         scrutinee = self.capture_parenthesized()
         self.expect("{")
         self.targets.append(_SWITCH)
@@ -481,7 +597,7 @@ class _Parser:
                 if not label:
                     self.error("case needs a label expression")
                 self.expect(":")
-                body = self.parse_block()
+                body = yield from self.parse_block()
                 cases.append(SwitchCase(label, body, *self.at(branch)))
             elif branch.text == "default":
                 self.next()
@@ -489,7 +605,7 @@ class _Parser:
                 if default is not None:
                     self.error("duplicate default", branch)
                 first = len(self.unresolved)
-                default = self.parse_block()
+                default = yield from self.parse_block()
                 deferred = self.unresolved[first:]
                 del self.unresolved[first:]
             else:

@@ -1,5 +1,7 @@
 import pytest
 
+import cfg_reference
+
 from crosscc.basis import horton_basis
 from crosscc.cfg import lower
 from crosscc.errors import UnreachableCode, UnresolvedLabel
@@ -164,9 +166,10 @@ class TestDiagnostics:
         body = Block((jump,))
         if in_switch:
             body = Block((Switch("k", (SwitchCase("1", body, 1, 5),), None, 1, 3),))
-        with pytest.raises(UnresolvedLabel) as err:
-            lower(Function("f", "", body, 1, 1))
-        assert (err.value.line, err.value.col) == (1, 9)
+        for lower_fn in (lower, cfg_reference.lower):
+            with pytest.raises(UnresolvedLabel) as err:
+                lower_fn(Function("f", "", body, 1, 1))
+            assert (err.value.line, err.value.col) == (1, 9)
 
     def test_spinning_loop_inside_branch_still_reaches_exit(self):
         cfg = lower_source("fn f() { if (a) { while (c) { continue; } } y; }")

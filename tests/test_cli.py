@@ -19,6 +19,26 @@ def copy_fixture(tmp_path, name):
     return dst
 
 
+def deep_files(tmp_path, depth=10_000):
+    """good.mini (Listing 1), then one file each of ``depth`` nested ifs,
+    whiles and switches, and one while under a chain of ``depth`` labels."""
+    bodies = {
+        "if_nest": "if (c) { " * depth + "x; " + "} " * depth,
+        "while_nest": "while (c) { " * depth + "x; " + "} " * depth,
+        "switch_nest": "switch (k) { case 1: { " * depth + "x; " + "} } " * depth,
+        "labels": "".join(f"L{i}: " for i in range(depth))
+                  + f"while (c) {{ break L{depth - 1}; }}",
+    }
+    good = tmp_path / "good.mini"
+    shutil.copy(FIXTURES / "listing1.mini", good)
+    paths = [str(good)]
+    for name, body in bodies.items():
+        path = tmp_path / f"{name}.mini"
+        path.write_text(f"fn {name}() {{ {body} }}\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
 class TestAnalyze:
     def test_exact_mode_on_dot_cfg(self, tmp_path, capsys):
         path = copy_fixture(tmp_path, "ifelse_cfg.dot")
@@ -81,6 +101,23 @@ class TestAnalyze:
         assert main(["analyze", "--mode", mode, str(good), str(chain)]) == 0
         recs = json.loads(capsys.readouterr().out)["records"]
         assert sorted((r["unit"], r["nu"]) for r in recs) == [("chain", 2001), ("seq", 1)]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode", ["exact", "treebound"])
+    def test_deep_nesting_and_label_chains_keep_the_batch(self, tmp_path, capsys, mode):
+        # The parser and the lowerer keep explicit stacks, so no depth ends
+        # the batch; dump-cfg shows each deep function's cycle rank.
+        paths = deep_files(tmp_path)
+        assert main(["analyze", "--mode", mode, *paths]) == 0
+        recs = json.loads(capsys.readouterr().out)["records"]
+        assert sorted((r["unit"], r["nu"]) for r in recs) == [
+            ("getWords", 4), ("if_nest", 10001), ("labels", 2), ("sumOfPrimes", 4),
+            ("switch_nest", 10001), ("while_nest", 10001)]
+        if mode == "exact":
+            assert main(["dump-cfg", *paths[1:]]) == 0
+            headers = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("// ")]
+            assert headers == ["mcc=10001", "mcc=10001", "mcc=10001", "mcc=2"]
 
     def test_fail_above_gate(self, tmp_path, capsys):
         path = copy_fixture(tmp_path, "listing1.mini")

@@ -88,6 +88,22 @@ class TestSpanningTree:
         t2 = spanning_tree(g, 0)
         assert t1.tree_edges == t2.tree_edges == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mini"))
+                             + sorted(FIXTURES.glob("*.dot")), ids=lambda p: p.name)
+    def test_tree_kept_from_the_connectivity_check_is_a_fresh_bfs_tree(self, path):
+        # cycle_rank's connectivity check keeps its BFS from vertex 0, and
+        # spanning_tree(g, 0) reuses it; a copy of g has no search to reuse.
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".dot":
+            graphs = [parse_dot(text).graph]
+        else:
+            graphs = [lower(fn).graph for fn in parse(text).functions]
+        for g in graphs:
+            cycle_rank(g)
+            kept = spanning_tree(g, 0)
+            fresh = spanning_tree(WeightedDigraph(g.vertex_count, g.edges), 0)
+            assert (kept.tree_edges, kept.parent) == (fresh.tree_edges, fresh.parent)
+
     def test_disconnected_raises(self):
         g = WeightedDigraph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraph):

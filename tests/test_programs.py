@@ -7,25 +7,36 @@ switch (with and without default), labeled loops, and
 break/continue/return with and without labels. Every function it writes is
 reachable: a block ends at its first statement that cannot fall through.
 It counts decisions as complexity checkers do: one per if and per loop,
-one per switch alternative, ``default`` included.
+one per switch alternative, ``default`` included. With ``dead_code`` it
+also writes statements after a jump, which the lowerer must reject.
+
+The lowerer is held to ``cfg_reference``, the recursive lowerer it
+replaced: the same ``dump-cfg`` text, or the same diagnostic, on every
+generated function and every fixture.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cfg_reference
 from crosscc.basis import Provenance
 from crosscc.cfg import lower
 from crosscc.dot import dump_cfg_dot, parse_dot
+from crosscc.errors import CrossCCError
 from crosscc.graph import cycle_rank
 from crosscc.metric import cross_complexity
 from crosscc.minilang import parse
+
+from conftest import FIXTURES
 
 MAX_DEPTH = 3
 
 
 class _Writer:
-    def __init__(self, draw):
+    def __init__(self, draw, dead_code=False):
         self.draw = draw
+        self.dead_code = dead_code
         self.decisions = 0
         self.labels = 0
 
@@ -39,7 +50,7 @@ class _Writer:
         for _ in range(self.draw(st.integers(0, 3))):
             text, falls_through = self.stmt(depth, loops, breakable)
             stmts.append(text)
-            if not falls_through:
+            if not falls_through and not self.dead_code:
                 break
         return "{ " + " ".join(stmts) + " }", falls_through
 
@@ -94,9 +105,10 @@ class _Writer:
 
 
 @st.composite
-def functions(draw):
-    """(source of one reachable function, its number of decisions)."""
-    writer = _Writer(draw)
+def functions(draw, dead_code=False):
+    """(source of one function, its number of decisions); reachable unless
+    ``dead_code``."""
+    writer = _Writer(draw, dead_code)
     body, _ = writer.block(0, [], False)
     return f"fn f() {body}", writer.decisions
 
@@ -135,3 +147,28 @@ def test_dump_cfg_dot_round_trip_keeps_the_pair(program):
         before = cross_complexity(cfg, mode=mode)
         after = cross_complexity(again, mode=mode)
         assert (after.nu, after.omega_min) == (before.nu, before.omega_min)
+
+
+def lowered(lower_fn, fn):
+    """One function's ``dump-cfg`` text, or its diagnostic."""
+    try:
+        return dump_cfg_dot(lower_fn(fn, "t.mini"))
+    except CrossCCError as err:
+        return type(err).__name__, str(err), err.line, err.col
+
+
+def assert_lowerers_agree(source):
+    for fn in parse(source, "t.mini").functions:
+        assert lowered(lower, fn) == lowered(cfg_reference.lower, fn), source
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(functions(), functions(dead_code=True)))
+@example(("fn f() { L: M: while (c) { continue M; } return; x; }", 1))
+def test_lowerer_matches_reference(program):
+    assert_lowerers_agree(program[0])
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mini")), ids=lambda p: p.name)
+def test_lowerer_matches_reference_on_fixtures(path):
+    assert_lowerers_agree(path.read_text(encoding="utf-8"))

@@ -6,8 +6,14 @@ before its one-pattern scanner; the two must give the same token stream,
 the same ``line:col`` for every token, and the same diagnostics.
 ``minilang_reference.parse`` is the parser that read that scanner's full
 token list before the parser scanned on demand and skipped expression
-text; the two must give the same ``Program`` or the same diagnostic.
+text; the two must give the same ``Program`` or the same diagnostic. The
+programs compared include nested ones up to 200 levels deep, which the
+recursive reference still parses, and files of many functions.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +21,7 @@ from hypothesis import strategies as st
 
 import minilang_reference as reference
 from crosscc import minilang
+from crosscc.cli import main
 from crosscc.dot import parse_dot
 from crosscc.errors import CrossCCError, MiniLangSyntaxError
 
@@ -121,6 +128,103 @@ def test_parsers_agree_on_expression_soup(statements, tail):
     assert_scanners_agree(f"fn f(a) {{ switch (k) {{ {body} : {{ }} }} }}{tail}")
 
 
+# Nested programs: each level holds a statement and opens one compound
+# statement, closed after the levels inside it. A short pattern of openers
+# repeats to the drawn depth. A bad program has one statement that makes
+# the file fail: an unreachable statement, a jump without a target, an
+# unclosed group, an odd quote, or an ``if`` without parentheses.
+OPENERS = [("if (a[i]) {", "}"), ("if (c) { x = 1; } else {", "}"),
+           ("if (c) { x = 1; } else if (f(d)) {", "}"), ("while ((c)) {", "}"),
+           ("for (i = 0; i < n; i = i + 1) {", "}"), ("L: while (c) {", "}"),
+           ("switch (k) { case 1: {", "} }"),
+           ("switch (k) { case 1: { x = 1; } default: {", "} }")]
+GOOD_STATEMENTS = ["x = 1;", 'y = g(a, ";");', "/* c */ z = (a[b(c)]);", "w;"]
+BAD_STATEMENTS = ["return; x = 1;", "continue Z;", "x = (;", 'x = "open;', "if x { }"]
+
+
+@st.composite
+def nested_functions(draw, bad=False, max_depth=200):
+    """``fn f(a) { ... }`` nested up to ``max_depth`` levels deep, and
+    whether it is good."""
+    openers = draw(st.lists(st.sampled_from(OPENERS), min_size=1, max_size=4))
+    depth = draw(st.integers(0, max_depth))
+    statements = draw(st.lists(st.sampled_from(GOOD_STATEMENTS), min_size=1, max_size=3))
+    stmts = [statements[i % len(statements)] for i in range(depth + 1)]
+    if bad:
+        stmts[draw(st.integers(0, depth))] = draw(st.sampled_from(BAD_STATEMENTS))
+    head = " ".join(f"{stmts[i]} {openers[i % len(openers)][0]}" for i in range(depth))
+    tail = " ".join(openers[i % len(openers)][1] for i in reversed(range(depth)))
+    return f"fn f(a) {{ {head} {stmts[depth]} {tail} }}", not bad
+
+
+def flat(outcome):
+    """A parse outcome as a flat list in preorder, each node as its class
+    name and each tuple as its length, walked with an explicit stack:
+    ``==`` on a deep AST would exhaust the recursion limit."""
+    out, stack = [], [outcome]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            out.append(len(item))
+            stack.extend(reversed(item))
+        elif isinstance(item, minilang._Node):
+            out.append(type(item).__name__)
+            stack.extend(getattr(item, name) for name in reversed(item.__slots__))
+        else:
+            out.append(item)
+    return out
+
+
+def assert_parsers_agree_flat(source):
+    assert flat(parse_outcome(minilang.parse, source)) == flat(
+        parse_outcome(reference.parse, source))
+
+
+def deepest(opener, closer, depth=200):
+    return f"fn f(a) {{ {f'x = 1; {opener} ' * depth} x = 1; {f'{closer} ' * depth}}}", True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(nested_functions(), nested_functions(bad=True)), st.integers(0, 10**5))
+@example(deepest(*OPENERS[2]), 10**5)
+@example(deepest(*OPENERS[5]), 10**5)
+@example(deepest(*OPENERS[7]), 4000)
+def test_parsers_agree_on_deep_programs(program, cut):
+    source, _ = program
+    assert_parsers_agree_flat(source)
+    assert_parsers_agree_flat(source[:cut % (len(source) + 1)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(nested_functions(max_depth=6), nested_functions(True, 6)),
+                min_size=1, max_size=60), st.integers(0, 60))
+def test_parsers_agree_on_long_files(programs, duplicate):
+    # f0, f1, ...; one name repeats when ``duplicate`` falls in range.
+    names = [f"f{i}" for i in range(len(programs))]
+    if 0 < duplicate < len(names):
+        names[duplicate] = names[0]
+    assert_parsers_agree_flat("\n".join(source.replace("fn f(", f"fn {name}(", 1)
+                                         for (source, _), name in zip(programs, names)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.one_of(nested_functions(max_depth=60), nested_functions(True, 60)),
+                min_size=1, max_size=6), st.sampled_from(["exact", "treebound"]))
+def test_batch_keeps_every_good_files_record(programs, mode):
+    # A bad file costs only its own record, and sets exit code 1.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, (source, _) in enumerate(programs):
+            paths.append(Path(tmp) / f"u{i}.mini")
+            paths[-1].write_text(source, encoding="utf-8")
+        report = Path(tmp) / "report.json"
+        code = main(["analyze", "--mode", mode, *map(str, paths), "-o", str(report)])
+        records = json.loads(report.read_text(encoding="utf-8"))["records"]
+    assert [r["source"] for r in records] == [
+        f"{path}:f" for path, (_, good) in zip(paths, programs) if good]
+    assert code == (0 if all(good for _, good in programs) else 1)
+
+
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mini")), ids=lambda p: p.name)
 def test_token_streams_identical_on_fixtures(path):
     source = path.read_text(encoding="utf-8")
@@ -179,8 +283,8 @@ class TestPositions:
 
 
 # Arbitrary text through both frontends: any outcome but a CrossCCError is
-# a traceback for the user. 200 characters cannot nest deeply enough to
-# reach the recursion limit.
+# a traceback for the user. Deep nesting has tests of its own above and in
+# test_cli.py.
 FRONTEND_WORDS = ["fn", "if", "while", "switch", "case", "digraph", "->", "start",
                   "exit", "weight", "tree", "addvirtual", "=", "true", "false",
                   "1/2", "-1", '"', "{", "}", "(", ")", "[", "]", ";", ":", ",",
