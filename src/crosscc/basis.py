@@ -27,15 +27,17 @@ shortest paths and the candidate loop share. A relaxation compares the
 integer distances first and builds a path mask only when the new distance
 beats the old one or ties it, where the mask decides. Every candidate is a
 simple cycle with its integer weight by construction, so each chosen cycle
-is taken straight from its mask, with the exact ``Fraction`` weight of its
-integer weight over the scale, and is not walked again.
+is kept as its mask and integer weight, and is not walked again: a basis
+builds ``Cycle`` objects only when its ``cycles`` are read.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Tuple
 
@@ -45,8 +47,8 @@ from .graph import (
     Gf2Basis,
     SpanningTree,
     WeightedDigraph,
+    _edge_ids,
     cycle_rank,
-    fundamental_cycle,
 )
 
 
@@ -60,35 +62,31 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """A cycle basis: cycle_rank(g) independent cycles and their total weight."""
+    """A cycle basis: cycle_rank(g) independent ``(edge mask, weight * scale)``
+    pairs and their total weight. ``cycles`` is built on first read, then kept."""
 
-    cycles: Tuple[Cycle, ...]
+    masks: Tuple[Tuple[int, int], ...]
+    scale: int
     total_weight: Fraction
     provenance: Provenance
 
+    @cached_property
+    def cycles(self) -> Tuple[Cycle, ...]:
+        return tuple(Cycle(frozenset(_edge_ids(m)), Fraction(w, self.scale))
+                     for m, w in self.masks)
+
     def __len__(self):
-        return len(self.cycles)
+        return len(self.masks)
 
 
 def _require_nonnegative(g: WeightedDigraph) -> None:
-    # Reads the numerator only: cheaper than a Fraction comparison.
-    for e in g.edges:
-        if e.weight.numerator < 0:
-            raise NegativeWeight(f"edge {e.id} has weight {e.weight}")
+    if min(g.integer_weights()[0], default=0) < 0:  # the basis reads them anyway
+        e = next(e for e in g.edges if e.weight < 0)
+        raise NegativeWeight(f"edge {e.id} has weight {e.weight}")
 
 
 def _mask(edge_ids: Iterable[int]) -> int:
     return sum(1 << i for i in edge_ids)
-
-
-def _edge_ids(mask: int) -> List[int]:
-    """The set bits of ``mask``, lowest first, one step per set bit."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return ids
 
 
 def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
@@ -111,8 +109,8 @@ def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
 
     def remove(v):
         alive[v] = False
-        for e in g.incident(v):
-            u = e.other(v)
+        for _, source, target, _ in g.incident(v):
+            u = target if v == source else source
             if alive[u]:
                 degree[u] -= 1
                 if degree[u] == 1:
@@ -139,10 +137,10 @@ def _adjacency(g: WeightedDigraph, weights: List[int]) -> List[List[Tuple[int, i
     """Per vertex, ``(neighbor, weight, 1 << edge id)`` for every incident
     edge in ascending edge id, on the integer ``weights`` by edge id."""
     adjacency = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        w, bit = weights[e.id], 1 << e.id
-        adjacency[e.source].append((e.target, w, bit))
-        adjacency[e.target].append((e.source, w, bit))
+    for eid, source, target, _ in g.edges:
+        w, bit = weights[eid], 1 << eid
+        adjacency[source].append((target, w, bit))
+        adjacency[target].append((source, w, bit))
     return adjacency
 
 
@@ -190,7 +188,7 @@ def _candidate_cycles(g: WeightedDigraph, weights: List[int]) -> Dict[int, int]:
     """All simple candidate cycles ``P(z,x) + e + P(y,z)`` over the roots z of
     a feedback vertex set, as mask -> integer weight (``weights`` scale)."""
     adjacency = _adjacency(g, weights)
-    arcs = [(e.source, e.target, weights[e.id], 1 << e.id) for e in g.edges]
+    arcs = [(x, y, weights[eid], 1 << eid) for eid, x, y, _ in g.edges]
     candidates = {}
     for z in _feedback_vertex_set(g):
         dist, path = _shortest_paths(adjacency, z)
@@ -214,7 +212,7 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     _require_nonnegative(g)
     nu = cycle_rank(g)
     if nu == 0:
-        return CycleBasis(cycles=(), total_weight=Fraction(0), provenance=Provenance.EXACT)
+        return CycleBasis((), 1, Fraction(0), Provenance.EXACT)
     weights, scale = g.integer_weights()
     candidates = _candidate_cycles(g, weights)
     ordered = sorted(candidates, key=lambda m: (candidates[m], m))
@@ -225,9 +223,9 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
         raise AssertionError("candidate cycles did not span the cycle space")
     # Every candidate is a simple cycle with its integer weight by
     # construction, so the chosen ones need no walk of their own.
-    cycles = tuple(Cycle(frozenset(_edge_ids(m)), Fraction(candidates[m], scale)) for m in chosen)
-    total = Fraction(sum(candidates[m] for m in chosen), scale)
-    return CycleBasis(cycles=cycles, total_weight=total, provenance=Provenance.EXACT)
+    masks = tuple((m, candidates[m]) for m in chosen)
+    total = Fraction(sum(w for _, w in masks), scale)
+    return CycleBasis(masks, scale, total, Provenance.EXACT)
 
 
 def _greedy_independent(ordered_masks: Iterable[int], nu: int) -> List[int]:
@@ -250,17 +248,16 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> CycleBasis:
     """The fundamental system of cycles of ``t``: a valid basis, so an upper
     bound on the minimum basis weight (not necessarily minimal).
 
-    Each cycle weight is its integer weight over the graph's scale, so the
-    total adds the integer weights back up and divides once.
+    The cycles are ``SpanningTree.fundamental_masks`` in chord order; the
+    total adds their integer weights and divides once.
     """
     if t.host is not g:
         raise ValueError("tree does not belong to this graph")
     _require_nonnegative(g)
-    cycles = tuple(fundamental_cycle(t, g.edges[eid]) for eid in t.chords())
+    masks = tuple(t.fundamental_masks([g.edges[eid] for eid in t.chords()]))
     scale = g.integer_weights()[1]
-    total = Fraction(sum(c.weight.numerator * (scale // c.weight.denominator) for c in cycles),
-                     scale)
-    return CycleBasis(cycles=cycles, total_weight=total, provenance=Provenance.TREE_BOUND)
+    total = Fraction(sum(w for _, w in masks), scale)
+    return CycleBasis(masks, scale, total, Provenance.TREE_BOUND)
 
 
 def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
@@ -309,8 +306,10 @@ def oracle_min_basis(g: WeightedDigraph, limit: int = 10_000) -> CycleBasis:
     """
     nu = cycle_rank(g)
     cycles = {_mask(c.edge_ids): c for c in enumerate_simple_cycles(g, limit=limit)}
-    chosen = [cycles[m] for m in _greedy_independent(cycles, nu)]
+    chosen = _greedy_independent(cycles, nu)
     if len(chosen) < nu:
         raise AssertionError("cycle enumeration did not span the cycle space")
-    total = sum((c.weight for c in chosen), Fraction(0))
-    return CycleBasis(cycles=tuple(chosen), total_weight=total, provenance=Provenance.ORACLE)
+    total = sum((cycles[m].weight for m in chosen), Fraction(0))
+    scale = math.lcm(*(cycles[m].weight.denominator for m in chosen))
+    masks = tuple((m, int(cycles[m].weight * scale)) for m in chosen)
+    return CycleBasis(masks, scale, total, Provenance.ORACLE)

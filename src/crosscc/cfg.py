@@ -113,14 +113,22 @@ class _Lowerer:
         return self._enter_node(text, pos)
 
     def _exits(self) -> List[int]:
-        """Sources of the dangling out-arcs at this point (empty if dead)."""
+        """Sources of the dangling out-arcs at this point (empty if dead). Exit
+        lists are handed over, not copied, so lowering is linear in depth."""
         if self.current is not None:
             return [self.current]
-        return list(self.pending)
+        return self.pending
 
     def _resume(self, sources: List[int]) -> None:
         self.current = None
-        self.pending = list(sources)
+        self.pending = sources
+
+    def _join(self, exits: List[int]) -> List[int]:
+        """``exits`` followed by the exits at this point."""
+        if not exits:
+            return self._exits()
+        exits += self._exits()
+        return exits
 
     def _require_alive(self, pos) -> None:
         """A point is live at the entry, before any node, or where arcs
@@ -203,7 +211,7 @@ class _Lowerer:
             branch = self._append(f"if ({stmt.cond})", (stmt.line, stmt.col))
             self._resume([branch])
             yield from self.lower_block(stmt.then)
-            exits += self._exits()
+            exits = self._join(exits)
             self._resume([branch])
             orelse = stmt.orelse
             if orelse is None:
@@ -211,7 +219,7 @@ class _Lowerer:
                 break
             if len(orelse.stmts) != 1 or orelse.stmts[0].__class__ is not ast.If:
                 yield from self.lower_block(orelse)
-                exits += self._exits()
+                exits = self._join(exits)
                 break
             stmt = orelse.stmts[0]
         self._resume(exits)
@@ -258,9 +266,10 @@ class _Lowerer:
                 test = self._enter_node(test_label, body_pos)
             self._resume([test])
             yield from self.lower_block(body)
-            join_exits.extend(self._exits())
+            join_exits = self._join(join_exits)
         self.targets.pop()
-        self._resume(join_exits + [test] + target.breaks)
+        join_exits += [test, *target.breaks]
+        self._resume(join_exits)
 
     # assembly -----------------------------------------------------------
 
@@ -303,10 +312,10 @@ def check_reachability(cfg: ControlFlowGraph,
     n = cfg.graph.vertex_count
     forward = [[] for _ in range(n)]
     backward = [[] for _ in range(n)]
-    for e in cfg.graph.edges:
-        if e.id != cfg.virtual_arc:
-            forward[e.source].append(e.target)
-            backward[e.target].append(e.source)
+    for eid, source, target, _ in cfg.graph.edges:
+        if eid != cfg.virtual_arc:
+            forward[source].append(target)
+            backward[target].append(source)
 
     def closure(adj, origin):
         seen = [False] * n

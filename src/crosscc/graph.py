@@ -8,10 +8,11 @@ synthetic exit-to-start arc duplicates an existing arc.
 Cycles are unoriented edge-id sets: arc direction matters to control-flow
 semantics, never to the cycle algebra, so every algorithm here traverses
 the underlying undirected graph. Over GF(2) a cycle is an int bitmask with
-bit i set iff edge i is in it. All weights are exact ``fractions.Fraction``
-values so equality assertions are exact; sums over many edges run on the
-graph's integer weights (``WeightedDigraph.integer_weights``), which are
-the same weights times one common factor.
+bit i set iff edge i is in it; a fundamental cycle is the XOR of two
+root-path masks. All weights are exact ``fractions.Fraction`` values so
+equality assertions are exact; sums over many edges run on the graph's
+integer weights (``WeightedDigraph.integer_weights``), which are the same
+weights times one common factor.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -47,9 +49,9 @@ def as_weight(value: WeightLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One arc: dense id, endpoints, exact weight. No loops (source != target)."""
+class Edge(NamedTuple):
+    """One arc: dense id, endpoints, exact weight. No loops (source != target).
+    An immutable tuple, but equal only to an ``Edge``, never to a plain tuple."""
 
     id: int
     source: int
@@ -58,6 +60,14 @@ class Edge:
 
     def other(self, vertex: int) -> int:
         return self.target if vertex == self.source else self.source
+
+    def __eq__(self, other):
+        return other.__class__ is Edge and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class WeightedDigraph:
@@ -69,30 +79,27 @@ class WeightedDigraph:
         if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
         built = []
+        # Edges come in id order (checked below), so every incidence list is
+        # in ascending edge id, which makes every traversal deterministic.
+        incidence = [[] for _ in range(vertex_count)]
         for i, spec in enumerate(edges):
             if isinstance(spec, Edge):
-                e = spec
-                if not isinstance(e.weight, Fraction):
-                    e = Edge(e.id, e.source, e.target, as_weight(e.weight))
+                if spec.id != i:
+                    raise ValueError(f"edge ids must be dense and ordered, got {spec.id} at {i}")
+                source, target, weight = spec.source, spec.target, as_weight(spec.weight)
             else:
                 source, target = spec[0], spec[1]
                 weight = as_weight(spec[2]) if len(spec) > 2 else ONE
-                e = Edge(i, source, target, weight)
-            if e.id != i:
-                raise ValueError(f"edge ids must be dense and ordered, got {e.id} at {i}")
-            if e.source == e.target:
-                raise ValueError(f"loop edge {e.id} at vertex {e.source} not allowed")
-            if not (0 <= e.source < vertex_count and 0 <= e.target < vertex_count):
-                raise ValueError(f"edge {e.id} endpoint out of range")
+            if source == target:
+                raise ValueError(f"loop edge {i} at vertex {source} not allowed")
+            if not (0 <= source < vertex_count and 0 <= target < vertex_count):
+                raise ValueError(f"edge {i} endpoint out of range")
+            e = tuple.__new__(Edge, (i, source, target, weight))  # skips Edge.__new__
             built.append(e)
+            incidence[source].append(e)
+            incidence[target].append(e)
         self.vertex_count = vertex_count
         self.edges = tuple(built)
-        incidence = [[] for _ in range(vertex_count)]
-        # Edges come in id order (checked above), so every incidence list is
-        # in ascending edge id, which makes every traversal deterministic.
-        for e in self.edges:
-            incidence[e.source].append(e)
-            incidence[e.target].append(e)
         self._incidence = tuple(map(tuple, incidence))
         self._integer_weights = None
         self._tree0 = None
@@ -115,7 +122,7 @@ class WeightedDigraph:
         common multiple of their denominators, by edge id. Computed once per
         graph; a sum of these over ``scale`` is the exact ``Fraction`` sum."""
         if self._integer_weights is None:
-            ratios = [e.weight.as_integer_ratio() for e in self.edges]
+            ratios = [w.as_integer_ratio() for _, _, _, w in self.edges]
             scale = math.lcm(*{d for _, d in ratios})
             self._integer_weights = ([n * (scale // d) for n, d in ratios], scale)
         return self._integer_weights
@@ -155,13 +162,14 @@ def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
     """
     parent = {}
     order = [root]
+    incidence = g._incidence
     for v in order:  # grows while it is read: a FIFO queue
-        for e in g.incident(v):
-            if allowed is not None and e.id not in allowed:
+        for eid, source, target, _ in incidence[v]:
+            if allowed is not None and eid not in allowed:
                 continue
-            u = e.other(v)
+            u = target if v == source else source
             if u != root and u not in parent:
-                parent[u] = (v, e.id)
+                parent[u] = (v, eid)
                 order.append(u)
     return parent
 
@@ -170,7 +178,8 @@ def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
 class SpanningTree:
     """A spanning tree of ``host``: edge-id set plus a parent map rooted at ``root``.
 
-    ``parent[v] = (parent_vertex, edge_id)`` for every vertex except the root.
+    ``parent[v] = (parent_vertex, edge_id)`` for every vertex except the root,
+    in BFS order (both constructors run a BFS), so each after its parent.
     """
 
     host: WeightedDigraph
@@ -180,7 +189,29 @@ class SpanningTree:
 
     def chords(self) -> list:
         """Non-tree edge ids in ascending order."""
-        return [e.id for e in self.host.edges if e.id not in self.tree_edges]
+        return [eid for eid, _, _, _ in self.host.edges if eid not in self.tree_edges]
+
+    @cached_property
+    def _root_paths(self) -> Tuple[List[int], List[int], Dict[int, int], List[int]]:
+        """Per vertex, the edge mask and integer weight of its path from the
+        root; the vertex of each such mask; and the host's integer weights."""
+        weights = self.host.integer_weights()[0]
+        path = [0] * self.host.vertex_count
+        depth = [0] * self.host.vertex_count
+        at = {0: self.root}
+        for v, (p, eid) in self.parent.items():  # parents first
+            path[v] = mask = path[p] | 1 << eid
+            depth[v] = depth[p] + weights[eid]
+            at[mask] = v
+        return path, depth, at, weights
+
+    def fundamental_masks(self, chords: Iterable[Edge]) -> List[Tuple[int, int]]:
+        """Edge mask and integer weight of the cycle ``tree + e``, per chord e:
+        the XOR of the root paths of e's ends, whose AND ends where they meet."""
+        path, depth, at, weights = self._root_paths
+        return [(path[x] ^ path[y] | 1 << eid,
+                 depth[x] + depth[y] - 2 * depth[at[path[x] & path[y]]] + weights[eid])
+                for eid, x, y, _ in chords]
 
     @classmethod
     def from_edge_ids(cls, g: WeightedDigraph, root: int, edge_ids: Iterable[int]) -> "SpanningTree":
@@ -266,33 +297,23 @@ class Cycle:
 def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
     """The unique unoriented cycle in ``tree + e``: e plus the tree path between its endpoints.
 
-    Climbs the parent map from both endpoints in turn until one climb reaches
-    a vertex the other has passed; that vertex is where the two paths meet.
-    Each edge id is collected once, and a tree plus one chord is a cycle by
-    construction, so the result needs no re-check. The weight is the sum of
-    the host's integer weights over their scale: one ``Fraction`` per cycle.
+    A tree plus one chord is a cycle by construction, so the result needs
+    no re-check (see ``SpanningTree.fundamental_masks``).
     """
     if e.id in t.tree_edges:
         raise EdgeInTree(f"edge {e.id} is a tree edge")
-    parent, root = t.parent, t.root
-    ends = [e.source, e.target]
-    climbs = ([], [])
-    reached = ({e.source: 0}, {e.target: 0})  # per side: vertex -> edges climbed
-    side = 0
-    while True:
-        v = ends[side]
-        if v != root:
-            v, eid = parent[v]
-            climbs[side].append(eid)
-            depth = reached[1 - side].get(v)
-            if depth is not None:
-                break
-            reached[side][v] = len(climbs[side])
-            ends[side] = v
-        side = 1 - side
-    ids = climbs[side] + climbs[1 - side][:depth] + [e.id]
-    weights, scale = t.host.integer_weights()
-    return Cycle(frozenset(ids), Fraction(sum([weights[i] for i in ids]), scale))
+    ((mask, weight),) = t.fundamental_masks([e])
+    return Cycle(frozenset(_edge_ids(mask)), Fraction(weight, t.host.integer_weights()[1]))
+
+
+def _edge_ids(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first, one step per set bit."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 class Gf2Basis:

@@ -7,14 +7,19 @@ version of ``crosscc.basis``. Nothing under ``src/`` imports this module.
   candidate loop that called it.
 * ``horton_cycles``: the chosen cycles of that version of
   ``horton_basis``, each validated by ``Cycle.from_edges``.
+* ``fundamental_cycle`` and ``tree_bound``: the two-sided climb of the
+  parent map that built each fundamental cycle, and the tree bound that
+  summed those cycles. ``tree_bound`` returns ``(cycles, total_weight)``
+  where it built a ``CycleBasis``; it is otherwise unchanged.
 """
 
+from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from crosscc.basis import _edge_ids, _greedy_independent
-from crosscc.errors import DisconnectedGraph
-from crosscc.graph import Cycle, WeightedDigraph, cycle_rank
+from crosscc.basis import _edge_ids, _greedy_independent, _require_nonnegative
+from crosscc.errors import DisconnectedGraph, EdgeInTree
+from crosscc.graph import Cycle, Edge, SpanningTree, WeightedDigraph, cycle_rank
 
 
 def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
@@ -117,3 +122,52 @@ def horton_cycles(g: WeightedDigraph) -> List[Cycle]:
     ordered = sorted(candidates, key=lambda m: (candidates[m], m))
     chosen = _greedy_independent(ordered, nu)
     return [Cycle.from_edges(g, _edge_ids(m)) for m in chosen]
+
+
+def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
+    """The unique unoriented cycle in ``tree + e``: e plus the tree path between its endpoints.
+
+    Climbs the parent map from both endpoints in turn until one climb reaches
+    a vertex the other has passed; that vertex is where the two paths meet.
+    Each edge id is collected once, and a tree plus one chord is a cycle by
+    construction, so the result needs no re-check. The weight is the sum of
+    the host's integer weights over their scale: one ``Fraction`` per cycle.
+    """
+    if e.id in t.tree_edges:
+        raise EdgeInTree(f"edge {e.id} is a tree edge")
+    parent, root = t.parent, t.root
+    ends = [e.source, e.target]
+    climbs = ([], [])
+    reached = ({e.source: 0}, {e.target: 0})  # per side: vertex -> edges climbed
+    side = 0
+    while True:
+        v = ends[side]
+        if v != root:
+            v, eid = parent[v]
+            climbs[side].append(eid)
+            depth = reached[1 - side].get(v)
+            if depth is not None:
+                break
+            reached[side][v] = len(climbs[side])
+            ends[side] = v
+        side = 1 - side
+    ids = climbs[side] + climbs[1 - side][:depth] + [e.id]
+    weights, scale = t.host.integer_weights()
+    return Cycle(frozenset(ids), Fraction(sum([weights[i] for i in ids]), scale))
+
+
+def tree_bound(g: WeightedDigraph, t: SpanningTree) -> Tuple[Tuple[Cycle, ...], Fraction]:
+    """The fundamental system of cycles of ``t``: a valid basis, so an upper
+    bound on the minimum basis weight (not necessarily minimal).
+
+    Each cycle weight is its integer weight over the graph's scale, so the
+    total adds the integer weights back up and divides once.
+    """
+    if t.host is not g:
+        raise ValueError("tree does not belong to this graph")
+    _require_nonnegative(g)
+    cycles = tuple(fundamental_cycle(t, g.edges[eid]) for eid in t.chords())
+    scale = g.integer_weights()[1]
+    total = Fraction(sum(c.weight.numerator * (scale // c.weight.denominator) for c in cycles),
+                     scale)
+    return cycles, total

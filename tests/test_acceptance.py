@@ -45,6 +45,14 @@ PIPELINE_EXPECTED = {
     "mccabe_g2.dot": (10, Fraction(51)),
 }
 
+# The fundamental cycle weights of each drawn tree, sorted; they add up to
+# the omega above (DISCREPANCIES.md quotes those of mccabe_g2.dot).
+PIPELINE_CYCLE_WEIGHTS = {
+    "bubble_sort.dot": [2, 3, 3, 4],
+    "mccabe_g1.dot": [3, 3, 4, 4, 4, 6],
+    "mccabe_g2.dot": [3, 3, 3, 3, 5, 5, 5, 6, 9, 9],
+}
+
 
 @contextmanager
 def criterion(ident, name):
@@ -112,7 +120,9 @@ def test_05_figure_pipeline(tmp_path, capsys):
             # Same numbers straight from the library, bypassing the CLI.
             doc = parse_dot(fixture_text(name))
             assert cycle_rank(doc.graph) == nu
-            assert tree_bound(doc.graph, doc.marked_tree()).total_weight == omega
+            bound = tree_bound(doc.graph, doc.marked_tree())
+            assert bound.total_weight == omega
+            assert sorted(c.weight for c in bound.cycles) == PIPELINE_CYCLE_WEIGHTS[name]
 
 
 def test_06_oracle_equivalence_on_random_corpus():

@@ -117,8 +117,11 @@ class TestAllPairsShortestPaths:
 
     def test_negative_weight_rejected(self):
         # Checked once per graph, before any shortest path runs.
-        with pytest.raises(NegativeWeight):
-            _require_nonnegative(negative_weight_pentagon())
+        with pytest.raises(NegativeWeight, match="edge 1 has weight -1$"):
+            _require_nonnegative(negative_weight_pentagon())  # the first one is named
+        g = WeightedDigraph(2, [(0, 1, "1/2"), (1, 0, "-1/2")])
+        with pytest.raises(NegativeWeight, match="edge 1 has weight -1/2"):
+            _require_nonnegative(g)  # however small
 
     def test_disconnected_rejected(self):
         g = WeightedDigraph(3, [(0, 1)])
@@ -193,6 +196,14 @@ class TestReferenceDijkstra:
         for g in reference_corpus():
             assert _feedback_vertex_set(g) == basis_reference._feedback_vertex_set(g)
             assert list(horton_basis(g).cycles) == basis_reference.horton_cycles(g)
+
+    def test_oracle_cycles_are_the_checked_ones(self):
+        # The oracle's basis keeps masks like the others; the cycles it
+        # builds from them are the ones Cycle.from_edges checked and summed.
+        for g in reference_corpus():
+            basis = oracle_min_basis(g)
+            assert list(basis.cycles) == [Cycle.from_edges(g, c.edge_ids) for c in basis.cycles]
+            assert basis.total_weight == sum((c.weight for c in basis.cycles), Fraction(0))
 
 
 def is_forest_without(g, removed):
@@ -295,6 +306,15 @@ class TestTreeBound:
             assert bound.total_weight == expected
             assert bound.provenance is Provenance.TREE_BOUND
             assert len(bound) == cycle_rank(g)
+
+    def test_cycles_are_built_on_first_read(self):
+        g = weighted_fan()
+        for basis in (tree_bound(g, spanning_tree(g, 0)), horton_basis(g)):
+            assert len(basis) == cycle_rank(g)
+            assert "cycles" not in vars(basis)  # len() built nothing
+            assert basis.cycles is basis.cycles
+            assert [(sum(1 << i for i in c.edge_ids), c.weight) for c in basis.cycles] \
+                == [(m, Fraction(w, basis.scale)) for m, w in basis.masks]
 
     def test_acyclic_graph_empty(self):
         g = WeightedDigraph(3, [(0, 1), (1, 2)])

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+
+import basis_reference
+from crosscc.basis import tree_bound
 from crosscc.cfg import lower
 from crosscc.dot import parse_dot
 from crosscc.errors import (
@@ -12,7 +15,9 @@ from crosscc.errors import (
     UnknownEdge,
 )
 from crosscc.graph import (
+    ONE,
     Cycle,
+    Edge,
     Gf2Basis,
     SpanningTree,
     WeightedDigraph,
@@ -51,6 +56,35 @@ def rank(masks) -> int:
     for m in masks:
         basis.try_add(m)
     return basis.rank
+
+
+class TestEdge:
+    def test_equal_only_to_an_edge(self):
+        fields = (0, 0, 1, Fraction(1, 2))
+        e = Edge(*fields)
+        assert e == Edge(*fields) and not e != Edge(*fields)
+        assert e == Edge(id=0, source=0, target=1, weight=Fraction(1, 2))
+        assert hash(e) == hash(Edge(*fields)) == hash(fields)
+        assert e != fields and fields != e
+        assert not e == fields and not fields == e
+        assert e != Edge(1, 0, 1, Fraction(1, 2))
+
+    def test_fields_cannot_be_assigned(self):
+        e = Edge(0, 0, 1, ONE)
+        for name in ("id", "source", "target", "weight"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 2)
+        assert e == Edge(0, 0, 1, ONE)
+
+    def test_graph_accepts_edges_and_tuples(self):
+        from_edges = WeightedDigraph(3, [
+            Edge(0, 0, 1, Fraction(1, 2)), Edge(1, 1, 2, 1), Edge(2, 2, 0, 0.75)])
+        from_tuples = WeightedDigraph(3, [(0, 1, "1/2"), (1, 2), (2, 0, "3/4")])
+        assert from_edges.edges == from_tuples.edges
+        for e in from_edges.edges + from_tuples.edges:
+            assert type(e) is Edge and type(e.weight) is Fraction
+        with pytest.raises(ValueError):
+            WeightedDigraph(2, [Edge(1, 0, 1, ONE)])
 
 
 class TestGraphWeight:
@@ -176,35 +210,62 @@ class TestFundamentalCycle:
         assert rank(masks + [combined]) == rank(masks)
 
 
-def trees_to_climb():
-    """Random graphs with random spanning trees, and every fixture graph
-    with its BFS tree and, for a DOT fixture, its marked tree."""
+def distinct_weights(g: WeightedDigraph) -> WeightedDigraph:
+    """``g`` with all weights distinct: edge i weighs (i + 1) / (i + 2)."""
+    return WeightedDigraph(g.vertex_count, [
+        (e.source, e.target, Fraction(e.id + 1, e.id + 2)) for e in g.edges])
+
+
+def trees_to_check():
+    """Random graphs with random spanning trees, rational and zero weights
+    and parallel arcs among them; every fixture graph with its BFS tree and,
+    for a DOT fixture, its marked tree; and the same fixture graphs and
+    trees again with all weights distinct."""
     rng = random.Random(6)
     for _ in range(150):
         g = random_connected_graph(rng)
         yield g, random_spanning_tree(g, rng)
         g = random_weighted_multigraph(rng)
         yield g, random_spanning_tree(g, rng)
+    graphs = []
     for path in sorted(FIXTURES.glob("*.mini")):
         for fn in parse(path.read_text(encoding="utf-8"), path.name).functions:
             g = lower(fn).graph
+            graphs.append(g)
             yield g, spanning_tree(g, 0)
     for path in sorted(FIXTURES.glob("*.dot")):
         doc = parse_dot(path.read_text(encoding="utf-8"))
+        graphs.append(doc.graph)
         yield doc.graph, spanning_tree(doc.graph, 0)
         if doc.marked_tree() is not None:
             yield doc.graph, doc.marked_tree()
+            g = distinct_weights(doc.graph)
+            yield g, SpanningTree.from_edge_ids(g, 0, doc.marked_tree().tree_edges)
+    for g in map(distinct_weights, graphs):
+        yield g, spanning_tree(g, 0)
 
 
 def test_fundamental_cycles_pass_the_cycle_check():
-    # The climb builds each cycle without re-checking it; Cycle.from_edges
-    # raises NotACycle if the climb stops short of the meeting point or
-    # climbs past it.
-    for g, t in trees_to_climb():
+    # The root-path masks build each cycle without re-checking it;
+    # Cycle.from_edges raises NotACycle if a mask is not one simple cycle.
+    for g, t in trees_to_check():
         for eid in t.chords():
             c = fundamental_cycle(t, g.edge(eid))
             assert c == Cycle.from_edges(g, c.edge_ids)
             assert c.edge_ids - {eid} <= t.tree_edges
+
+
+def test_fundamental_cycles_match_the_climb():
+    # Against the two-sided climb of the parent map that the root-path
+    # masks replaced (basis_reference): the same edge-id set and Fraction
+    # weight for every chord, in chord order, and the same total.
+    for g, t in trees_to_check():
+        cycles, total = basis_reference.tree_bound(g, t)
+        assert [fundamental_cycle(t, g.edge(eid)) for eid in t.chords()] == list(cycles)
+        bound = tree_bound(g, t)
+        assert bound.cycles == cycles
+        assert all(type(c.weight) is Fraction for c in bound.cycles)
+        assert bound.total_weight == total
 
 
 class TestRingSum:

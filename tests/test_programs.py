@@ -19,12 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import basis_reference
 import cfg_reference
-from crosscc.basis import Provenance
+from crosscc.basis import Provenance, tree_bound
 from crosscc.cfg import lower
 from crosscc.dot import dump_cfg_dot, parse_dot
 from crosscc.errors import CrossCCError
-from crosscc.graph import cycle_rank
+from crosscc.graph import cycle_rank, spanning_tree
 from crosscc.metric import cross_complexity
 from crosscc.minilang import parse
 
@@ -136,6 +137,17 @@ def test_tree_bound_is_at_least_exact(program):
     bound = cross_complexity(cfg, mode=Provenance.TREE_BOUND)
     assert bound.nu == exact.nu
     assert bound.omega_min >= exact.omega_min
+
+
+@settings(max_examples=150, deadline=None)
+@given(functions())
+def test_tree_bound_matches_reference(program):
+    # The root-path masks against the climb they replaced (basis_reference).
+    g = lower_one(program[0]).graph
+    t = spanning_tree(g, 0)
+    cycles, total = basis_reference.tree_bound(g, t)
+    bound = tree_bound(g, t)
+    assert (bound.cycles, bound.total_weight) == (cycles, total)
 
 
 @settings(max_examples=150, deadline=None)
