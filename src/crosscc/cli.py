@@ -48,6 +48,20 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _emit(text: str, output: Optional[str]) -> int:
+    """Write ``text`` to the file ``output``, or to stdout when it is None.
+    Returns 0, or 1 after a diagnostic when the file cannot be written."""
+    if output is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as ex:
+        _diag(f"{output}: error: {ex}")
+        return 1
+    return 0
+
+
 def _record(path: Path, position: int, unit: str, source: str,
             cc: CrossComplexity) -> UnitRecord:
     return UnitRecord(
@@ -96,11 +110,7 @@ def _cmd_analyze(args) -> int:
     report = AnalysisReport.build(records, tool_version=__version__,
                                   mode=args.mode, slope=slope)
     text = report.to_csv() if args.format == "csv" else report.to_json()
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    if failed:
+    if _emit(text, args.output) or failed:
         return 1
     if args.fail_above is not None:
         threshold = as_weight(args.fail_above)
@@ -121,10 +131,8 @@ def _cmd_plot(args) -> int:
     except (CrossCCError, OSError, ValueError, KeyError) as ex:
         _diag(f"{args.report}: error: {ex}")
         return 1
-    out = Path(args.output)
-    out.write_text(svg, encoding="utf-8")
-    out.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
-    return 0
+    return (_emit(svg, args.output)
+            or _emit(csv_text, str(Path(args.output).with_suffix(".csv"))))
 
 
 def _cmd_dump_cfg(args) -> int:
@@ -141,12 +149,7 @@ def _cmd_dump_cfg(args) -> int:
         except (CrossCCError, OSError, UnicodeDecodeError) as ex:
             _diag(f"{path}: error: {ex}")
             status = 1
-    text = "\n".join(chunks)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return status
+    return _emit("\n".join(chunks), args.output) or status
 
 
 def _number(text: str) -> str:

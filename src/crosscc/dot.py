@@ -272,10 +272,6 @@ def parse_dot(text: str, filename: Optional[str] = None) -> DotGraphDoc:
     return _DotParser(text, filename).parse()
 
 
-def _fmt_weight(w: Fraction) -> str:
-    return str(w)  # Fraction prints p/q, or just p when integral
-
-
 def _quote(name: str) -> str:
     """A quoted name that ``_DotParser.name`` reads back as ``name``."""
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -318,7 +314,7 @@ def dump_dot(
             continue
         lines.append(
             f"    {names[e.source]} -> {names[e.target]} "
-            f"[weight={_fmt_weight(e.weight)}];")
+            f"[weight={e.weight}];")
         mentioned.add(e.source)
         mentioned.add(e.target)
     for v in range(graph.vertex_count):

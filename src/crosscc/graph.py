@@ -137,15 +137,12 @@ class WeightedDigraph:
             self._tree0 = _bfs_parents(self, 0)
         return self._tree0
 
-    def is_connected(self) -> bool:
-        """Whether the unoriented graph is connected."""
-        return (self.vertex_count <= 1
-                or len(self._bfs_parents_of_0()) == self.vertex_count - 1)
-
     def require_connected(self) -> None:
+        """Raise unless the graph has a vertex and its unoriented graph is
+        connected."""
         if self.vertex_count == 0:
             raise EmptyGraph("graph has no vertices")
-        if not self.is_connected():
+        if len(self._bfs_parents_of_0()) != self.vertex_count - 1:
             raise DisconnectedGraph("graph is not connected (unoriented)")
 
     def __repr__(self):

@@ -279,9 +279,11 @@ class _Parser:
     current one, and expression text is skipped rather than tokenized. A
     compound statement's parse is a generator, run by ``trampoline``.
 
-    An expression statement, a ``return`` and an ``if``/``while``/``for``
-    head are read by ``_SKIP`` matches when each ends at the expected
-    delimiter; else the token path reads them, and gives every diagnostic.
+    Every opaque text is read by ``capture_until`` or
+    ``capture_parenthesized``: one ``_SKIP`` match when it ends at the stop,
+    else the token path, which gives every diagnostic. Two hot shapes skip
+    even that call: ``head`` reads an ``if``/``while``/``for`` head of the
+    plain shape, and ``parse_stmt`` an expression statement, without tokens.
 
     A ``break``/``continue`` is checked as it is read against ``targets``,
     the enclosing loops and switches. A jump without a target waits in
@@ -350,10 +352,7 @@ class _Parser:
             texts = [self.capture_parenthesized()]
         else:
             self.expect("(")
-            texts = []
-            for delim in delims:
-                texts.append(self.capture_until(delim))
-                self.expect(delim)
+            texts = [self.capture_until(delim) for delim in delims]
         self.expect("{")
         return texts
 
@@ -383,6 +382,10 @@ class _Parser:
     def capture_parenthesized(self) -> str:
         """Consume ``( ... )`` with balanced nesting; return the inner text."""
         self.expect("(")
+        got = self.text_to(self.tok.start, ")")
+        if got is not None:
+            self.tok = _token_at(self.source, got[1], self.filename)
+            return got[0]
         start = self.tok.start
         depth = 0
         while True:
@@ -400,8 +403,13 @@ class _Parser:
                 depth -= 1
             self.next()
 
-    def capture_until(self, *stops: str) -> str:
-        """Consume tokens (paren-balanced) up to one of the stop puncts, exclusive."""
+    def capture_until(self, stop: str) -> str:
+        """Consume the text (paren-balanced) up to ``stop`` and ``stop``
+        itself; return the text."""
+        got = self.text_to(self.tok.start, stop)
+        if got is not None:
+            self.tok = _token_at(self.source, got[1], self.filename)
+            return got[0]
         start = self.tok.start
         depth = 0
         while True:
@@ -409,8 +417,9 @@ class _Parser:
                 self.skip_opaque()
             tok = self.tok
             if tok.kind == "eof":
-                self.error(f"expected one of {stops} before end of file")
-            if depth == 0 and tok.text in stops:
+                self.error(f"expected one of {(stop,)} before end of file")
+            if depth == 0 and tok.text == stop:
+                self.next()
                 return self.source[start:tok.start].strip()
             if tok.text in "([":
                 depth += 1
@@ -419,6 +428,17 @@ class _Parser:
                     self.error(f"unbalanced {tok.text!r}")
                 depth -= 1
             self.next()
+
+    def capture_nonempty(self, stop: str, message: str) -> str:
+        """``capture_until(stop)``, or the error ``message`` at ``stop`` when
+        the text is empty: then one ``_SKIP`` match reaches the stop."""
+        first = self.tok
+        text = self.capture_until(stop)
+        if not text:
+            self.tok = first
+            self.skip_opaque()
+            self.error(message)
+        return text
 
     # Grammar ----------------------------------------------------------
 
@@ -483,49 +503,34 @@ class _Parser:
             if text in ("break", "continue"):
                 return self.parse_jump()
             if text == "return":
-                got = self.text_to(tok.end, ";")
-                if got is not None:
-                    self.tok = _token_at(self.source, got[1], self.filename)
-                    return Return(got[0] or None, *self.at(tok))
                 self.next()
-                value = None if self.tok.text == ";" else self.capture_until(";")
-                self.expect(";")
-                return Return(value, *self.at(tok))
+                bare = self.tok.text == ";"
+                value = self.capture_until(";")
+                return Return(None if bare else value, *self.at(tok))
             self.error(f"unexpected keyword {text!r}")
         if tok.text != "{":
+            # Most statements are expression statements: one _SKIP match
+            # that ends at ";" reads one before the label check and capture.
             got = self.text_to(tok.start, ";")
             if got is not None and got[0]:
                 self.tok = _token_at(self.source, got[1], self.filename)
                 return ExprStmt(got[0], *self.at(tok))
-        if tok.kind == "ident" and self.source.startswith(
-                ":", _SKIP_BLANKS.match(self.source, tok.end).end()):
-            return self.parse_labeled()
+        if tok.kind == "ident":
+            colon = _SKIP_BLANKS.match(self.source, tok.end).end()
+            if self.source.startswith(":", colon):
+                self.tok = _token_at(self.source, colon + 1, self.filename)
+                return self.parse_labeled(tok)
         if tok.text == "{":
             self.error("bare blocks are not statements; braces follow a control keyword")
-        text = self.capture_until(";")
-        if not text:
-            self.error("empty statement")
-        self.expect(";")
-        return ExprStmt(text, *self.at(tok))
+        return ExprStmt(self.capture_nonempty(";", "empty statement"), *self.at(tok))
 
-    def parse_labeled(self):
-        """A chain of labels, read in a loop, and the statement they mark,
-        which carries the last label as its own."""
-        source = self.source
-        labels = []
-        tok = self.tok
-        while tok.kind == "ident":
-            colon = _SKIP_BLANKS.match(source, tok.end).end()
-            if not source.startswith(":", colon):
-                break
-            labels.append(tok)
-            self.tok = tok = _token_at(source, colon + 1, self.filename)
-        stmt = self.parse_stmt(labels[-1].text)
+    def parse_labeled(self, label: Token):
+        """The statement after ``label`` and its ``:``, which carries the
+        label as its own; a chain of labels nests through the trampoline."""
+        stmt = self.parse_stmt(label.text)
         if stmt.__class__ is GeneratorType:
-            stmt = yield from stmt
-        for tok in reversed(labels):
-            stmt = Labeled(tok.text, stmt, *self.at(tok))
-        return stmt
+            stmt = yield stmt
+        return Labeled(label.text, stmt, *self.at(label))
 
     def parse_jump(self):
         tok = self.next()
@@ -545,24 +550,19 @@ class _Parser:
         return (Break if tok.text == "break" else Continue)(label, *self.at(tok))
 
     def parse_if(self):
-        """An ``if`` with its whole ``else if`` chain, read in a loop and
-        nested from the last arm out, so a chain of any length parses."""
-        arms = []
+        """An ``if``; an ``else if`` is the ``if`` alone in an ``else``
+        block, parsed through the trampoline."""
+        tok = self.tok
+        cond, = self.head(")")
+        then = yield from self.parse_block_body()
         orelse = None
-        while True:
-            tok = self.tok
-            cond, = self.head(")")
-            arms.append((tok, cond, (yield from self.parse_block_body())))
-            if self.tok.text != "else":
-                break
+        if self.tok.text == "else":
             self.next()
-            if self.tok.text != "if":
+            if self.tok.text == "if":
+                orelse = Block(((yield self.parse_if()),))
+            else:
                 orelse = yield from self.parse_block()
-                break
-        for tok, cond, then in reversed(arms):
-            stmt = If(cond, then, orelse, *self.at(tok))
-            orelse = Block((stmt,))
-        return stmt
+        return If(cond, then, orelse, *self.at(tok))
 
     def parse_while(self, label: Optional[str]):
         tok = self.tok
@@ -593,10 +593,7 @@ class _Parser:
             branch = self.tok
             if branch.text == "case":
                 self.next()
-                label = self.capture_until(":")
-                if not label:
-                    self.error("case needs a label expression")
-                self.expect(":")
+                label = self.capture_nonempty(":", "case needs a label expression")
                 body = yield from self.parse_block()
                 cases.append(SwitchCase(label, body, *self.at(branch)))
             elif branch.text == "default":

@@ -81,10 +81,7 @@ class AnalysisReport:
         writer.writerow(["schema_version", "unit", "source", "nu", "omega",
                          "provenance", "region", "indicator"])
         for r in self.records:
-            d = r.to_dict()
-            writer.writerow([SCHEMA_VERSION, d["unit"], d["source"], d["nu"],
-                             d["omega"], d["provenance"], d["region"],
-                             d["indicator"]])
+            writer.writerow([SCHEMA_VERSION, *r.to_dict().values()])
         return out.getvalue()
 
 

@@ -21,9 +21,12 @@ def copy_fixture(tmp_path, name):
 
 def deep_files(tmp_path, depth=10_000):
     """good.mini (Listing 1), then one file each of ``depth`` nested ifs,
+    ifs nested in ``else`` blocks after a statement, ``else if`` arms,
     whiles and switches, and one while under a chain of ``depth`` labels."""
     bodies = {
         "if_nest": "if (c) { " * depth + "x; " + "} " * depth,
+        "else_nest": "if (c) { x; } else { y; " * depth + "z; " + "} " * depth,
+        "else_if_chain": " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(depth)),
         "while_nest": "while (c) { " * depth + "x; " + "} " * depth,
         "switch_nest": "switch (k) { case 1: { " * depth + "x; " + "} } " * depth,
         "labels": "".join(f"L{i}: " for i in range(depth))
@@ -92,8 +95,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("mode", ["exact", "treebound"])
     def test_long_else_if_chain_is_analyzed(self, tmp_path, capsys, mode):
-        # The chain is read and lowered in loops; nested, it would overflow
-        # the stack (records are not compared: their equality recurses).
+        # Each ``else if`` is an ``if`` alone in an ``else`` block, nested
+        # through the explicit stacks of the parser and the lowerer.
         arms = " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(2000))
         chain = tmp_path / "chain.mini"
         chain.write_text(f"fn chain(x) {{ {arms} }}\n", encoding="utf-8")
@@ -111,13 +114,14 @@ class TestAnalyze:
         assert main(["analyze", "--mode", mode, *paths]) == 0
         recs = json.loads(capsys.readouterr().out)["records"]
         assert sorted((r["unit"], r["nu"]) for r in recs) == [
-            ("getWords", 4), ("if_nest", 10001), ("labels", 2), ("sumOfPrimes", 4),
+            ("else_if_chain", 10001), ("else_nest", 10001), ("getWords", 4),
+            ("if_nest", 10001), ("labels", 2), ("sumOfPrimes", 4),
             ("switch_nest", 10001), ("while_nest", 10001)]
         if mode == "exact":
             assert main(["dump-cfg", *paths[1:]]) == 0
             headers = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
                        if line.startswith("// ")]
-            assert headers == ["mcc=10001", "mcc=10001", "mcc=10001", "mcc=2"]
+            assert headers == ["mcc=10001"] * 5 + ["mcc=2"]
 
     def test_fail_above_gate(self, tmp_path, capsys):
         path = copy_fixture(tmp_path, "listing1.mini")
@@ -297,14 +301,34 @@ class TestDumpCfg:
         assert "\x1b[" not in capsys.readouterr().err
 
 
+def run_module(*args):
+    """``python -m crosscc args``, with this checkout's ``src`` first on
+    the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "crosscc", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     path = str(FIXTURES / "listing1.mini")
     assert main(["analyze", path]) == 0
     expected = capsys.readouterr().out
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-m", "crosscc", "analyze", path],
-                         capture_output=True, text=True, env=env, timeout=60)
+    run = run_module("analyze", path)
     assert run.returncode == 0
     assert run.stdout == expected
+
+
+@pytest.mark.parametrize("command", ["analyze", "dump-cfg", "plot"])
+def test_unwritable_output_is_a_diagnostic(tmp_path, command):
+    source = str(FIXTURES / "listing1.mini")
+    if command == "plot":
+        report = tmp_path / "r.json"
+        assert main(["analyze", source, "-o", str(report)]) == 0
+        source = str(report)
+    out = tmp_path / "missing" / "out"
+    run = run_module(command, source, "-o", str(out))
+    assert run.returncode == 1
+    assert f"{out}: error:" in run.stderr
+    assert "Traceback" not in run.stderr

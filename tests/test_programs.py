@@ -2,11 +2,12 @@
 tree bound never undercuts the exact minimum, and a DOT round trip keeps
 the pair.
 
-The generator nests if/else, while, for (with and without init and step),
-switch (with and without default), labeled loops, and
-break/continue/return with and without labels. Every function it writes is
-reachable: a block ends at its first statement that cannot fall through.
-It counts decisions as complexity checkers do: one per if and per loop,
+The generator nests if/else with ``else if`` arms, while, for (with and
+without init and step), switch (with and without default), and
+break/continue/return with and without labels; every statement may stand
+under a chain of labels. Every function it writes is reachable: a
+block ends at its first statement that cannot fall through. It counts
+decisions as complexity checkers do: one per if, ``else if`` arm and loop,
 one per switch alternative, ``default`` included. With ``dead_code`` it
 also writes statements after a jump, which the lowerer must reject.
 
@@ -56,6 +57,16 @@ class _Writer:
         return "{ " + " ".join(stmts) + " }", falls_through
 
     def stmt(self, depth, loops, breakable):
+        """A statement under a chain of 0 to 2 fresh labels, and whether
+        control can fall out of it. A loop is the target of the label
+        nearest to it."""
+        labels = [f"L{self.labels + i}" for i in range(self.draw(st.integers(0, 2)))]
+        self.labels += len(labels)
+        text, falls_through = self.unlabeled(depth, loops, breakable,
+                                             labels[-1] if labels else None)
+        return "".join(f"{label}: " for label in labels) + text, falls_through
+
+    def unlabeled(self, depth, loops, breakable, label):
         kinds = ["expr", "return", "return value"]
         if depth < MAX_DEPTH:
             kinds += ["if", "if-else", "while", "for", "switch"]
@@ -71,17 +82,21 @@ class _Writer:
         if kind == "return value":
             return "return x;", False
         if kind in ("break", "continue"):
-            targets = [None] + [label for label in loops if label is not None]
-            label = self.draw(st.sampled_from(targets))
-            return (f"{kind} {label};" if label else f"{kind};"), False
+            targets = [None] + [name for name in loops if name is not None]
+            target = self.draw(st.sampled_from(targets))
+            return (f"{kind} {target};" if target else f"{kind};"), False
         self.decisions += 1
-        if kind == "if":
-            then, _ = self.block(depth + 1, loops, breakable)
-            return f"if (c) {then}", True
-        if kind == "if-else":
-            then, then_falls = self.block(depth + 1, loops, breakable)
+        if kind in ("if", "if-else"):
+            then, falls_through = self.block(depth + 1, loops, breakable)
+            text = f"if (c) {then}"
+            for _ in range(self.draw(st.integers(0, 2))):
+                self.decisions += 1
+                arm, arm_falls = self.block(depth + 1, loops, breakable)
+                text, falls_through = f"{text} else if (c) {arm}", falls_through or arm_falls
+            if kind == "if":
+                return text, True
             orelse, else_falls = self.block(depth + 1, loops, breakable)
-            return f"if (c) {then} else {orelse}", then_falls or else_falls
+            return f"{text} else {orelse}", falls_through or else_falls
         if kind == "switch":
             cases = self.draw(st.integers(0, 2))
             default = self.draw(st.booleans()) or cases == 0
@@ -91,10 +106,6 @@ class _Writer:
             if default:
                 arms.append("default: " + self.block(depth + 1, loops, True)[0])
             return "switch (s) { " + " ".join(arms) + " }", True
-        label = None
-        if self.draw(st.booleans()):
-            label = f"L{self.labels}"
-            self.labels += 1
         body, _ = self.block(depth + 1, loops + [label], True)
         if kind == "while":
             head = "while (c)"
@@ -102,7 +113,7 @@ class _Writer:
             init = self.draw(st.sampled_from(["", "i = 0"]))
             step = self.draw(st.sampled_from(["", "i = i + 1"]))
             head = f"for ({init}; i < n; {step})"
-        return (f"{label}: " if label else "") + f"{head} {body}", True
+        return f"{head} {body}", True
 
 
 @st.composite

@@ -95,6 +95,9 @@ def assert_scanners_agree(source):
 @example("fn f() { break; }\nfn g() { if x { y; } }")
 @example("fn f() { break; }\nfn g() { x; }\nfn g() { y; }")
 @example("fn f() { if (a) { break; } else if (b) { y; } else if c { z; } else { w; } }")
+@example("fn f() { return \x0b; }")
+@example("fn f() { x; \x0b /* ; */ \xa0 ; }")
+@example("fn f() { switch (k) { case \x0b: { } } }")
 def test_scanners_agree_on_generated_text(source):
     assert_scanners_agree(source)
 
