@@ -141,6 +141,8 @@ def _cmd_dump_cfg(args) -> int:
     for raw in args.paths:
         path = Path(raw)
         try:
+            if path.suffix != ".mini":
+                raise CrossCCError(f"unsupported file type {path.suffix!r} (expected .mini)")
             program = parse(path.read_text(encoding="utf-8"), str(path))
             for fn in program.functions:
                 cfg = lower(fn, str(path))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from functools import partial
 from types import GeneratorType
 from typing import NamedTuple, Optional, Tuple
 
@@ -125,10 +126,44 @@ def _groups(inner: str) -> str:
 
 _NESTED = rf'[^()\[\]"/]++|{_OPAQUE}'
 _GROUP = _groups(f"{_NESTED}|{_groups(_NESTED)}")
-_SKIP = re.compile(rf'{_BLANKS}((?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+)', re.DOTALL)
+_TEXT = rf'(?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+'
+_SKIP = re.compile(rf"{_BLANKS}({_TEXT})", re.DOTALL)
 # Whitespace and comments alone: what may stand between a label and its
-# ``:``, and around the ``(`` and ``{`` of a head that _SKIP reads.
+# ``:``, and before the ``{`` of a ``for`` body.
 _SKIP_BLANKS = re.compile(_BLANKS, re.DOTALL)
+
+_KEYWORD = "|".join(sorted(KEYWORDS))
+# One lexeme, the parser's first try at each step: a ``}``, a ``{``, an
+# ``else``, the end of the file, or a statement's opening up to its end. That
+# opening is an optional keyword (``fn name(``, or a control keyword with
+# its ``(``), then _SKIP's text, then ``;``, ``:`` or ``)``; after ``:`` or
+# ``)``, the ``{`` of a body is taken along. Text that starts with another
+# keyword matches nothing.
+_LEXEME = re.compile(rf"""
+    {_BLANKS}(?P<at>)
+    (?: (?P<close>\}}) | (?P<open>\{{) | (?P<else>else\b) | (?P<eof>\Z)
+      | (?: (?P<head>if|while|for|switch
+                    |fn\b{_BLANKS}(?P<name>[A-Za-z_][A-Za-z0-9_]*+))\b{_BLANKS}\(
+          | (?P<kw>return|break|continue|case|default)\b
+          | (?!(?:{_KEYWORD})\b) )
+        {_BLANKS}(?P<text>{_TEXT})
+        (?P<end>;|[:)](?:{_BLANKS}\{{)?) )
+""", re.VERBOSE | re.DOTALL)
+_lexeme = _LEXEME.match
+# A label or a jump target, with the blanks after it: ASCII only, so that
+# any other word is left to the token path.
+_WORD = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*+){_BLANKS}", re.DOTALL)
+
+
+def _text_to(source: str, pos: int, delim: str):
+    """``(text, index past delim)`` when one ``_SKIP`` match from ``pos``
+    ends at ``delim``; the text leaves out the blanks around it. None when
+    the match ends anywhere else."""
+    m = _SKIP.match(source, pos)
+    end = m.end()
+    if source.startswith(delim, end):
+        return m[1].strip(), end + 1
+    return None
 
 
 # --- AST ---------------------------------------------------------------
@@ -272,18 +307,21 @@ def trampoline(gen):
 # Marks a switch on the parser's stack of jump targets; a loop stands there
 # as its label, or None.
 _SWITCH = object()
+# The compound statements whose head is one parenthesized text.
+_COMPOUND = ("if", "while", "switch")
 
 
 class _Parser:
-    """Recursive descent over tokens scanned on demand: ``tok`` is the
-    current one, and expression text is skipped rather than tokenized. A
-    compound statement's parse is a generator, run by ``trampoline``.
-
-    Every opaque text is read by ``capture_until`` or
-    ``capture_parenthesized``: one ``_SKIP`` match when it ends at the stop,
-    else the token path, which gives every diagnostic. Two hot shapes skip
-    even that call: ``head`` reads an ``if``/``while``/``for`` head of the
-    plain shape, and ``parse_stmt`` an expression statement, without tokens.
+    """Recursive descent from a character offset, ``pos``. Each step is
+    first one ``_LEXEME`` match: a ``}``, an ``else``, a simple statement or
+    a compound statement's head. A statement or head that its match does
+    not read whole (see docs/minilang.md) is read on the token path: ``scan``
+    makes the token at ``pos`` the current one, ``tok``, later tokens are
+    scanned on demand, and ``capture_until`` and ``capture_parenthesized``
+    jump each run of opaque text with one ``_SKIP`` match. The next
+    statement is again one match. Every diagnostic comes from the token
+    path. A compound statement's parse is a generator, run by
+    ``trampoline``.
 
     A ``break``/``continue`` is checked as it is read against ``targets``,
     the enclosing loops and switches. A jump without a target waits in
@@ -295,13 +333,18 @@ class _Parser:
         self.source = source
         self.filename = filename
         self.line_starts = _line_starts(source)
-        self.tok = _token_at(source, 0, filename)
+        self.at = partial(_position, self.line_starts)  # (line, col) of an offset
+        self.pos = 0
+        self.tok = None
         self.targets = []
         self.unresolved = []
 
-    def at(self, tok: Token) -> Tuple[int, int]:
-        """The ``(line, col)`` of a token's first character."""
-        return _position(self.line_starts, tok.start)
+    # Token path -------------------------------------------------------
+
+    def scan(self) -> Token:
+        """Start the token path: the token at ``pos`` becomes ``tok``."""
+        self.tok = _token_at(self.source, self.pos, self.filename)
+        return self.tok
 
     def next(self) -> Token:
         tok = self.tok
@@ -317,43 +360,22 @@ class _Parser:
         if end != start:
             self.tok = _token_at(self.source, end, self.filename)
 
-    def text_to(self, pos: int, delim: str):
-        """``(text, index past delim)`` when one ``_SKIP`` match from ``pos``
-        ends at ``delim``; the text leaves out the blanks around it. None
-        when the match ends anywhere else."""
-        m = _SKIP.match(self.source, pos)
-        end = m.end()
-        if self.source.startswith(delim, end):
-            return self.source[m.start(1):end].strip(), end + 1
-        return None
+    def open_body(self) -> None:
+        """End the token path at a body's ``{``: ``pos`` moves past it."""
+        self.expect("{")
+        self.pos = self.tok.start
 
     def head(self, *delims: str) -> list:
         """The texts in the parentheses after a compound statement's
-        keyword, ended by each of ``delims`` in turn; the parser then stands
-        past the ``{`` of the body. ``text_to`` reads a head of the plain
-        shape; the token path reads any other."""
-        source = self.source
-        pos = _SKIP_BLANKS.match(source, self.tok.end).end() + 1
-        texts = []
-        if source.startswith("(", pos - 1):
-            for delim in delims:
-                got = self.text_to(pos, delim)
-                if got is None:
-                    break
-                texts.append(got[0])
-                pos = got[1]
-            else:
-                pos = _SKIP_BLANKS.match(source, pos).end()
-                if source.startswith("{", pos):
-                    self.tok = _token_at(source, pos + 1, self.filename)
-                    return texts
+        keyword, ended by each of ``delims`` in turn; ``pos`` then stands
+        past the ``{`` of the body."""
         self.next()
         if delims == (")",):
             texts = [self.capture_parenthesized()]
         else:
             self.expect("(")
             texts = [self.capture_until(delim) for delim in delims]
-        self.expect("{")
+        self.open_body()
         return texts
 
     def scan_rest(self) -> None:
@@ -361,10 +383,10 @@ class _Parser:
         a lexical error anywhere in a file is reported before a syntax error."""
         _tokenize(self.source, self.filename, self.tok.start)
 
-    def error(self, message, tok=None):
+    def error(self, message, offset=None):
         self.scan_rest()
-        tok = tok or self.tok
-        raise MiniLangSyntaxError(message, *self.at(tok), self.filename)
+        raise MiniLangSyntaxError(message, *self.at(self.tok.start if offset is None else offset),
+                                  self.filename)
 
     def expect(self, text) -> Token:
         tok = self.tok
@@ -382,10 +404,6 @@ class _Parser:
     def capture_parenthesized(self) -> str:
         """Consume ``( ... )`` with balanced nesting; return the inner text."""
         self.expect("(")
-        got = self.text_to(self.tok.start, ")")
-        if got is not None:
-            self.tok = _token_at(self.source, got[1], self.filename)
-            return got[0]
         start = self.tok.start
         depth = 0
         while True:
@@ -406,10 +424,6 @@ class _Parser:
     def capture_until(self, stop: str) -> str:
         """Consume the text (paren-balanced) up to ``stop`` and ``stop``
         itself; return the text."""
-        got = self.text_to(self.tok.start, stop)
-        if got is not None:
-            self.tok = _token_at(self.source, got[1], self.filename)
-            return got[0]
         start = self.tok.start
         depth = 0
         while True:
@@ -417,7 +431,7 @@ class _Parser:
                 self.skip_opaque()
             tok = self.tok
             if tok.kind == "eof":
-                self.error(f"expected one of {(stop,)} before end of file")
+                self.error(f"expected {stop!r} before end of file")
             if depth == 0 and tok.text == stop:
                 self.next()
                 return self.source[start:tok.start].strip()
@@ -445,9 +459,13 @@ class _Parser:
     def parse_program(self) -> Program:
         functions = []
         names = {}
-        while self.tok.kind != "eof":
-            fn = trampoline(self.parse_function())
+        while True:
+            m = _lexeme(self.source, self.pos)
+            if m is not None and m.lastgroup == "eof":
+                break
+            fn = trampoline(self.parse_function(m))
             if fn.name in names:
+                self.scan()
                 self.scan_rest()
                 raise DuplicateFunction(
                     f"function {fn.name!r} already defined at line {names[fn.name]}",
@@ -458,161 +476,223 @@ class _Parser:
             raise self.unresolved[0]
         return Program(functions=tuple(functions), filename=self.filename)
 
-    def parse_function(self):
-        tok = self.tok
-        if tok.text != "fn":
-            self.error(f"expected 'fn', got {tok.text!r}")
-        self.next()
-        name = self.expect_ident()
-        params = self.capture_parenthesized()
-        body = yield from self.parse_block()
-        return Function(name.text, params, body, *self.at(tok))
-
-    def parse_block(self):
-        self.expect("{")
-        return self.parse_block_body()
+    def parse_function(self, m):
+        end = m and m.lastgroup == "end" and m["end"]
+        name = end and end[0] == ")" and end[-1] == "{" and m["name"]
+        if name and name not in KEYWORDS:
+            params, start = m["text"].strip(), m.start("at")
+            self.pos = m.end()
+        else:
+            tok = self.scan()
+            start = tok.start
+            if tok.text != "fn":
+                self.error(f"expected 'fn', got {tok.text!r}")
+            self.next()
+            name = self.expect_ident().text
+            params = self.capture_parenthesized()
+            self.open_body()
+        body = yield from self.parse_block_body()
+        return Function(name, params, body, *self.at(start))
 
     def parse_block_body(self):
         """The statements after a block's ``{``, and its ``}``."""
         stmts = []
-        while self.tok.text != "}":
-            if self.tok.kind == "eof":
-                self.error("expected '}' before end of file")
-            stmt = self.parse_stmt()
+        while True:
+            m = _lexeme(self.source, self.pos)
+            if m is not None:
+                kind = m.lastgroup
+                if kind == "close":
+                    self.pos = m.end()
+                    return Block(tuple(stmts))
+                if kind == "eof":
+                    self.scan()
+                    self.error("expected '}' before end of file")
+            stmt = self.parse_stmt(m)
             if stmt.__class__ is GeneratorType:
                 stmt = yield stmt
             stmts.append(stmt)
-        self.next()
-        return Block(tuple(stmts))
 
-    def parse_stmt(self, label: Optional[str] = None):
-        """One statement, or a generator that parses it; ``label`` is the
-        one it carries, if any, which makes a loop a target of labeled
-        jumps."""
-        tok = self.tok
+    def parse_stmt(self, m, label: Optional[str] = None):
+        """The statement at ``pos``, or a generator that parses it, from its
+        lexeme ``m`` when that reads it whole; ``label`` is the one it
+        carries, if any, which makes a loop a target of labeled jumps."""
+        if m is not None and m.lastgroup == "end":
+            head, kw, text, end = m.group("head", "kw", "text", "end")
+            start = m.start("at")
+            if head is not None:
+                if head == "for":
+                    second = end == ";" and _text_to(self.source, m.end(), ";")
+                    third = second and _text_to(self.source, second[1], ")")
+                    if third:
+                        brace = _SKIP_BLANKS.match(self.source, third[1]).end()
+                        if self.source.startswith("{", brace):
+                            self.pos = brace + 1
+                            texts = (text.strip() or None, second[0] or None, third[0] or None)
+                            return self.compound(head, texts, label, start)
+                elif end[0] == ")" and end[-1] == "{" and head in _COMPOUND:
+                    self.pos = m.end()
+                    return self.compound(head, (text.strip(),), label, start)
+            elif kw is None:
+                if end == ";":
+                    text = text.strip()
+                    if text:
+                        self.pos = m.end()
+                        return ExprStmt(text, *self.at(start))
+                elif end == ":" and (word := _WORD.fullmatch(text)):
+                    self.pos = m.end()
+                    return self.parse_labeled(word[1], start)
+            elif end == ";":
+                if kw == "return":
+                    self.pos = m.end()
+                    return Return(text.strip() if text else None, *self.at(start))
+                if kw == "break" or kw == "continue":
+                    word = _WORD.fullmatch(text)
+                    if not text or word and word[1] not in KEYWORDS:
+                        self.pos = m.end()
+                        return self.jump(kw, word and word[1], start)
+        return self.parse_stmt_tokens(label)
+
+    def parse_stmt_tokens(self, label: Optional[str]):
+        """``parse_stmt`` on the token path."""
+        tok = self.scan()
+        start = tok.start
         if tok.kind == "keyword":
             text = tok.text
-            if text == "if":
-                return self.parse_if()
-            if text == "while":
-                return self.parse_while(label)
             if text == "for":
-                return self.parse_for(label)
-            if text == "switch":
-                return self.parse_switch()
-            if text in ("break", "continue"):
-                return self.parse_jump()
-            if text == "return":
+                texts = [t or None for t in self.head(";", ";", ")")]
+                return self.compound(text, texts, label, start)
+            if text in _COMPOUND:
+                return self.compound(text, self.head(")"), label, start)
+            if text == "break" or text == "continue":
+                self.next()
+                target = self.next().text if self.tok.kind == "ident" else None
+                self.expect(";")
+                node = self.jump(text, target, start)
+            elif text == "return":
                 self.next()
                 bare = self.tok.text == ";"
                 value = self.capture_until(";")
-                return Return(None if bare else value, *self.at(tok))
-            self.error(f"unexpected keyword {text!r}")
-        if tok.text != "{":
-            # Most statements are expression statements: one _SKIP match
-            # that ends at ";" reads one before the label check and capture.
-            got = self.text_to(tok.start, ";")
-            if got is not None and got[0]:
-                self.tok = _token_at(self.source, got[1], self.filename)
-                return ExprStmt(got[0], *self.at(tok))
-        if tok.kind == "ident":
-            colon = _SKIP_BLANKS.match(self.source, tok.end).end()
-            if self.source.startswith(":", colon):
-                self.tok = _token_at(self.source, colon + 1, self.filename)
-                return self.parse_labeled(tok)
-        if tok.text == "{":
-            self.error("bare blocks are not statements; braces follow a control keyword")
-        return ExprStmt(self.capture_nonempty(";", "empty statement"), *self.at(tok))
+                node = Return(None if bare else value, *self.at(start))
+            else:
+                self.error(f"unexpected keyword {text!r}")
+        else:
+            if tok.kind == "ident":
+                colon = _SKIP_BLANKS.match(self.source, tok.end).end()
+                if self.source.startswith(":", colon):
+                    self.pos = colon + 1
+                    return self.parse_labeled(tok.text, start)
+            if tok.text == "{":
+                self.error("bare blocks are not statements; braces follow a control keyword")
+            node = ExprStmt(self.capture_nonempty(";", "empty statement"), *self.at(start))
+        self.pos = self.tok.start
+        return node
 
-    def parse_labeled(self, label: Token):
+    def parse_labeled(self, label: str, start: int):
         """The statement after ``label`` and its ``:``, which carries the
         label as its own; a chain of labels nests through the trampoline."""
-        stmt = self.parse_stmt(label.text)
+        stmt = self.parse_stmt(_lexeme(self.source, self.pos), label)
         if stmt.__class__ is GeneratorType:
             stmt = yield stmt
-        return Labeled(label.text, stmt, *self.at(label))
+        return Labeled(label, stmt, *self.at(start))
 
-    def parse_jump(self):
-        tok = self.next()
-        label = self.next().text if self.tok.kind == "ident" else None
-        self.expect(";")
+    def jump(self, kind: str, label: Optional[str], start: int):
+        """A ``break`` or ``continue`` to ``label``, or to the nearest target
+        when None; one without a target joins ``unresolved``."""
         if label is not None:
             resolved = label in self.targets
-            message = f"{tok.text} label {label!r} names no enclosing labeled loop"
-        elif tok.text == "break":
+            message = f"{kind} label {label!r} names no enclosing labeled loop"
+        elif kind == "break":
             resolved = bool(self.targets)
             message = "break outside of loop or switch"
         else:
             resolved = any(target is not _SWITCH for target in self.targets)
             message = "continue outside of loop"
         if not resolved:
-            self.unresolved.append(UnresolvedLabel(message, *self.at(tok), self.filename))
-        return (Break if tok.text == "break" else Continue)(label, *self.at(tok))
+            self.unresolved.append(UnresolvedLabel(message, *self.at(start), self.filename))
+        return (Break if kind == "break" else Continue)(label, *self.at(start))
 
-    def parse_if(self):
+    def compound(self, kw: str, texts, label: Optional[str], start: int):
+        """The generator that parses the body of the compound statement
+        ``kw`` at ``start``, after its head's ``texts``."""
+        if kw == "if":
+            return self.parse_if(*texts, start)
+        if kw == "switch":
+            return self.parse_switch(*texts, start)
+        return self.parse_loop(texts, label, start)
+
+    def parse_if(self, cond: str, start: int):
         """An ``if``; an ``else if`` is the ``if`` alone in an ``else``
         block, parsed through the trampoline."""
-        tok = self.tok
-        cond, = self.head(")")
         then = yield from self.parse_block_body()
         orelse = None
-        if self.tok.text == "else":
-            self.next()
-            if self.tok.text == "if":
-                orelse = Block(((yield self.parse_if()),))
+        m = _lexeme(self.source, self.pos)
+        if m is not None and m.lastgroup == "else":
+            self.pos = m.end()
+            m = _lexeme(self.source, self.pos)
+            if m is not None and m.lastgroup == "open":
+                self.pos = m.end()
+                orelse = yield from self.parse_block_body()
+            elif m is not None and m["head"] == "if" or self.scan().text == "if":
+                orelse = Block(((yield self.parse_stmt(m)),))
             else:
-                orelse = yield from self.parse_block()
-        return If(cond, then, orelse, *self.at(tok))
+                self.open_body()
+                orelse = yield from self.parse_block_body()
+        return If(cond, then, orelse, *self.at(start))
 
-    def parse_while(self, label: Optional[str]):
-        tok = self.tok
-        cond, = self.head(")")
+    def parse_loop(self, texts, label: Optional[str], start: int):
+        """A ``while`` (one head text) or a ``for`` (three), a target of
+        jumps in its body."""
         self.targets.append(label)
         body = yield from self.parse_block_body()
         self.targets.pop()
-        return While(cond, body, *self.at(tok))
+        return (While if len(texts) == 1 else For)(*texts, body, *self.at(start))
 
-    def parse_for(self, label: Optional[str]):
-        tok = self.tok
-        init, cond, step = (text or None for text in self.head(";", ";", ")"))
-        self.targets.append(label)
-        body = yield from self.parse_block_body()
-        self.targets.pop()
-        return For(init, cond, step, body, *self.at(tok))
-
-    def parse_switch(self):
-        tok = self.tok
-        self.next()
-        scrutinee = self.capture_parenthesized()
-        self.expect("{")
+    def parse_switch(self, scrutinee: str, start: int):
         self.targets.append(_SWITCH)
         cases = []
         default = None
         deferred = []  # unresolved jumps in the default body
-        while self.tok.text != "}":
-            branch = self.tok
-            if branch.text == "case":
-                self.next()
-                label = self.capture_nonempty(":", "case needs a label expression")
-                body = yield from self.parse_block()
+        while True:
+            m = _lexeme(self.source, self.pos)
+            kind = m and m.lastgroup
+            if kind == "close":
+                self.pos = m.end()
+                break
+            what = kind == "end" and m["end"][0] == ":" and m["end"][-1] == "{" and m["kw"]
+            if what == "case" and (label := m["text"].strip()):
+                branch = m.start("at")
+                self.pos = m.end()
+            elif what == "default" and not m["text"] and default is None:
+                branch = m.start("at")
+                self.pos = m.end()
+            else:
+                tok = self.scan()
+                branch, what = tok.start, tok.text
+                if what == "case":
+                    self.next()
+                    label = self.capture_nonempty(":", "case needs a label expression")
+                elif what == "default":
+                    self.next()
+                    self.expect(":")
+                    if default is not None:
+                        self.error("duplicate default", branch)
+                else:
+                    self.error(f"expected 'case' or 'default', got {what!r}")
+                self.open_body()
+            if what == "case":
+                body = yield from self.parse_block_body()
                 cases.append(SwitchCase(label, body, *self.at(branch)))
-            elif branch.text == "default":
-                self.next()
-                self.expect(":")
-                if default is not None:
-                    self.error("duplicate default", branch)
+            else:
                 first = len(self.unresolved)
-                default = yield from self.parse_block()
+                default = yield from self.parse_block_body()
                 deferred = self.unresolved[first:]
                 del self.unresolved[first:]
-            else:
-                self.error(f"expected 'case' or 'default', got {branch.text!r}")
-        self.expect("}")
         self.targets.pop()
         self.unresolved += deferred
         if not cases and default is None:
-            self.error("switch needs at least one case or a default", tok)
-        return Switch(scrutinee, tuple(cases), default, *self.at(tok))
+            self.scan()
+            self.error("switch needs at least one case or a default", start)
+        return Switch(scrutinee, tuple(cases), default, *self.at(start))
 
 
 def parse(source: str, filename: str = "<input>") -> Program:

@@ -180,7 +180,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok.kind == "eof":
-                self.error(f"expected one of {stops} before end of file")
+                self.error(f"expected {' or '.join(map(repr, stops))} before end of file")
             if depth == 0 and tok.text in stops:
                 return self.source[start.start:tok.start].strip()
             if tok.text in "([":

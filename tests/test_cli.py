@@ -4,9 +4,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from crosscc import minilang
 from crosscc.cli import main
 from crosscc.dot import parse_dot
 
@@ -122,6 +124,11 @@ class TestAnalyze:
             headers = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
                        if line.startswith("// ")]
             assert headers == ["mcc=10001"] * 5 + ["mcc=2"]
+
+    def test_deep_files_need_no_tokens(self, tmp_path):
+        with mock.patch.object(minilang, "_token_at", side_effect=AssertionError("token path")):
+            for path in deep_files(tmp_path):
+                minilang.parse(Path(path).read_text(encoding="utf-8"), path)
 
     def test_fail_above_gate(self, tmp_path, capsys):
         path = copy_fixture(tmp_path, "listing1.mini")
@@ -291,6 +298,17 @@ class TestDumpCfg:
         assert main(["dump-cfg", str(bad), str(good)]) == 1
         captured = capsys.readouterr()
         assert f"{bad}: error:" in captured.err
+        assert "// " + str(good) + ":seq" in captured.out
+
+    @pytest.mark.parametrize("name", ["mccabe_g2.dot", "README.md"])
+    def test_only_mini_files_are_dumped(self, tmp_path, capsys, name):
+        good = copy_fixture(tmp_path, "atomic_seq.mini")
+        other = tmp_path / name
+        other.write_text("digraph g { a -> b; }\n/* never closed", encoding="utf-8")
+        assert main(["dump-cfg", str(other), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (f"{other}: error: unsupported file type "
+                                        f"{other.suffix!r} (expected .mini)")
         assert "// " + str(good) + ":seq" in captured.out
 
     def test_diagnostics_not_colored_with_env(self, tmp_path, capsys, monkeypatch):

@@ -95,6 +95,11 @@ class TestDiagnostics:
         with pytest.raises(MiniLangSyntaxError):
             parse("fn f() { x; ")
 
+    def test_statement_cut_by_end_of_file_names_its_stop(self):
+        with pytest.raises(MiniLangSyntaxError) as err:
+            parse("fn f() { x", "t.mini")
+        assert str(err.value) == "t.mini:1:11: expected ';' before end of file"
+
     def test_duplicate_function(self):
         with pytest.raises(DuplicateFunction):
             parse("fn f() { x; } fn f() { y; }")

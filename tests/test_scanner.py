@@ -8,12 +8,17 @@ the same ``line:col`` for every token, and the same diagnostics.
 token list before the parser scanned on demand and skipped expression
 text; the two must give the same ``Program`` or the same diagnostic. The
 programs compared include nested ones up to 200 levels deep, which the
-recursive reference still parses, and files of many functions.
+recursive reference still parses, files of many functions, and generated
+functions with a few random edits. ``minilang.parse`` reads a statement
+by one lexeme match when it can and by tokens otherwise, so each
+comparison holds whichever path took each statement; generated
+well-formed files must need no tokens.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +31,7 @@ from crosscc.dot import parse_dot
 from crosscc.errors import CrossCCError, MiniLangSyntaxError
 
 from conftest import FIXTURES
+from test_programs import functions
 
 # Non-ASCII letters and digits (``²`` and ``①`` are str.isdigit but not
 # regex \d; ``½`` is numeric but neither), escapes, line ends, comment
@@ -98,6 +104,22 @@ def assert_scanners_agree(source):
 @example("fn f() { return \x0b; }")
 @example("fn f() { x; \x0b /* ; */ \xa0 ; }")
 @example("fn f() { switch (k) { case \x0b: { } } }")
+# Shapes a statement's lexeme must leave to the token path or read as it does:
+# a keyword that starts text, a comment between a label and its ``:``, a
+# ``{`` that starts a ``for`` condition, a blank-like character after a
+# jump target, and a second ``default``.
+@example("fn f() { while (c) { if continue; } }")
+@example("fn f() { L0/* ; */: while (a) { x; } }")
+@example("fn f() { L0/* ; */: while (a) { break L0; } }")
+@example("fn f() { for (i = 0; {i < n; i = i + 1) { x; } }")
+@example("fn f() { L: while (c) { break L\x0b; } }")
+@example("fn f() { switch (k) { default: { } case 1: { } default: { x; } } }")
+# A keyword as a jump target, a ``:`` in a parameter list, a ``for`` body
+# without its ``{``, and a statement other than an ``if`` after ``else``.
+@example("fn f() { while (c) { break if; } }")
+@example("fn f(: { x; }")
+@example("fn f() { for (;;) x; }")
+@example("fn f() { if (c) { x; } else while (d) { y; } }")
 def test_scanners_agree_on_generated_text(source):
     assert_scanners_agree(source)
 
@@ -111,6 +133,31 @@ def test_scanners_agree_on_generated_text(source):
                 max_size=30).map(" ".join))
 def test_scanners_agree_on_statement_soup(source):
     assert_scanners_agree(source)
+
+
+# Well-formed functions with 1 to 3 edits, each an insert of one of these
+# pieces or a delete of 1 to 4 characters, at a drawn offset.
+MUTATION_PIECES = [*sorted(minilang.KEYWORDS), "{", "}", "(", ")", ";", ":", " ",
+                   "/* ; */", "// :\n", "/*", "\x0b", "L0", "L1:", "é"]
+EDIT = st.tuples(st.integers(0, 10**4),
+                 st.one_of(st.sampled_from(MUTATION_PIECES), st.integers(1, 4)))
+
+
+def edited(source, edits):
+    for at, edit in edits:
+        at %= len(source) + 1
+        if isinstance(edit, str):
+            source = source[:at] + edit + source[at:]
+        else:
+            source = source[:at] + source[at + edit:]
+    return source
+
+
+@settings(max_examples=300, deadline=None)
+@given(functions(), st.lists(EDIT, min_size=1, max_size=3))
+def test_parsers_agree_on_mutated_functions(program, edits):
+    source = edited(program[0], edits)
+    assert parse_outcome(minilang.parse, source) == parse_outcome(reference.parse, source)
 
 
 # Expression text where the delimiters sit in strings, comments and
@@ -208,6 +255,45 @@ def test_parsers_agree_on_long_files(programs, duplicate):
         names[duplicate] = names[0]
     assert_parsers_agree_flat("\n".join(source.replace("fn f(", f"fn {name}(", 1)
                                          for (source, _), name in zip(programs, names)))
+
+
+def parse_by_lexemes(source, filename):
+    """``minilang.parse`` with the token path switched off: a statement
+    that its lexeme does not read whole raises AssertionError."""
+    with mock.patch.object(minilang, "_token_at", side_effect=AssertionError("token path")):
+        return minilang.parse(source, filename)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(functions(), nested_functions(max_depth=20)))
+def test_lexemes_read_well_formed_functions(program):
+    source = program[0]
+    expected = reference.parse(source, "t.mini")
+    # Text whose groups nest three deep is beyond _SKIP: the token path
+    # reads that statement.
+    if "(a[b(c)])" in source:
+        assert minilang.parse(source, "t.mini") == expected
+    else:
+        assert parse_by_lexemes(source, "t.mini") == expected
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mini")), ids=lambda p: p.name)
+def test_lexemes_read_the_fixtures(path):
+    source = path.read_text(encoding="utf-8")
+    assert parse_by_lexemes(source, path.name) == reference.parse(source, path.name)
+
+
+def test_token_path_reads_only_the_statements_it_needs():
+    # A ``:`` outside brackets ends a lexeme's text, so the ``if`` head and
+    # the ``return`` are statements on the token path (the function head
+    # is too, in parse_function); the bodies, the loop and ``y;`` are not.
+    source = ("fn f(a: int) {\n  if (a ? b : c) { x; }\n"
+              "  while (c) { return a ? b : c; }\n  y;\n}\n")
+    with mock.patch.object(minilang._Parser, "parse_stmt_tokens", autospec=True,
+                           side_effect=minilang._Parser.parse_stmt_tokens) as tokens:
+        program = minilang.parse(source, "t.mini")
+    assert program == reference.parse(source, "t.mini")
+    assert tokens.call_count == 2
 
 
 @settings(max_examples=20, deadline=None)
