@@ -72,7 +72,7 @@ class _Lowerer:
     def __init__(self, fn: ast.Function, filename: str):
         self.fn = fn
         self.filename = filename
-        self.labels: List[str] = []
+        self.labels: List[List[str]] = []  # per node, its texts, joined in build()
         self.positions: List[Tuple[int, int]] = []
         self.arcs: List[Tuple[int, int]] = []
         self.current: Optional[int] = None
@@ -84,7 +84,7 @@ class _Lowerer:
 
     def _new_node(self, label: str, pos) -> int:
         node = len(self.labels)
-        self.labels.append(label)
+        self.labels.append([label] if label else [])
         self.positions.append(pos)
         return node
 
@@ -104,8 +104,7 @@ class _Lowerer:
         """Extend the current straight-line node, creating one if needed."""
         current = self.current
         if current is not None:
-            label = self.labels[current]
-            self.labels[current] = f"{label}; {text}" if label else text
+            self.labels[current].append(text)
             return current
         self._require_alive(pos)
         return self._enter_node(text, pos)
@@ -273,17 +272,13 @@ class _Lowerer:
         tail_sources = self._exits()
         exit_node = self._new_node(EXIT_LABEL, fn_pos)
         self.arcs += [(src, exit_node) for src in [*tail_sources, *self.exit_sources]]
-        if not tail_sources and not self.exit_sources:
-            raise UnreachableCode("function exit is unreachable (no path leaves "
-                                  "the loops)", self.fn.line, self.fn.col,
-                                  self.filename)
         start = 0
         virtual_arc = len(self.arcs)
         edges = [*self.arcs, (exit_node, start, ZERO)]  # an arc without a weight weighs 1
         cfg = ControlFlowGraph(graph=WeightedDigraph(len(self.labels), edges),
                                start=start, exit=exit_node,
                                virtual_arc=virtual_arc,
-                               node_labels=tuple(self.labels),
+                               node_labels=tuple(map("; ".join, self.labels)),
                                name=self.fn.name)
         check_reachability(cfg, self.positions, self.filename)
         return cfg
@@ -330,7 +325,7 @@ def check_reachability(cfg: ControlFlowGraph,
 def lower(fn: ast.Function, filename: str = "<input>") -> ControlFlowGraph:
     """Lower one parsed function to its control-flow graph.
 
-    Raises UnreachableCode for a statement or an exit that no path reaches,
-    and UnresolvedLabel for a jump without a target, which only a hand-built
-    AST can hold."""
+    Raises UnreachableCode for a statement that no path reaches or a node
+    on no start-to-exit path, and UnresolvedLabel for a jump without a
+    target, which only a hand-built AST can hold."""
     return _Lowerer(fn, filename).build()

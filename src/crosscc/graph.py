@@ -266,24 +266,14 @@ class Cycle:
             degree[e.target] = degree.get(e.target, 0) + 1
         if any(d != 2 for d in degree.values()):
             raise NotACycle("some vertex does not have degree 2 in the edge set")
-        # Degree-2 everywhere means a disjoint union of cycles; a single
-        # cycle additionally has as many edges as touched vertices and is
-        # connected. Walk it to check connectivity.
-        if len(ids) != len(degree):
-            raise NotACycle("edge and vertex counts differ; not a single cycle")
-        start = min(degree)
+        # Degree 2 everywhere makes a disjoint union of cycles: a walk always
+        # has an unused edge to leave by, and closes at its start.
+        start = v = min(degree)
         visited_edges = set()
-        v = start
         while True:
-            nxt = None
-            for e in g.incident(v):
-                if e.id in ids and e.id not in visited_edges:
-                    nxt = e
-                    break
-            if nxt is None:
-                break
-            visited_edges.add(nxt.id)
-            v = nxt.other(v)
+            e = next(e for e in g.incident(v) if e.id in ids and e.id not in visited_edges)
+            visited_edges.add(e.id)
+            v = e.other(v)
             if v == start:
                 break
         if len(visited_edges) != len(ids):

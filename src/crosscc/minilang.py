@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import partial
+from functools import cache, partial
 from types import GeneratorType
 from typing import NamedTuple, Optional, Tuple
 
@@ -111,12 +111,12 @@ def _tokenize(source: str, filename: str, pos: int = 0):
 
 
 # Expression text is opaque: only ``; : ( ) [ ]`` outside strings and
-# comments delimit it. _SKIP jumps over it in one match: blanks, which its
-# group leaves out, then runs of other characters, whole strings and
-# comments (a ``/`` that starts neither is text), and ``(...)``/``[...]``
-# groups, closed by their own kind of bracket, up to two levels deep. It
-# stops before a delimiter, an unterminated string or comment, or a group
-# it cannot close; the parser's token path takes over from there.
+# comments delimit it. _TEXT reads it in one match: runs of other
+# characters, whole strings and comments (a ``/`` that starts neither is
+# text), and ``(...)``/``[...]`` groups, closed by their own kind of
+# bracket, up to two levels deep. It stops before a delimiter, an
+# unterminated string or comment, or a group it cannot close; the parser's
+# token path takes over from there.
 _OPAQUE = rf"{_STRING}|{_COMMENT}|/(?!\*)"
 
 
@@ -127,16 +127,17 @@ def _groups(inner: str) -> str:
 _NESTED = rf'[^()\[\]"/]++|{_OPAQUE}'
 _GROUP = _groups(f"{_NESTED}|{_groups(_NESTED)}")
 _TEXT = rf'(?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+'
-_SKIP = re.compile(rf"{_BLANKS}({_TEXT})", re.DOTALL)
-# Whitespace and comments alone: what may stand between a label and its
-# ``:``, and before the ``{`` of a ``for`` body.
+# Blanks, then _TEXT: the token path's skip over opaque text, compiled the
+# first time it is called; a well-formed file never calls it.
+_skip = cache(partial(re.compile, rf"{_BLANKS}{_TEXT}", re.DOTALL))
+# Whitespace and comments alone: what may stand between a label and its ``:``.
 _SKIP_BLANKS = re.compile(_BLANKS, re.DOTALL)
 
 _KEYWORD = "|".join(sorted(KEYWORDS))
 # One lexeme, the parser's first try at each step: a ``}``, a ``{``, an
 # ``else``, the end of the file, or a statement's opening up to its end. That
 # opening is an optional keyword (``fn name(``, or a control keyword with
-# its ``(``), then _SKIP's text, then ``;``, ``:`` or ``)``; after ``:`` or
+# its ``(``), then _TEXT, then ``;``, ``:`` or ``)``; after ``:`` or
 # ``)``, the ``{`` of a body is taken along. Text that starts with another
 # keyword matches nothing.
 _LEXEME = re.compile(rf"""
@@ -150,20 +151,17 @@ _LEXEME = re.compile(rf"""
         (?P<end>;|[:)](?:{_BLANKS}\{{)?) )
 """, re.VERBOSE | re.DOTALL)
 _lexeme = _LEXEME.match
+
+
+def _plain(m, last: str) -> bool:
+    """Whether lexeme ``m`` is text led by no keyword, ending in ``last``."""
+    return (m is not None and m.lastgroup == "end" and m["end"][-1] == last
+            and m["head"] is None and m["kw"] is None)
+
+
 # A label or a jump target, with the blanks after it: ASCII only, so that
 # any other word is left to the token path.
 _WORD = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*+){_BLANKS}", re.DOTALL)
-
-
-def _text_to(source: str, pos: int, delim: str):
-    """``(text, index past delim)`` when one ``_SKIP`` match from ``pos``
-    ends at ``delim``; the text leaves out the blanks around it. None when
-    the match ends anywhere else."""
-    m = _SKIP.match(source, pos)
-    end = m.end()
-    if source.startswith(delim, end):
-        return m[1].strip(), end + 1
-    return None
 
 
 # --- AST ---------------------------------------------------------------
@@ -318,7 +316,7 @@ class _Parser:
     not read whole (see docs/minilang.md) is read on the token path: ``scan``
     makes the token at ``pos`` the current one, ``tok``, later tokens are
     scanned on demand, and ``capture_until`` and ``capture_parenthesized``
-    jump each run of opaque text with one ``_SKIP`` match. The next
+    jump each run of opaque text with one ``_skip()`` match. The next
     statement is again one match. Every diagnostic comes from the token
     path. A compound statement's parse is a generator, run by
     ``trampoline``.
@@ -353,10 +351,10 @@ class _Parser:
         return tok
 
     def skip_opaque(self) -> None:
-        """Move to the first token at or after the current one that ``_SKIP``
-        does not jump over."""
+        """Move to the first token at or after the current one that
+        ``_skip()`` does not jump over."""
         start = self.tok.start
-        end = _SKIP.match(self.source, start).end()
+        end = _skip().match(self.source, start).end()
         if end != start:
             self.tok = _token_at(self.source, end, self.filename)
 
@@ -364,19 +362,6 @@ class _Parser:
         """End the token path at a body's ``{``: ``pos`` moves past it."""
         self.expect("{")
         self.pos = self.tok.start
-
-    def head(self, *delims: str) -> list:
-        """The texts in the parentheses after a compound statement's
-        keyword, ended by each of ``delims`` in turn; ``pos`` then stands
-        past the ``{`` of the body."""
-        self.next()
-        if delims == (")",):
-            texts = [self.capture_parenthesized()]
-        else:
-            self.expect("(")
-            texts = [self.capture_until(delim) for delim in delims]
-        self.open_body()
-        return texts
 
     def scan_rest(self) -> None:
         """Raise the first lexical error from the current token on, if any:
@@ -445,7 +430,7 @@ class _Parser:
 
     def capture_nonempty(self, stop: str, message: str) -> str:
         """``capture_until(stop)``, or the error ``message`` at ``stop`` when
-        the text is empty: then one ``_SKIP`` match reaches the stop."""
+        the text is empty: then one ``_skip()`` match reaches the stop."""
         first = self.tok
         text = self.capture_until(stop)
         if not text:
@@ -521,14 +506,14 @@ class _Parser:
             start = m.start("at")
             if head is not None:
                 if head == "for":
-                    second = end == ";" and _text_to(self.source, m.end(), ";")
-                    third = second and _text_to(self.source, second[1], ")")
-                    if third:
-                        brace = _SKIP_BLANKS.match(self.source, third[1]).end()
-                        if self.source.startswith("{", brace):
-                            self.pos = brace + 1
-                            texts = (text.strip() or None, second[0] or None, third[0] or None)
-                            return self.compound(head, texts, label, start)
+                    # The condition and the step are one more lexeme each:
+                    # plain text to ``;``, then to ``)`` and the body's ``{``.
+                    cond = _lexeme(self.source, m.end()) if end == ";" else None
+                    step = _lexeme(self.source, cond.end()) if _plain(cond, ";") else None
+                    if _plain(step, "{") and step["end"][0] == ")":
+                        self.pos = step.end()
+                        texts = [t.strip() or None for t in (text, cond["text"], step["text"])]
+                        return self.compound(head, texts, label, start)
                 elif end[0] == ")" and end[-1] == "{" and head in _COMPOUND:
                     self.pos = m.end()
                     return self.compound(head, (text.strip(),), label, start)
@@ -558,11 +543,15 @@ class _Parser:
         start = tok.start
         if tok.kind == "keyword":
             text = tok.text
-            if text == "for":
-                texts = [t or None for t in self.head(";", ";", ")")]
+            if text == "for" or text in _COMPOUND:
+                self.next()
+                if text == "for":
+                    self.expect("(")
+                    texts = [self.capture_until(stop) or None for stop in (";", ";", ")")]
+                else:
+                    texts = [self.capture_parenthesized()]
+                self.open_body()
                 return self.compound(text, texts, label, start)
-            if text in _COMPOUND:
-                return self.compound(text, self.head(")"), label, start)
             if text == "break" or text == "continue":
                 self.next()
                 target = self.next().text if self.tok.kind == "ident" else None
@@ -634,9 +623,8 @@ class _Parser:
                 orelse = yield from self.parse_block_body()
             elif m is not None and m["head"] == "if" or self.scan().text == "if":
                 orelse = Block(((yield self.parse_stmt(m)),))
-            else:
-                self.open_body()
-                orelse = yield from self.parse_block_body()
+            else:  # raises: a ``{`` here was the lexeme's ``open`` above
+                self.expect("{")
         return If(cond, then, orelse, *self.at(start))
 
     def parse_loop(self, texts, label: Optional[str], start: int):

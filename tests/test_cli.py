@@ -24,7 +24,8 @@ def copy_fixture(tmp_path, name):
 def deep_files(tmp_path, depth=10_000):
     """good.mini (Listing 1), then one file each of ``depth`` nested ifs,
     ifs nested in ``else`` blocks after a statement, ``else if`` arms,
-    whiles and switches, and one while under a chain of ``depth`` labels."""
+    whiles and switches, one while under a chain of ``depth`` labels, and
+    one straight-line run of ``10 * depth`` statements."""
     bodies = {
         "if_nest": "if (c) { " * depth + "x; " + "} " * depth,
         "else_nest": "if (c) { x; } else { y; " * depth + "z; " + "} " * depth,
@@ -33,6 +34,7 @@ def deep_files(tmp_path, depth=10_000):
         "switch_nest": "switch (k) { case 1: { " * depth + "x; " + "} } " * depth,
         "labels": "".join(f"L{i}: " for i in range(depth))
                   + f"while (c) {{ break L{depth - 1}; }}",
+        "long_run": "x = x + 1; " * (10 * depth),
     }
     good = tmp_path / "good.mini"
     shutil.copy(FIXTURES / "listing1.mini", good)
@@ -117,13 +119,13 @@ class TestAnalyze:
         recs = json.loads(capsys.readouterr().out)["records"]
         assert sorted((r["unit"], r["nu"]) for r in recs) == [
             ("else_if_chain", 10001), ("else_nest", 10001), ("getWords", 4),
-            ("if_nest", 10001), ("labels", 2), ("sumOfPrimes", 4),
+            ("if_nest", 10001), ("labels", 2), ("long_run", 1), ("sumOfPrimes", 4),
             ("switch_nest", 10001), ("while_nest", 10001)]
         if mode == "exact":
             assert main(["dump-cfg", *paths[1:]]) == 0
             headers = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
                        if line.startswith("// ")]
-            assert headers == ["mcc=10001"] * 5 + ["mcc=2"]
+            assert headers == ["mcc=10001"] * 5 + ["mcc=2", "mcc=1"]
 
     def test_deep_files_need_no_tokens(self, tmp_path):
         with mock.patch.object(minilang, "_token_at", side_effect=AssertionError("token path")):
@@ -171,6 +173,17 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "'x' lies on no start-to-exit path" in captured.err
         assert json.loads(captured.out)["records"] == []
+
+    def test_duplicate_dot_arc_is_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "dup.dot"
+        path.write_text("digraph g { start=s; exit=r; s -> a; a -> r; a -> r; }",
+                        encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"{path}: warning: arc a -> r declared more than once; "
+                                "both kept as distinct edges\n")
+        (rec,) = json.loads(captured.out)["records"]
+        assert rec["nu"] == 2
 
     def test_dot_reachability_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "stray.dot"
@@ -261,6 +274,7 @@ class TestPlotCommand:
         ' "provenance": "exact", "region": "non-trivial", "indicator": 1}]}',
         '{"records": [{"unit": "f", "source": "a", "nu": 1e400, "omega": 1,'
         ' "provenance": "exact", "region": "non-trivial", "indicator": 1}]}',
+        '{"records": [{"unit": "f", "source": "a", "nu": 1, "omega": 1}]}',
     ])
     def test_plot_wrong_shape_is_a_diagnostic(self, tmp_path, capsys, text):
         report = tmp_path / "report.json"

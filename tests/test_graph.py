@@ -10,6 +10,7 @@ from crosscc.dot import parse_dot
 from crosscc.errors import (
     DisconnectedGraph,
     EdgeInTree,
+    EmptyGraph,
     NotACycle,
     NotASpanningTree,
     UnknownEdge,
@@ -86,6 +87,15 @@ class TestEdge:
         with pytest.raises(ValueError):
             WeightedDigraph(2, [Edge(1, 0, 1, ONE)])
 
+    @pytest.mark.parametrize("vertex_count, edges, message", [
+        (-1, [], "vertex_count must be >= 0"),
+        (2, [(0, 1), (1, 1)], "loop edge 1 at vertex 1 not allowed"),
+        (2, [(0, 1), (1, 2)], "edge 1 endpoint out of range"),
+    ])
+    def test_graph_rejects_bad_counts_and_endpoints(self, vertex_count, edges, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedDigraph(vertex_count, edges)
+
 
 class TestGraphWeight:
     def test_mixed_sign_weights_sum_exactly(self):
@@ -142,6 +152,17 @@ class TestSpanningTree:
         g = WeightedDigraph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraph):
             spanning_tree(g, 0)
+
+    @pytest.mark.parametrize("build", [
+        lambda g, root: spanning_tree(g, root),
+        lambda g, root: SpanningTree.from_edge_ids(g, root, range(g.edge_count)),
+    ], ids=["bfs", "explicit"])
+    def test_empty_graph_and_root_out_of_range_rejected(self, build):
+        with pytest.raises(EmptyGraph):
+            build(WeightedDigraph(0, []), 0)
+        for root in (-1, 2):
+            with pytest.raises(ValueError, match=f"root {root} out of range"):
+                build(WeightedDigraph(2, [(0, 1)]), root)
 
     def test_bad_explicit_tree_rejected(self):
         g = weighted_fan()
@@ -328,6 +349,10 @@ class TestCycleRank:
 
 
 class TestCycleValidation:
+    def test_rejects_empty_set(self):
+        with pytest.raises(NotACycle, match="empty edge set"):
+            Cycle.from_edges(diamond(), [])
+
     def test_rejects_path(self):
         g = WeightedDigraph(3, [(0, 1), (1, 2)])
         with pytest.raises(NotACycle):

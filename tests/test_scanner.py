@@ -120,6 +120,15 @@ def assert_scanners_agree(source):
 @example("fn f(: { x; }")
 @example("fn f() { for (;;) x; }")
 @example("fn f() { if (c) { x; } else while (d) { y; } }")
+# ``for`` heads that the lexemes leave to the token path: a ``:`` in the
+# condition, a step whose groups nest three deep, and a part led by a
+# keyword, an ``else`` or a ``}``; then a jump to a label that is not ASCII.
+@example("fn f() { for (i = 0; c ? i < n : 0; i = i + 1) { x; } }")
+@example("fn f() { for (i = 0; i < n; f(g(h(i)))) { x; } }")
+@example("fn f() { for (; break; case) { x; } }")
+@example("fn f() { for (; else; i) { x; } }")
+@example("fn f() { for (i = 0; } ; i) { x; } }")
+@example("fn f() { é: while (c) { if (d) { break é; } continue é; } }")
 def test_scanners_agree_on_generated_text(source):
     assert_scanners_agree(source)
 
@@ -269,7 +278,7 @@ def parse_by_lexemes(source, filename):
 def test_lexemes_read_well_formed_functions(program):
     source = program[0]
     expected = reference.parse(source, "t.mini")
-    # Text whose groups nest three deep is beyond _SKIP: the token path
+    # Text whose groups nest three deep is beyond _TEXT: the token path
     # reads that statement.
     if "(a[b(c)])" in source:
         assert minilang.parse(source, "t.mini") == expected
