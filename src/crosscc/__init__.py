@@ -24,7 +24,6 @@ from .graph import (
     SpanningTree,
     WeightedDigraph,
     cycle_rank,
-    fundamental_cycle,
     spanning_tree,
 )
 from .metric import CrossComplexity, Region, classify_region, cross_complexity
@@ -41,7 +40,6 @@ __all__ = [
     "SpanningTree",
     "Cycle",
     "spanning_tree",
-    "fundamental_cycle",
     "cycle_rank",
     "CycleBasis",
     "Provenance",

@@ -33,7 +33,7 @@ from .graph import as_weight, cycle_rank
 from .metric import CrossComplexity, cross_complexity
 from .minilang import parse
 from .plot import halfplane_svg, points_csv
-from .report import AnalysisReport, UnitRecord, report_from_json
+from .report import AnalysisReport, UnitRecord, finite, report_from_json
 
 
 def _color_enabled() -> bool:
@@ -64,6 +64,10 @@ def _emit(text: str, output: Optional[str]) -> int:
 
 def _record(path: Path, position: int, unit: str, source: str,
             cc: CrossComplexity) -> UnitRecord:
+    try:
+        finite(cc.omega_min, "omega")  # the indicator, omega / nu, is no larger
+    except ValueError as ex:
+        raise CrossCCError(f"{unit}: {ex}") from None
     return UnitRecord(
         unit=unit, source=source, file=str(path), position=position,
         nu=cc.nu, omega=cc.omega_min, provenance=cc.provenance.value,
@@ -160,7 +164,7 @@ def _number(text: str) -> str:
     The text is returned as typed, so diagnostics quote the user's spelling.
     """
     try:
-        as_weight(text)
+        finite(as_weight(text), "number")
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
     return text

@@ -17,10 +17,6 @@ class EmptyGraph(CrossCCError):
     """The operation requires at least one vertex."""
 
 
-class EdgeInTree(CrossCCError):
-    """A fundamental cycle was requested for an edge that is in the tree."""
-
-
 class NotASpanningTree(CrossCCError):
     """An explicit edge set does not form a spanning tree of the host graph."""
 

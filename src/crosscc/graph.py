@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, U
 
 from .errors import (
     DisconnectedGraph,
-    EdgeInTree,
     EmptyGraph,
     NotACycle,
     NotASpanningTree,
@@ -279,18 +278,6 @@ class Cycle:
         if len(visited_edges) != len(ids):
             raise NotACycle("edge set is a union of disjoint cycles, not one cycle")
         return cls(edge_ids=ids, weight=g.weight_of(ids))
-
-
-def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
-    """The unique unoriented cycle in ``tree + e``: e plus the tree path between its endpoints.
-
-    A tree plus one chord is a cycle by construction, so the result needs
-    no re-check (see ``SpanningTree.fundamental_masks``).
-    """
-    if e.id in t.tree_edges:
-        raise EdgeInTree(f"edge {e.id} is a tree edge")
-    ((mask, weight),) = t.fundamental_masks([e])
-    return Cycle(frozenset(_edge_ids(mask)), Fraction(weight, t.host.integer_weights()[1]))
 
 
 def _edge_ids(mask: int) -> List[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import cache, partial
+from functools import partial
 from types import GeneratorType
 from typing import NamedTuple, Optional, Tuple
 
@@ -113,10 +113,11 @@ def _tokenize(source: str, filename: str, pos: int = 0):
 # Expression text is opaque: only ``; : ( ) [ ]`` outside strings and
 # comments delimit it. _TEXT reads it in one match: runs of other
 # characters, whole strings and comments (a ``/`` that starts neither is
-# text), and ``(...)``/``[...]`` groups, closed by their own kind of
-# bracket, up to two levels deep. It stops before a delimiter, an
-# unterminated string or comment, or a group it cannot close; the parser's
-# token path takes over from there.
+# text), ``(...)``/``[...]`` groups, closed by their own kind of bracket, up
+# to two levels deep, and a ``?`` with the text up to its ``:``, so that
+# ``a ? b : c`` is text as well. It stops before a delimiter, a ``?``
+# without its ``:``, an unterminated string or comment, or a group it
+# cannot close; the parser's token path takes over from there.
 _OPAQUE = rf"{_STRING}|{_COMMENT}|/(?!\*)"
 
 
@@ -126,10 +127,8 @@ def _groups(inner: str) -> str:
 
 _NESTED = rf'[^()\[\]"/]++|{_OPAQUE}'
 _GROUP = _groups(f"{_NESTED}|{_groups(_NESTED)}")
-_TEXT = rf'(?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+'
-# Blanks, then _TEXT: the token path's skip over opaque text, compiled the
-# first time it is called; a well-formed file never calls it.
-_skip = cache(partial(re.compile, rf"{_BLANKS}{_TEXT}", re.DOTALL))
+_RUN = rf'[^;:?()\[\]"/]++|{_OPAQUE}|{_GROUP}'
+_TEXT = rf"(?:{_RUN}|\?(?:{_RUN})*+:)*+"
 # Whitespace and comments alone: what may stand between a label and its ``:``.
 _SKIP_BLANKS = re.compile(_BLANKS, re.DOTALL)
 
@@ -314,9 +313,8 @@ class _Parser:
     first one ``_LEXEME`` match: a ``}``, an ``else``, a simple statement or
     a compound statement's head. A statement or head that its match does
     not read whole (see docs/minilang.md) is read on the token path: ``scan``
-    makes the token at ``pos`` the current one, ``tok``, later tokens are
-    scanned on demand, and ``capture_until`` and ``capture_parenthesized``
-    jump each run of opaque text with one ``_skip()`` match. The next
+    makes the token at ``pos`` the current one, ``tok``, and later tokens,
+    expression text included, are scanned one by one on demand. The next
     statement is again one match. Every diagnostic comes from the token
     path. A compound statement's parse is a generator, run by
     ``trampoline``.
@@ -349,14 +347,6 @@ class _Parser:
         if tok.kind != "eof":
             self.tok = _token_at(self.source, tok.end, self.filename)
         return tok
-
-    def skip_opaque(self) -> None:
-        """Move to the first token at or after the current one that
-        ``_skip()`` does not jump over."""
-        start = self.tok.start
-        end = _skip().match(self.source, start).end()
-        if end != start:
-            self.tok = _token_at(self.source, end, self.filename)
 
     def open_body(self) -> None:
         """End the token path at a body's ``{``: ``pos`` moves past it."""
@@ -392,8 +382,6 @@ class _Parser:
         start = self.tok.start
         depth = 0
         while True:
-            if depth == 0:
-                self.skip_opaque()
             tok = self.tok
             if tok.kind == "eof":
                 self.error("unbalanced parenthesis")
@@ -406,20 +394,22 @@ class _Parser:
                 depth -= 1
             self.next()
 
-    def capture_until(self, stop: str) -> str:
+    def capture_until(self, stop: str, empty: Optional[str] = None) -> str:
         """Consume the text (paren-balanced) up to ``stop`` and ``stop``
-        itself; return the text."""
+        itself; return the text. Empty text is the error ``empty`` at
+        ``stop``, when given."""
         start = self.tok.start
         depth = 0
         while True:
-            if depth == 0:
-                self.skip_opaque()
             tok = self.tok
             if tok.kind == "eof":
                 self.error(f"expected {stop!r} before end of file")
             if depth == 0 and tok.text == stop:
+                text = self.source[start:tok.start].strip()
+                if empty and not text:
+                    self.error(empty)
                 self.next()
-                return self.source[start:tok.start].strip()
+                return text
             if tok.text in "([":
                 depth += 1
             elif tok.text in ")]":
@@ -427,17 +417,6 @@ class _Parser:
                     self.error(f"unbalanced {tok.text!r}")
                 depth -= 1
             self.next()
-
-    def capture_nonempty(self, stop: str, message: str) -> str:
-        """``capture_until(stop)``, or the error ``message`` at ``stop`` when
-        the text is empty: then one ``_skip()`` match reaches the stop."""
-        first = self.tok
-        text = self.capture_until(stop)
-        if not text:
-            self.tok = first
-            self.skip_opaque()
-            self.error(message)
-        return text
 
     # Grammar ----------------------------------------------------------
 
@@ -572,7 +551,7 @@ class _Parser:
                     return self.parse_labeled(tok.text, start)
             if tok.text == "{":
                 self.error("bare blocks are not statements; braces follow a control keyword")
-            node = ExprStmt(self.capture_nonempty(";", "empty statement"), *self.at(start))
+            node = ExprStmt(self.capture_until(";", "empty statement"), *self.at(start))
         self.pos = self.tok.start
         return node
 
@@ -647,7 +626,9 @@ class _Parser:
                 self.pos = m.end()
                 break
             what = kind == "end" and m["end"][0] == ":" and m["end"][-1] == "{" and m["kw"]
-            if what == "case" and (label := m["text"].strip()):
+            # A case label ends at its first ``:``, so one with a ``?``,
+            # whose ``:`` _TEXT may have read, is left to the token path.
+            if what == "case" and (label := m["text"].strip()) and "?" not in label:
                 branch = m.start("at")
                 self.pos = m.end()
             elif what == "default" and not m["text"] and default is None:
@@ -658,7 +639,7 @@ class _Parser:
                 branch, what = tok.start, tok.text
                 if what == "case":
                     self.next()
-                    label = self.capture_nonempty(":", "case needs a label expression")
+                    label = self.capture_until(":", "case needs a label expression")
                 elif what == "default":
                     self.next()
                     self.expect(":")

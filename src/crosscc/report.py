@@ -26,6 +26,17 @@ def _number(value: Fraction):
     return float(value)
 
 
+def finite(value, name: str):
+    """``value``, which must convert to a finite float, as every number a
+    report holds does: JSON, CSV, the plot and ``--fail-above`` read it as
+    one. ValueError otherwise."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range") from None
+    return value
+
+
 @dataclass(frozen=True)
 class UnitRecord:
     """One analyzed unit: a function of a .mini file or a whole .dot graph."""
@@ -104,16 +115,16 @@ def report_from_json(text: str) -> AnalysisReport:
         try:
             records.append(UnitRecord(
                 unit=rec["unit"], source=rec["source"], file=rec["source"],
-                position=i, nu=int(rec["nu"]),
-                omega=Fraction(str(rec["omega"])),
+                position=i, nu=finite(int(rec["nu"]), "nu"),
+                omega=finite(Fraction(str(rec["omega"])), "omega"),
                 provenance=rec["provenance"], region=rec["region"],
-                indicator=Fraction(str(rec["indicator"]))))
+                indicator=finite(Fraction(str(rec["indicator"])), "indicator")))
         except KeyError as ex:
             raise MalformedReport(f"record {i} has no {ex} field") from None
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as ex:
             raise MalformedReport(f"record {i}: {ex}") from None
     try:
-        slope = Fraction(str(config.get("slope", 2)))
+        slope = finite(Fraction(str(config.get("slope", 2))), "value")
     except (ValueError, ZeroDivisionError) as ex:
         raise MalformedReport(f"slope: {ex}") from None
     return AnalysisReport(

@@ -10,7 +10,9 @@ version of ``crosscc.basis``. Nothing under ``src/`` imports this module.
 * ``fundamental_cycle`` and ``tree_bound``: the two-sided climb of the
   parent map that built each fundamental cycle, and the tree bound that
   summed those cycles. ``tree_bound`` returns ``(cycles, total_weight)``
-  where it built a ``CycleBasis``; it is otherwise unchanged.
+  where it built a ``CycleBasis``, and ``fundamental_cycle`` raises
+  ``ValueError`` for a tree edge, where it raised an exception class that
+  is gone; both are otherwise unchanged.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
 from crosscc.basis import _edge_ids, _greedy_independent, _require_nonnegative
-from crosscc.errors import DisconnectedGraph, EdgeInTree
+from crosscc.errors import DisconnectedGraph
 from crosscc.graph import Cycle, Edge, SpanningTree, WeightedDigraph, cycle_rank
 
 
@@ -134,7 +136,7 @@ def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
     the host's integer weights over their scale: one ``Fraction`` per cycle.
     """
     if e.id in t.tree_edges:
-        raise EdgeInTree(f"edge {e.id} is a tree edge")
+        raise ValueError(f"edge {e.id} is a tree edge")
     parent, root = t.parent, t.root
     ends = [e.source, e.target]
     climbs = ([], [])

@@ -15,6 +15,9 @@ from crosscc.dot import parse_dot
 from conftest import FIXTURES
 
 
+BIG = 10**400  # beyond float range
+
+
 def copy_fixture(tmp_path, name):
     dst = tmp_path / name
     shutil.copy(FIXTURES / name, dst)
@@ -146,8 +149,24 @@ class TestAnalyze:
         assert main(["analyze", "--fail-above", "2", str(path), "-o",
                      str(tmp_path / "r.json")]) == 0
 
+    @pytest.mark.parametrize("weight, flags", [("0.5", []), ("1", ["--fail-above", "3"])])
+    def test_omega_beyond_float_range_costs_only_its_file(self, tmp_path, capsys,
+                                                          weight, flags):
+        # omega = 10^400 + 1/2 is written as a float; 10^400 + 1 is written
+        # as an int, and read as a float by the --fail-above message.
+        good = copy_fixture(tmp_path, "atomic_seq.mini")
+        big = tmp_path / "big.dot"
+        big.write_text(f"digraph g {{ a -> b [weight=1e400]; b -> a [weight={weight}]; }}",
+                       encoding="utf-8")
+        assert main(["analyze", *flags, str(big), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert f"{big}: error: g: omega is out of float range" in captured.err
+        assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["seq"]
+
     @pytest.mark.parametrize("flag, value", [
-        ("--slope", "foo"), ("--slope", "1/0"), ("--fail-above", "x")])
+        ("--slope", "foo"), ("--slope", "1/0"), ("--fail-above", "x"),
+        pytest.param("--slope", f"1{'0' * 400}/3", id="--slope-10^400/3"),
+        ("--fail-above", "1e400")])
     def test_bad_number_is_a_usage_error(self, flag, value, tmp_path, capsys):
         path = copy_fixture(tmp_path, "atomic_seq.mini")
         with pytest.raises(SystemExit) as exited:
@@ -275,6 +294,15 @@ class TestPlotCommand:
         '{"records": [{"unit": "f", "source": "a", "nu": 1e400, "omega": 1,'
         ' "provenance": "exact", "region": "non-trivial", "indicator": 1}]}',
         '{"records": [{"unit": "f", "source": "a", "nu": 1, "omega": 1}]}',
+        # Numbers a float cannot hold.
+        *(pytest.param(f'{{"records": [{{"unit": "f", "source": "a", "nu": {nu},'
+                       f' "omega": {omega}, "provenance": "exact", "region": "non-trivial",'
+                       f' "indicator": {indicator}}}]}}', id=f"{field}-10^400")
+          for field, nu, omega, indicator in [("nu", BIG, 1, 1), ("omega", 1, BIG, 1),
+                                              ("indicator", 1, 1, BIG)]),
+        pytest.param('{"config": {"slope": "1e400"}, "records": [{"unit": "f", "source": "a",'
+                     ' "nu": 1, "omega": 1, "provenance": "exact", "region": "non-trivial",'
+                     ' "indicator": 1}]}', id="slope-1e400"),
     ])
     def test_plot_wrong_shape_is_a_diagnostic(self, tmp_path, capsys, text):
         report = tmp_path / "report.json"

@@ -9,7 +9,6 @@ from crosscc.cfg import lower
 from crosscc.dot import parse_dot
 from crosscc.errors import (
     DisconnectedGraph,
-    EdgeInTree,
     EmptyGraph,
     NotACycle,
     NotASpanningTree,
@@ -23,7 +22,6 @@ from crosscc.graph import (
     SpanningTree,
     WeightedDigraph,
     cycle_rank,
-    fundamental_cycle,
     spanning_tree,
 )
 
@@ -178,6 +176,12 @@ class TestSpanningTree:
         assert g.weight_of(t.tree_edges) + complement == total_weight(g)
 
 
+def fundamental_cycles(t: SpanningTree):
+    """Each chord of ``t`` with its fundamental cycle, as the tree bound
+    builds them."""
+    return dict(zip(t.chords(), tree_bound(t.host, t).cycles))
+
+
 class TestFundamentalCycle:
     def test_chord_closes_triangle(self):
         # Directed pentagon a->b, b->c, a->c, a->d, c->d, c->e, d->e with
@@ -185,47 +189,40 @@ class TestFundamentalCycle:
         g = WeightedDigraph(
             5, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (2, 4), (3, 4)])
         t = SpanningTree.from_edge_ids(g, 0, [0, 2, 4, 5])
-        cyc = fundamental_cycle(t, g.edge(1))
+        cyc = fundamental_cycles(t)[1]
         assert cyc.edge_ids == {0, 1, 2}
 
     def test_second_chord(self):
         g = WeightedDigraph(
             5, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (2, 4), (3, 4)])
         t = SpanningTree.from_edge_ids(g, 0, [0, 2, 4, 5])
-        cyc = fundamental_cycle(t, g.edge(3))
+        cyc = fundamental_cycles(t)[3]
         assert cyc.edge_ids == {2, 3, 4}  # a-c, a-d, c-d
 
     def test_parallel_arc_gives_two_edge_cycle(self):
         g = WeightedDigraph(2, [(0, 1), (1, 0)])
         t = SpanningTree.from_edge_ids(g, 0, [0])
-        cyc = fundamental_cycle(t, g.edge(1))
+        cyc = fundamental_cycles(t)[1]
         assert cyc.edge_ids == {0, 1}
         assert cyc.weight == 2
-
-    def test_tree_edge_rejected(self):
-        g = weighted_fan()
-        t = spanning_tree(g, 0)
-        with pytest.raises(EdgeInTree):
-            fundamental_cycle(t, g.edge(0))
 
     def test_contains_only_chord_plus_tree_edges(self):
         g = weighted_fan()
         t = spanning_tree(g, 0)
-        for eid in t.chords():
-            cyc = fundamental_cycle(t, g.edge(eid))
+        for eid, cyc in fundamental_cycles(t).items():
             assert eid in cyc.edge_ids
             assert cyc.edge_ids - {eid} <= t.tree_edges
 
     def test_fundamental_system_has_full_rank(self):
         g = weighted_fan()
         t = spanning_tree(g, 0)
-        masks = [mask(fundamental_cycle(t, g.edge(i)).edge_ids) for i in t.chords()]
+        masks = [mask(c.edge_ids) for c in tree_bound(g, t).cycles]
         assert rank(masks) == cycle_rank(g) == len(masks)
 
     def test_ring_sum_of_fundamentals_stays_in_span(self):
         g = weighted_fan()
         t = spanning_tree(g, 0)
-        cycles = [fundamental_cycle(t, g.edge(i)) for i in t.chords()]
+        cycles = tree_bound(g, t).cycles
         masks = [mask(c.edge_ids) for c in cycles]
         combined = mask(cycles[0].edge_ids ^ cycles[1].edge_ids)
         assert rank(masks + [combined]) == rank(masks)
@@ -270,8 +267,7 @@ def test_fundamental_cycles_pass_the_cycle_check():
     # The root-path masks build each cycle without re-checking it;
     # Cycle.from_edges raises NotACycle if a mask is not one simple cycle.
     for g, t in trees_to_check():
-        for eid in t.chords():
-            c = fundamental_cycle(t, g.edge(eid))
+        for eid, c in fundamental_cycles(t).items():
             assert c == Cycle.from_edges(g, c.edge_ids)
             assert c.edge_ids - {eid} <= t.tree_edges
 
@@ -282,7 +278,6 @@ def test_fundamental_cycles_match_the_climb():
     # weight for every chord, in chord order, and the same total.
     for g, t in trees_to_check():
         cycles, total = basis_reference.tree_bound(g, t)
-        assert [fundamental_cycle(t, g.edge(eid)) for eid in t.chords()] == list(cycles)
         bound = tree_bound(g, t)
         assert bound.cycles == cycles
         assert all(type(c.weight) is Fraction for c in bound.cycles)

@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from crosscc.errors import EmptyReport
+from crosscc.errors import EmptyReport, MalformedReport
 from crosscc.plot import halfplane_svg, points_csv
 from crosscc.report import AnalysisReport, UnitRecord, report_from_json
 
@@ -58,6 +59,14 @@ class TestReport:
     def test_fractional_indicator_serializes_as_float(self):
         rec = record("g2", 10, 47)
         assert rec.to_dict()["indicator"] == 4.7
+
+
+    @pytest.mark.parametrize("field", ["nu", "omega", "indicator", "slope"])
+    def test_number_beyond_float_range_is_malformed(self, field):
+        doc = json.loads(paper_report().to_json())
+        (doc["config"] if field == "slope" else doc["records"][1])[field] = 10**400
+        with pytest.raises(MalformedReport, match="out of float range"):
+            report_from_json(json.dumps(doc))
 
 
 class TestPlot:

@@ -35,10 +35,10 @@ from test_programs import functions
 
 # Non-ASCII letters and digits (``²`` and ``①`` are str.isdigit but not
 # regex \d; ``½`` is numeric but neither), escapes, line ends, comment
-# delimiters, keywords and braces.
+# delimiters, ``?:`` pieces, keywords and braces.
 PIECES = ["é", "²", "①", "٣", "½", "_", "9", "0", ".", "\r", "\t", "\n", " ",
           '"', "\\", "/*", "*/", "//", "/", "*", "x", "a1", "\x0b",
-          "{", "}", "(", ")", "[", "]", ";", ":", ",", "=",
+          "{", "}", "(", ")", "[", "]", ";", ":", ",", "=", "?", " ? b : ", "?:",
           *sorted(minilang.KEYWORDS)]
 SCANNER_TEXT = st.lists(st.one_of(st.sampled_from(PIECES), st.characters()),
                         max_size=80).map("".join)
@@ -129,6 +129,15 @@ def assert_scanners_agree(source):
 @example("fn f() { for (; else; i) { x; } }")
 @example("fn f() { for (i = 0; } ; i) { x; } }")
 @example("fn f() { é: while (c) { if (d) { break é; } continue é; } }")
+# ``?:`` in text: a case label ends at its first ``:``, so this label is
+# ``a ? b`` and ``c`` stands where its body's ``{`` should; nested ``?:``
+# both ways; a ``?`` without a ``:``; a label before a ``?:``; groups
+# inside one.
+@example("fn f() { switch (k) { case a ? b : c: { x; } } }")
+@example("fn f() { x = a ? b ? c : d : e; y = a ? b : c ? d : e; }")
+@example("fn f() { x = a ? b; }")
+@example("fn f() { lbl: x ? a : b; }")
+@example("fn f() { x = c ? f(g(y)) : 0; }")
 def test_scanners_agree_on_generated_text(source):
     assert_scanners_agree(source)
 
@@ -138,7 +147,8 @@ def test_scanners_agree_on_generated_text(source):
                                  "} else {", "while (i < n) {", "x = 1;",
                                  "return y;", "break;", "L: for (;;) {",
                                  "switch (k) { case 1: {", "default: {",
-                                 "/* c\n */", "// c\n", '"s\n"', "\r\n", "²"]),
+                                 "/* c\n */", "// c\n", '"s\n"', "\r\n", "²",
+                                 "?", " ? b : ", "?:"]),
                 max_size=30).map(" ".join))
 def test_scanners_agree_on_statement_soup(source):
     assert_scanners_agree(source)
@@ -147,7 +157,7 @@ def test_scanners_agree_on_statement_soup(source):
 # Well-formed functions with 1 to 3 edits, each an insert of one of these
 # pieces or a delete of 1 to 4 characters, at a drawn offset.
 MUTATION_PIECES = [*sorted(minilang.KEYWORDS), "{", "}", "(", ")", ";", ":", " ",
-                   "/* ; */", "// :\n", "/*", "\x0b", "L0", "L1:", "é"]
+                   "/* ; */", "// :\n", "/*", "\x0b", "L0", "L1:", "é", "?", " ? b : ", "?:"]
 EDIT = st.tuples(st.integers(0, 10**4),
                  st.one_of(st.sampled_from(MUTATION_PIECES), st.integers(1, 4)))
 
@@ -173,7 +183,7 @@ def test_parsers_agree_on_mutated_functions(program, edits):
 # groups of every depth, matched or not; sometimes a file that ends in an
 # unterminated string or comment, which must beat any syntax error before it.
 EXPRESSION_PIECES = ["a", " ", "(", ")", "[", "]", ";", ":", '";"', '")"', "/* ; ) */",
-                     "// ; )\n", "/", "*", "\n"]
+                     "// ; )\n", "/", "*", "\n", "?", " ? b : ", "?:"]
 STATEMENT = st.tuples(st.sampled_from(["x = ", "return ", "case ", "if (", "for (", "L: ",
                                        "while ((", "s["]),
                       st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=14).map("".join))
@@ -293,16 +303,29 @@ def test_lexemes_read_the_fixtures(path):
 
 
 def test_token_path_reads_only_the_statements_it_needs():
-    # A ``:`` outside brackets ends a lexeme's text, so the ``if`` head and
-    # the ``return`` are statements on the token path (the function head
-    # is too, in parse_function); the bodies, the loop and ``y;`` are not.
-    source = ("fn f(a: int) {\n  if (a ? b : c) { x; }\n"
-              "  while (c) { return a ? b : c; }\n  y;\n}\n")
+    # Groups nested three deep and a label that is not ASCII are beyond a
+    # lexeme, so the ``if`` head and the labeled statement are statements
+    # on the token path (the function head is too, in parse_function: a
+    # ``:`` ends its text); the bodies, the loop, the ``return`` after the
+    # label and ``y;`` are not.
+    source = ("fn f(a: int) {\n  if (f(a[b(c)])) { x = a ? b : c; }\n"
+              "  while (c ? d : e) { é: return a ? b : c; }\n  y;\n}\n")
     with mock.patch.object(minilang._Parser, "parse_stmt_tokens", autospec=True,
                            side_effect=minilang._Parser.parse_stmt_tokens) as tokens:
         program = minilang.parse(source, "t.mini")
     assert program == reference.parse(source, "t.mini")
     assert tokens.call_count == 2
+
+
+def test_ternaries_need_no_tokens():
+    # A ``?`` with the text up to its ``:`` is expression text to a lexeme,
+    # in every place that text stands but a case label. (A ``?`` between
+    # a ``?`` and its ``:`` is not, and leaves its statement to the tokens.)
+    source = ("fn f(a ? b : c) {\n  if (a ? b : c) { x = c ? f(g(y)) : 0; }\n"
+              "  while (c ? d : e) { return a ? (b ? c : d) : e; }\n"
+              "  for (i = c ? 0 : 1; c ? i < n : 0; i = i ? i + 1 : 0) { L: x ? a : b; }\n"
+              "  switch (k ? 1 : 2) { case 1: { y = a ? b : c ? d : e; } }\n}\n")
+    assert parse_by_lexemes(source, "t.mini") == reference.parse(source, "t.mini")
 
 
 @settings(max_examples=20, deadline=None)
