@@ -113,11 +113,10 @@ def _tokenize(source: str, filename: str, pos: int = 0):
 # Expression text is opaque: only ``; : ( ) [ ]`` outside strings and
 # comments delimit it. _TEXT reads it in one match: runs of other
 # characters, whole strings and comments (a ``/`` that starts neither is
-# text), ``(...)``/``[...]`` groups, closed by their own kind of bracket, up
-# to two levels deep, and a ``?`` with the text up to its ``:``, so that
-# ``a ? b : c`` is text as well. It stops before a delimiter, a ``?``
-# without its ``:``, an unterminated string or comment, or a group it
-# cannot close; the parser's token path takes over from there.
+# text), and ``(...)``/``[...]`` groups, closed by their own kind of
+# bracket, up to two levels deep. It stops before a delimiter, an
+# unterminated string or comment, or a group it cannot close; the parser's
+# token path takes over from there.
 _OPAQUE = rf"{_STRING}|{_COMMENT}|/(?!\*)"
 
 
@@ -127,8 +126,7 @@ def _groups(inner: str) -> str:
 
 _NESTED = rf'[^()\[\]"/]++|{_OPAQUE}'
 _GROUP = _groups(f"{_NESTED}|{_groups(_NESTED)}")
-_RUN = rf'[^;:?()\[\]"/]++|{_OPAQUE}|{_GROUP}'
-_TEXT = rf"(?:{_RUN}|\?(?:{_RUN})*+:)*+"
+_TEXT = rf'(?:[^;:()\[\]"/]++|{_OPAQUE}|{_GROUP})*+'
 # Whitespace and comments alone: what may stand between a label and its ``:``.
 _SKIP_BLANKS = re.compile(_BLANKS, re.DOTALL)
 
@@ -626,9 +624,7 @@ class _Parser:
                 self.pos = m.end()
                 break
             what = kind == "end" and m["end"][0] == ":" and m["end"][-1] == "{" and m["kw"]
-            # A case label ends at its first ``:``, so one with a ``?``,
-            # whose ``:`` _TEXT may have read, is left to the token path.
-            if what == "case" and (label := m["text"].strip()) and "?" not in label:
+            if what == "case" and (label := m["text"].strip()):
                 branch = m.start("at")
                 self.pos = m.end()
             elif what == "default" and not m["text"] and default is None:

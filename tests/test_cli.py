@@ -149,11 +149,12 @@ class TestAnalyze:
         assert main(["analyze", "--fail-above", "2", str(path), "-o",
                      str(tmp_path / "r.json")]) == 0
 
-    @pytest.mark.parametrize("weight, flags", [("0.5", []), ("1", ["--fail-above", "3"])])
+    @pytest.mark.parametrize("weight, flags", [("0.5", []), ("1", []),
+                                               ("1", ["--fail-above", "3"])])
     def test_omega_beyond_float_range_costs_only_its_file(self, tmp_path, capsys,
                                                           weight, flags):
-        # omega = 10^400 + 1/2 is written as a float; 10^400 + 1 is written
-        # as an int, and read as a float by the --fail-above message.
+        # omega = 10^400 + 1/2 would be written as a float; 10^400 + 1 as an
+        # int, which the plot and the --fail-above message read as a float.
         good = copy_fixture(tmp_path, "atomic_seq.mini")
         big = tmp_path / "big.dot"
         big.write_text(f"digraph g {{ a -> b [weight=1e400]; b -> a [weight={weight}]; }}",

