@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import DisconnectedGraph, NegativeWeight, TooLarge
 from .graph import (
@@ -60,23 +58,19 @@ class Provenance(enum.Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(NamedTuple):
     """A cycle basis: cycle_rank(g) independent ``(edge mask, weight * scale)``
-    pairs and their total weight. ``cycles`` is built on first read, then kept."""
+    pairs and their total weight. ``cycles`` is built from them on each read."""
 
     masks: Tuple[Tuple[int, int], ...]
     scale: int
     total_weight: Fraction
     provenance: Provenance
 
-    @cached_property
+    @property
     def cycles(self) -> Tuple[Cycle, ...]:
         return tuple(Cycle(frozenset(_edge_ids(m)), Fraction(w, self.scale))
                      for m, w in self.masks)
-
-    def __len__(self):
-        return len(self.masks)
 
 
 def _require_nonnegative(g: WeightedDigraph) -> None:

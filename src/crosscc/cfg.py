@@ -36,8 +36,7 @@ frontend.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import minilang as ast
 from .errors import UnreachableCode, UnresolvedLabel
@@ -46,8 +45,7 @@ from .graph import ZERO, WeightedDigraph
 EXIT_LABEL = "exit"
 
 
-@dataclass(frozen=True)
-class ControlFlowGraph:
+class ControlFlowGraph(NamedTuple):
     """A lowered function: digraph + start/exit vertices + the synthetic arc id."""
 
     graph: WeightedDigraph

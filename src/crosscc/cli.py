@@ -128,11 +128,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    if Path(args.output).suffix == ".csv":
+        _diag(f"{args.output}: error: the points CSV would overwrite the SVG; "
+              "give -o a path that does not end in .csv")
+        return 1
     try:
         report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
         svg = halfplane_svg(report)
         csv_text = points_csv(report)
-    except (CrossCCError, OSError, ValueError, KeyError) as ex:
+    except (CrossCCError, OSError, ValueError, KeyError, OverflowError) as ex:
         _diag(f"{args.report}: error: {ex}")
         return 1
     return (_emit(svg, args.output)

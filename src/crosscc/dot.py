@@ -35,10 +35,9 @@ distinct weight text is parsed to a ``Fraction`` once per document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cfg import ControlFlowGraph, check_reachability
 from .errors import DotSyntaxError, MissingStartExit
@@ -67,8 +66,7 @@ _TOKEN_RE = re.compile(
 _NOT_NAMES = frozenset(("", "->", "{", "}", "[", "]", ";", "=", ","))
 
 
-@dataclass(frozen=True)
-class DotGraphDoc:
+class DotGraphDoc(NamedTuple):
     """A parsed document: the graph plus the control-flow metadata it carried."""
 
     name: str

@@ -18,10 +18,8 @@ weights times one common factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -170,8 +168,7 @@ def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
     return parent
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     """A spanning tree of ``host``: edge-id set plus a parent map rooted at ``root``.
 
     ``parent[v] = (parent_vertex, edge_id)`` for every vertex except the root,
@@ -187,11 +184,12 @@ class SpanningTree:
         """Non-tree edge ids in ascending order."""
         return [eid for eid, _, _, _ in self.host.edges if eid not in self.tree_edges]
 
-    @cached_property
-    def _root_paths(self) -> Tuple[List[int], List[int], Dict[int, int], List[int]]:
-        """Per vertex, the edge mask and integer weight of its path from the
-        root; the vertex of each such mask; and the host's integer weights."""
+    def fundamental_masks(self, chords: Iterable[Edge]) -> List[Tuple[int, int]]:
+        """Edge mask and integer weight of the cycle ``tree + e``, per chord e:
+        the XOR of the root paths of e's ends, whose AND ends where they meet."""
         weights = self.host.integer_weights()[0]
+        # Per vertex, the edge mask and integer weight of its path from the
+        # root, and the vertex at which each such mask ends.
         path = [0] * self.host.vertex_count
         depth = [0] * self.host.vertex_count
         at = {0: self.root}
@@ -199,12 +197,6 @@ class SpanningTree:
             path[v] = mask = path[p] | 1 << eid
             depth[v] = depth[p] + weights[eid]
             at[mask] = v
-        return path, depth, at, weights
-
-    def fundamental_masks(self, chords: Iterable[Edge]) -> List[Tuple[int, int]]:
-        """Edge mask and integer weight of the cycle ``tree + e``, per chord e:
-        the XOR of the root paths of e's ends, whose AND ends where they meet."""
-        path, depth, at, weights = self._root_paths
         return [(path[x] ^ path[y] | 1 << eid,
                  depth[x] + depth[y] - 2 * depth[at[path[x] & path[y]]] + weights[eid])
                 for eid, x, y, _ in chords]
@@ -245,9 +237,8 @@ def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
     return SpanningTree(host=g, root=root, tree_edges=tree_edges, parent=parent)
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """An unoriented simple cycle as an edge-id set with its cached exact weight."""
+class Cycle(NamedTuple):
+    """An unoriented simple cycle as an edge-id set with its exact weight."""
 
     edge_ids: frozenset
     weight: Fraction

@@ -15,9 +15,8 @@ with each other, so we refuse to hard-code one reading.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .basis import Provenance, horton_basis, tree_bound
 from .cfg import ControlFlowGraph
@@ -33,8 +32,7 @@ class Region(enum.Enum):
     NON_TRIVIAL = "non-trivial"
 
 
-@dataclass(frozen=True)
-class CrossComplexity:
+class CrossComplexity(NamedTuple):
     """The (nu, omega) pair plus how omega was obtained and where it plots."""
 
     nu: int
@@ -58,16 +56,6 @@ def classify_region(nu: int, omega, slope=DEFAULT_SLOPE) -> Region:
     if omega < slope * nu:
         return Region.TRIVIAL_BAND
     return Region.NON_TRIVIAL
-
-
-def _make(nu: int, omega: Fraction, provenance: Provenance, slope) -> CrossComplexity:
-    if nu == 0:
-        raise ZeroNu("cross complexity needs cycle rank >= 1 "
-                     "(a closed control-flow graph always has it)")
-    indicator = omega / Fraction(nu)
-    return CrossComplexity(nu=nu, omega_min=omega, provenance=provenance,
-                           region=classify_region(nu, omega, slope),
-                           indicator=indicator)
 
 
 def cross_complexity(
@@ -96,4 +84,10 @@ def cross_complexity(
         basis = tree_bound(graph, tree or spanning_tree(graph, root))
     else:
         raise ValueError(f"cross complexity has no {mode.value!r} mode")
-    return _make(nu, basis.total_weight, basis.provenance, slope)
+    if nu == 0:
+        raise ZeroNu("cross complexity needs cycle rank >= 1 "
+                     "(a closed control-flow graph always has it)")
+    omega = basis.total_weight
+    return CrossComplexity(nu=nu, omega_min=omega, provenance=basis.provenance,
+                           region=classify_region(nu, omega, slope),
+                           indicator=omega / Fraction(nu))

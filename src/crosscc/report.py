@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import MalformedReport
 
@@ -37,8 +36,7 @@ def finite(value, name: str):
     return value
 
 
-@dataclass(frozen=True)
-class UnitRecord:
+class UnitRecord(NamedTuple):
     """One analyzed unit: a function of a .mini file or a whole .dot graph."""
 
     unit: str          # function or graph name
@@ -63,8 +61,7 @@ class UnitRecord:
         }
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     records: Tuple[UnitRecord, ...]
     tool_version: str
     mode: str

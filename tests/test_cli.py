@@ -304,6 +304,10 @@ class TestPlotCommand:
         pytest.param('{"config": {"slope": "1e400"}, "records": [{"unit": "f", "source": "a",'
                      ' "nu": 1, "omega": 1, "provenance": "exact", "region": "non-trivial",'
                      ' "indicator": 1}]}', id="slope-1e400"),
+        # A slope that fits a float, but not once scaled to the plot's x-span.
+        pytest.param('{"config": {"slope": 1e308}, "records": [{"unit": "f", "source": "a",'
+                     ' "nu": 1, "omega": 1, "provenance": "exact", "region": "non-trivial",'
+                     ' "indicator": 1}]}', id="slope-1e308"),
     ])
     def test_plot_wrong_shape_is_a_diagnostic(self, tmp_path, capsys, text):
         report = tmp_path / "report.json"
@@ -311,6 +315,16 @@ class TestPlotCommand:
         out = tmp_path / "plot.svg"
         assert main(["plot", str(report), "-o", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"{report}: error: ")
+        assert not out.exists()
+
+    def test_csv_output_path_is_refused_before_writing(self, tmp_path, capsys):
+        # The points CSV would land on the SVG's own path.
+        src = copy_fixture(tmp_path, "listing1.mini")
+        report = tmp_path / "report.json"
+        assert main(["analyze", str(src), "-o", str(report)]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["plot", str(report), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"{out}: error: ")
         assert not out.exists()
 
 
@@ -362,14 +376,30 @@ class TestDumpCfg:
         assert "\x1b[" not in capsys.readouterr().err
 
 
-def run_module(*args):
-    """``python -m crosscc args``, with this checkout's ``src`` first on
-    the path."""
+def run_python(*args):
+    """``python args`` in a fresh interpreter, with this checkout's ``src``
+    first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "crosscc", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(*args):
+    """``python -m crosscc args``."""
+    return run_python("-m", "crosscc", *args)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every CI call pays for the import; dataclasses alone pulls in inspect,
+    # ast, dis and tokenize.
+    run = run_python("-c", "import sys; before = set(sys.modules); import crosscc.cli; "
+                           "print(*sorted(set(sys.modules) - before))")
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "crosscc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_python_dash_m_runs_the_cli(capsys):
