@@ -1,34 +1,46 @@
 """Minimum-weight cycle bases: exact greedy-over-candidates algorithm, the
 spanning-tree upper bound, and an independent brute-force oracle.
 
-The exact algorithm builds, for every root z of a feedback vertex set and
-every edge e=(x,y), the candidate cycle ``shortest z-x path + e + shortest
-y-z path``, keeps the simple ones, sorts them by weight, and greedily admits
-candidates whose edge bitmask is independent over GF(2) until the cycle rank
-is reached. Horton (1987) showed that with every vertex as a root this
+The exact algorithm first reduces the graph by three rules until none
+applies. Each keeps omega, the minimum basis weight, exactly:
+
+* Prune: a vertex of degree at most 1 lies on no cycle; drop it.
+* Series: a vertex v of degree 2, with edges (a, v) and (v, b), a != b,
+  becomes one edge (a, b) of the summed weight. Cycles map one to one
+  with equal weights.
+* Parallel: take edges a and b between u and v with w(a) <= w(b). Remove
+  b, and record the forced cycle b plus a shortest u-v path of G - b, of
+  weight w(b) + d. The map phi(x) = x + [b in x]{a, b} from the cycle
+  space Z(G) onto Z(G - b) is linear, and its kernel is spanned by the
+  2-cycle {a, b}. So dropping from any basis of G a member that holds b
+  (one that the expansion of {a, b} uses) leaves an image that is a basis
+  of G - b. No member gets heavier, since swapping b for a costs
+  w(a) - w(b) <= 0, and the dropped one weighs at least w(b) + d. Hence
+  omega(G) >= omega(G - b) + w(b) + d, and the forced cycle plus a minimum
+  basis of G - b attains it. The trap: w(b) + w(a) is wrong when a third
+  u-v path is shorter than a, so d comes from a Dijkstra bounded by w(a).
+
+On what is left, the kernel, it builds for every root z of a feedback
+vertex set and every edge e=(x,y) the candidate cycle ``shortest z-x path
++ e + shortest y-z path``, keeps the simple ones, sorts them by weight,
+and greedily admits candidates whose edge bitmask is independent over
+GF(2) until the kernel's cycle rank (nu less the forced cycles) is
+reached. Horton (1987) showed that with every vertex as a root this
 candidate set contains a minimum-weight basis when the shortest paths are
 unique; Mehlhorn & Michail ("Minimum cycle bases: faster and simpler", ACM
 TALG 2009) showed that roots over any feedback vertex set (a vertex set that
 meets every cycle) suffice, so the roots are a greedy one. Path ties are
-broken by the path's edge bitmask (bit i set iff edge i is on the path),
-which gives one consistent shortest-path tree per root. That tie-break mask
-is the path itself: a candidate cycle is two path masks and the bit of e,
-OR-ed.
+broken by the path's edge bitmask (bit i set iff kernel edge i is on the
+path), which gives one consistent shortest-path tree per root. That
+tie-break mask is the path itself: a candidate cycle is two path masks and
+the bit of e, OR-ed. A kernel edge stands for a path of original edges, so
+a chosen kernel cycle becomes an original-edge mask by OR-ing theirs.
 
 Weights are scaled to ints on entry, by the least common multiple of their
 denominators, so no ``Fraction`` arithmetic runs in the shortest paths or
 the candidate weights. Scaling by a positive constant keeps the
 ``(weight, mask)`` order, so the trees and the greedy order are those of the
 exact weights.
-
-Per graph, the edges are read once into an adjacency of ``(neighbor,
-integer weight, edge bit)`` triples and a list of arcs, which every root's
-shortest paths and the candidate loop share. A relaxation compares the
-integer distances first and builds a path mask only when the new distance
-beats the old one or ties it, where the mask decides. Every candidate is a
-simple cycle with its integer weight by construction, so each chosen cycle
-is kept as its mask and integer weight, and is not walked again: a basis
-builds ``Cycle`` objects only when its ``cycles`` are read.
 """
 
 from __future__ import annotations
@@ -83,8 +95,8 @@ def _mask(edge_ids: Iterable[int]) -> int:
     return sum(1 << i for i in edge_ids)
 
 
-def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
-    """A greedy feedback vertex set of the unoriented graph.
+def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[int]:
+    """A greedy feedback vertex set of the unoriented graph of ``adjacency``.
 
     Repeatedly prunes vertices of degree at most 1, which lie on no cycle,
     then takes the vertex of highest remaining degree (lowest id on ties),
@@ -93,8 +105,8 @@ def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
     The choice reads a heap of ``(-degree, vertex)``: degrees only fall, so
     an entry whose degree has fallen goes back in at its current degree.
     """
-    n = g.vertex_count
-    degree = [len(g.incident(v)) for v in range(n)]
+    n = len(adjacency)
+    degree = [len(row) for row in adjacency]
     alive = [True] * n
     prune = [v for v in range(n) if degree[v] <= 1]
     heap = [(-d, v) for v, d in enumerate(degree)]
@@ -103,8 +115,7 @@ def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
 
     def remove(v):
         alive[v] = False
-        for _, source, target, _ in g.incident(v):
-            u = target if v == source else source
+        for u, _, _ in adjacency[v]:
             if alive[u]:
                 degree[u] -= 1
                 if degree[u] == 1:
@@ -178,13 +189,93 @@ def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int):
     return dist, path
 
 
-def _candidate_cycles(g: WeightedDigraph, weights: List[int]) -> Dict[int, int]:
+def _reduce(g: WeightedDigraph, weights: List[int]):
+    """``(adjacency, originals, forced)``: the kernel of ``g`` on the integer
+    ``weights`` by the rules of the module docstring, laid out as by
+    ``_adjacency``; the original-edge mask of each kernel edge by kernel edge
+    id, or None when nothing reduced and the kernel is ``g`` itself; and
+    the forced cycles as ``(original-edge mask, integer weight)`` pairs."""
+    # Per vertex, neighbor -> slot of the one edge between them (None once
+    # the vertex is gone); per slot, (integer weight, original-edge mask).
+    # A parallel edge is found as it is joined: the lighter keeps the slot,
+    # and the heavier waits in `heavier` for its forced cycle, which is
+    # taken before the next step changes the graph.
+    nbr = [{} for _ in range(g.vertex_count)]
+    slots, heavier, forced = [], [], []
+
+    def join(u, v, edge):
+        k = nbr[u].get(v)
+        if k is None:
+            nbr[u][v] = nbr[v][u] = len(slots)
+            slots.append(edge)
+        else:
+            slots[k], edge = sorted((slots[k], edge))
+            heavier.append((u, v, edge))
+
+    for eid, source, target, _ in g.edges:
+        join(source, target, (weights[eid], 1 << eid))
+    stack = [v for v, row in enumerate(nbr) if len(row) <= 2]
+    if not stack and not heavier:
+        return _adjacency(g, weights), None, forced
+    while True:
+        for u, v, (w, m) in heavier:
+            d, path = _detour(nbr, slots, u, v)
+            forced.append((m | path, w + d))
+        heavier.clear()
+        if not stack:
+            break
+        row = nbr[v := stack.pop()]
+        if row is None or len(row) > 2:
+            continue
+        nbr[v] = None
+        for u in row:
+            del nbr[u][v]
+        if len(row) == 2:
+            (a, ka), (b, kb) = row.items()
+            (wa, ma), (wb, mb) = slots[ka], slots[kb]
+            join(a, b, (wa + wb, ma | mb))
+        stack += row  # a neighbor whose degree fell to 2 or less
+    live = [v for v, row in enumerate(nbr) if row is not None]
+    index = {v: i for i, v in enumerate(live)}
+    adjacency, originals = [[] for _ in live], []
+    for v in live:
+        for u, k in nbr[v].items():
+            if u > v:
+                (w, m), bit = slots[k], 1 << len(originals)
+                originals.append(m)
+                adjacency[index[v]].append((index[u], w, bit))
+                adjacency[index[u]].append((index[v], w, bit))
+    return adjacency, originals, forced
+
+
+def _detour(nbr, slots, u, v):
+    """``(d, original-edge mask)`` of a shortest u-v path of ``_reduce``'s
+    graph without its u-v edge k, if one is lighter than k; else k's own.
+    The Dijkstra from u settles only distances below the weight of k."""
+    k = nbr[u][v]
+    bound = slots[k][0]
+    dist = {u: 0}
+    heap = [(0, u, 0)]
+    while heap:
+        d, x, p = heappop(heap)
+        if x == v:
+            return d, p
+        if d == dist[x]:
+            for y, j in nbr[x].items():
+                w, m = slots[j]
+                if d + w < dist.get(y, bound) and j != k:
+                    dist[y] = d + w
+                    heappush(heap, (d + w, y, p | m))
+    return slots[k]
+
+
+def _candidate_cycles(adjacency: List[List[Tuple[int, int, int]]]) -> Dict[int, int]:
     """All simple candidate cycles ``P(z,x) + e + P(y,z)`` over the roots z of
-    a feedback vertex set, as mask -> integer weight (``weights`` scale)."""
-    adjacency = _adjacency(g, weights)
-    arcs = [(x, y, weights[eid], 1 << eid) for eid, x, y, _ in g.edges]
+    a feedback vertex set of ``adjacency`` (see ``_adjacency``), as mask ->
+    integer weight."""
+    arcs = [(x, y, w, bit) for x, row in enumerate(adjacency) for y, w, bit in row if x < y]
     candidates = {}
-    for z in _feedback_vertex_set(g):
+    for z in _feedback_vertex_set(adjacency):
         dist, path = _shortest_paths(adjacency, z)
         for x, y, w, bit in arcs:
             p_zx, p_zy = path[x], path[y]
@@ -200,7 +291,8 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     """Exact minimum-weight cycle basis of a connected graph with weights >= 0.
 
     Acyclic graphs (cycle rank 0) yield an empty basis rather than an error,
-    so straight-line control-flow subgraphs stay total.
+    so straight-line control-flow subgraphs stay total. The cycles are in
+    ``(weight, mask)`` order.
     """
     # Label-setting Dijkstra is unsound on negative weights.
     _require_nonnegative(g)
@@ -208,18 +300,23 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     if nu == 0:
         return CycleBasis((), 1, Fraction(0), Provenance.EXACT)
     weights, scale = g.integer_weights()
-    candidates = _candidate_cycles(g, weights)
+    adjacency, originals, forced = _reduce(g, weights)
+    rank = nu - len(forced)
+    candidates = _candidate_cycles(adjacency)
     ordered = sorted(candidates, key=lambda m: (candidates[m], m))
-    chosen = _greedy_independent(ordered, nu)
-    if len(chosen) < nu:
+    chosen = _greedy_independent(ordered, rank)
+    if len(chosen) < rank:
         # Cannot happen for a connected graph: the candidate set contains a
         # minimum basis. Guard against silent nonsense anyway.
         raise AssertionError("candidate cycles did not span the cycle space")
     # Every candidate is a simple cycle with its integer weight by
     # construction, so the chosen ones need no walk of their own.
-    masks = tuple((m, candidates[m]) for m in chosen)
+    masks = [(m, candidates[m]) for m in chosen]
+    if originals is not None:
+        masks = sorted(forced + [(sum(originals[i] for i in _edge_ids(m)), w)
+                                 for m, w in masks], key=lambda c: (c[1], c[0]))
     total = Fraction(sum(w for _, w in masks), scale)
-    return CycleBasis(masks, scale, total, Provenance.EXACT)
+    return CycleBasis(tuple(masks), scale, total, Provenance.EXACT)
 
 
 def _greedy_independent(ordered_masks: Iterable[int], nu: int) -> List[int]:

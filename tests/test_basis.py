@@ -12,6 +12,7 @@ from crosscc.basis import (
     _candidate_cycles,
     _edge_ids,
     _feedback_vertex_set,
+    _reduce,
     _require_nonnegative,
     _shortest_paths,
     enumerate_simple_cycles,
@@ -31,6 +32,7 @@ from crosscc.graph import (
     cycle_rank,
     spanning_tree,
 )
+from crosscc.metric import cross_complexity
 from crosscc.minilang import parse
 
 from conftest import (
@@ -71,11 +73,16 @@ def scale_of(g):
     return math.lcm(*(e.weight.denominator for e in g.edges))
 
 
+def adjacency_of(g):
+    """``_adjacency`` of ``g`` on the integer weights ``horton_basis`` uses."""
+    return _adjacency(g, g.integer_weights()[0])
+
+
 def shortest_paths(g, source):
     """``_shortest_paths`` from ``source`` on the adjacency of the integer
     weights ``horton_basis`` uses (the weighted fan's are already integers,
     so its scale is 1)."""
-    return _shortest_paths(_adjacency(g, g.integer_weights()[0]), source)
+    return _shortest_paths(adjacency_of(g), source)
 
 
 def all_pairs(g):
@@ -147,7 +154,7 @@ class TestCandidateCycles:
     @staticmethod
     def check(g):
         scale = scale_of(g)
-        for mask, weight in _candidate_cycles(g, g.integer_weights()[0]).items():
+        for mask, weight in _candidate_cycles(adjacency_of(g)).items():
             ids = edge_ids(mask)
             assert Cycle.from_edges(g, ids).edge_ids == ids
             assert type(weight) is int
@@ -167,6 +174,14 @@ class TestCandidateCycles:
         assert len(graphs) > 10
         for g in graphs:
             self.check(g)
+
+
+def kernel_graph(adjacency):
+    """The kernel ``adjacency`` of ``_reduce`` as a graph on its integer
+    weights, kernel edge i as edge i."""
+    arcs = sorted((bit, x, y, w) for x, row in enumerate(adjacency)
+                  for y, w, bit in row if x < y)
+    return WeightedDigraph(len(adjacency), [(x, y, w) for _, x, y, w in arcs])
 
 
 def reference_corpus():
@@ -193,9 +208,22 @@ class TestReferenceDijkstra:
                     basis_reference._shortest_paths(g, weights, s)
 
     def test_same_roots_and_basis(self):
+        # The reference runs on the kernel that _reduce leaves, built as a
+        # graph; its cycles as original edges, with the forced cycles, in
+        # (weight, mask) order, must be the basis.
         for g in reference_corpus():
-            assert _feedback_vertex_set(g) == basis_reference._feedback_vertex_set(g)
-            assert list(horton_basis(g).cycles) == basis_reference.horton_cycles(g)
+            weights, scale = g.integer_weights()
+            adjacency, originals, forced = _reduce(g, weights)
+            if originals is None:
+                originals = [1 << i for i in range(g.edge_count)]
+            kernel = kernel_graph(adjacency)
+            assert _feedback_vertex_set(adjacency) == basis_reference._feedback_vertex_set(kernel)
+            cycles = basis_reference.horton_cycles(kernel) if adjacency else []
+            expected = forced + [(sum(originals[i] for i in c.edge_ids), c.weight)
+                                 for c in cycles]
+            expected.sort(key=lambda c: (c[1], c[0]))
+            assert list(horton_basis(g).cycles) == \
+                [Cycle(frozenset(_edge_ids(m)), Fraction(w, scale)) for m, w in expected]
 
     def test_oracle_cycles_are_the_checked_ones(self):
         # The oracle's basis keeps masks like the others; the cycles it
@@ -230,15 +258,15 @@ def is_forest_without(g, removed):
 class TestFeedbackVertexSet:
     def test_parallel_arcs_keep_a_root(self):
         g = WeightedDigraph(3, [(0, 1), (1, 2), (2, 1)])
-        assert _feedback_vertex_set(g) == [1]
+        assert _feedback_vertex_set(adjacency_of(g)) == [1]
 
     def test_acyclic_graph_needs_no_root(self):
-        assert _feedback_vertex_set(WeightedDigraph(4, [(0, 1), (1, 2), (1, 3)])) == []
+        assert _feedback_vertex_set(adjacency_of(WeightedDigraph(4, [(0, 1), (1, 2), (1, 3)]))) == []
 
     def test_highest_degree_then_lowest_id(self):
         # K4: every degree is 3, so vertex 0 goes first; the rest is a
         # triangle of degree 2, so vertex 1 goes next.
-        assert _feedback_vertex_set(k4()) == [0, 1]
+        assert _feedback_vertex_set(adjacency_of(k4())) == [0, 1]
 
 
 class TestHortonBasis:
@@ -295,6 +323,61 @@ class TestHortonBasis:
         b1 = horton_basis(g)
         b2 = horton_basis(g)
         assert [c.edge_ids for c in b1.cycles] == [c.edge_ids for c in b2.cycles]
+
+
+def if_chain(n):
+    """The CFG of one function of ``n`` sequential ``if (c) { x; }`` and a
+    ``return``."""
+    text = "fn f(c) {\n" + "  if (c) { x; }\n" * n + "  return x;\n}\n"
+    return lower(parse(text, "chain.mini").functions[0])
+
+
+class TestReduction:
+    """``horton_basis`` runs the candidates on the kernel that the prune,
+    series and parallel rules of ``_reduce`` leave, plus the forced cycles."""
+
+    def test_parallel_edge_closes_through_the_shortest_other_path(self):
+        # K4 with a second, heavier 0-1 edge b. omega(G - b) = 13, and b's
+        # forced cycle is b plus 0-2-1 (7 + 2), not b plus edge 0 (7 + 5).
+        g = WeightedDigraph(
+            4, [(0, 1, 5), (0, 1, 7), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        assert _reduce(g, g.integer_weights()[0])[2] == [(0b10110, 9)]
+        assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight == 22
+
+    def test_multigraphs_with_a_forced_cycle_match_the_oracle(self):
+        rng = random.Random(0x9A7A11E1)
+        reduced = 0
+        while reduced < 300:
+            g = random_weighted_multigraph(rng)
+            if _reduce(g, g.integer_weights()[0])[2]:
+                reduced += 1
+                assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight
+
+    def test_every_chosen_cycle_is_a_checked_simple_cycle(self):
+        # Forced and kernel cycles alike: a simple cycle of g with its
+        # recorded weight, independent of the others, nu of them in all.
+        rng = random.Random(0xB16)
+        functions = [lower(parse(nested_mini_function(rng, d), "big.mini").functions[0]).graph
+                     for d in (10, 25, 40, 60)]
+        for g in reference_corpus() + functions:
+            basis = horton_basis(g)
+            gf2 = Gf2Basis()
+            for m, w in basis.masks:
+                assert Cycle.from_edges(g, _edge_ids(m)).weight == Fraction(w, basis.scale)
+                assert gf2.try_add(m)
+            assert len(basis.masks) == cycle_rank(g)
+
+    def test_if_chain_reduces_away(self):
+        # omega = 4n + 1: each if's body closes a triangle of weight 3, and
+        # the shortest entry-to-exit path, closed by the zero-weight arc,
+        # weighs n + 1. The reduction leaves no kernel, so 2000 ifs are fast.
+        for n in range(1, 7):
+            cc = cross_complexity(if_chain(n))
+            assert cc.omega_min == oracle_min_basis(if_chain(n).graph).total_weight == 4 * n + 1
+        cfg = if_chain(2000)
+        assert _reduce(cfg.graph, cfg.graph.integer_weights()[0])[0] == []
+        cc = cross_complexity(cfg)
+        assert (cc.nu, cc.omega_min) == (2001, 8001)
 
 
 class TestTreeBound:
@@ -398,9 +481,9 @@ class TestWeightedCorpus:
             exact = horton_basis(g).total_weight
             assert isinstance(exact, Fraction)
             assert exact == oracle_min_basis(g).total_weight
-            assert is_forest_without(g, _feedback_vertex_set(g))
+            assert is_forest_without(g, _feedback_vertex_set(adjacency_of(g)))
         for g in fixture_graphs():
-            assert is_forest_without(g, _feedback_vertex_set(g))
+            assert is_forest_without(g, _feedback_vertex_set(adjacency_of(g)))
 
     def test_chosen_cycles_pass_the_cycle_check(self):
         # horton_basis takes each chosen cycle straight from its mask and
@@ -451,13 +534,16 @@ def weighted_dot_cfg(rng, nodes=48, extra=27, parallel=4):
     return f"digraph g {{\n  start=n0; exit=n{nodes - 1};\n{body}}}\n"
 
 
-def nested_mini_function(rng, decisions):
+def nested_mini_function(rng, decisions, jumps=False):
     """MiniLang text of one function: a random nest of if, if/else, while
-    and for, ``decisions`` of them in all."""
+    and for, ``decisions`` of them in all. With ``jumps``, every while body
+    ends in an if with a break and an if with a continue, two decisions
+    more each."""
     lines = []
+    exits = ("  if (x == y) { break; }", "  y = 3;", "  if (y < x) { continue; }", "  y = 4;")
     heads = {"if": ("if (a < b) {", ()),
              "ifelse": ("if (x != 0) {", ("} else {", "  y = 2;")),
-             "while": ("while (i < n) {", ()),
+             "while": ("while (i < n) {", exits if jumps else ()),
              "for": ("for (j = 0; j < n; j = j + 1) {", ())}
 
     def block(budget, pad):
@@ -498,7 +584,9 @@ def networkx_min_basis(g):
     lambda: parse_dot(weighted_dot_cfg(random.Random(48))).graph,
     lambda: lower(parse(nested_mini_function(random.Random(70), 25), "big.mini")
                   .functions[0]).graph,
-], ids=["weighted-dot", "mini-function"])
+    lambda: lower(parse(nested_mini_function(random.Random(70), 15, jumps=True), "big.mini")
+                  .functions[0]).graph,
+], ids=["weighted-dot", "mini-function", "mini-function-with-jumps"])
 def test_networkx_agrees_above_the_oracle_size(graph):
     g = graph()
     with pytest.raises(TooLarge):
