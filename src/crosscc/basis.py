@@ -138,20 +138,9 @@ def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[in
         remove(v)
 
 
-def _adjacency(g: WeightedDigraph, weights: List[int]) -> List[List[Tuple[int, int, int]]]:
-    """Per vertex, ``(neighbor, weight, 1 << edge id)`` for every incident
-    edge in ascending edge id, on the integer ``weights`` by edge id."""
-    adjacency = [[] for _ in range(g.vertex_count)]
-    for eid, source, target, _ in g.edges:
-        w, bit = weights[eid], 1 << eid
-        adjacency[source].append((target, w, bit))
-        adjacency[target].append((source, w, bit))
-    return adjacency
-
-
 def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int):
     """Single-source shortest paths on the unoriented graph of ``adjacency``
-    (see ``_adjacency``; weights are non-negative integers).
+    (see ``_reduce``; weights are non-negative integers).
 
     Labels are ``(distance, path)`` where path is the edge bitmask of the
     path. Distinct edge sets give distinct masks, so the optimum per vertex
@@ -191,9 +180,9 @@ def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int):
 
 def _reduce(g: WeightedDigraph, weights: List[int]):
     """``(adjacency, originals, forced)``: the kernel of ``g`` on the integer
-    ``weights`` by the rules of the module docstring, laid out as by
-    ``_adjacency``; the original-edge mask of each kernel edge by kernel edge
-    id, or None when nothing reduced and the kernel is ``g`` itself; and
+    ``weights`` by the rules of the module docstring, laid out per vertex as
+    a list of ``(neighbor, weight, 1 << kernel edge id)``, one per incident
+    kernel edge; the original-edge mask of each kernel edge by kernel edge id; and
     the forced cycles as ``(original-edge mask, integer weight)`` pairs."""
     # Per vertex, neighbor -> slot of the one edge between them (None once
     # the vertex is gone); per slot, (integer weight, original-edge mask).
@@ -215,8 +204,6 @@ def _reduce(g: WeightedDigraph, weights: List[int]):
     for eid, source, target, _ in g.edges:
         join(source, target, (weights[eid], 1 << eid))
     stack = [v for v, row in enumerate(nbr) if len(row) <= 2]
-    if not stack and not heavier:
-        return _adjacency(g, weights), None, forced
     while True:
         for u, v, (w, m) in heavier:
             d, path = _detour(nbr, slots, u, v)
@@ -271,7 +258,7 @@ def _detour(nbr, slots, u, v):
 
 def _candidate_cycles(adjacency: List[List[Tuple[int, int, int]]]) -> Dict[int, int]:
     """All simple candidate cycles ``P(z,x) + e + P(y,z)`` over the roots z of
-    a feedback vertex set of ``adjacency`` (see ``_adjacency``), as mask ->
+    a feedback vertex set of ``adjacency`` (see ``_reduce``), as mask ->
     integer weight."""
     arcs = [(x, y, w, bit) for x, row in enumerate(adjacency) for y, w, bit in row if x < y]
     candidates = {}
@@ -311,10 +298,8 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
         raise AssertionError("candidate cycles did not span the cycle space")
     # Every candidate is a simple cycle with its integer weight by
     # construction, so the chosen ones need no walk of their own.
-    masks = [(m, candidates[m]) for m in chosen]
-    if originals is not None:
-        masks = sorted(forced + [(sum(originals[i] for i in _edge_ids(m)), w)
-                                 for m, w in masks], key=lambda c: (c[1], c[0]))
+    masks = sorted(forced + [(sum(originals[i] for i in _edge_ids(m)), candidates[m])
+                             for m in chosen], key=lambda c: (c[1], c[0]))
     total = Fraction(sum(w for _, w in masks), scale)
     return CycleBasis(tuple(masks), scale, total, Provenance.EXACT)
 

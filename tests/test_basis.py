@@ -8,7 +8,6 @@ import pytest
 import basis_reference
 from crosscc.basis import (
     Provenance,
-    _adjacency,
     _candidate_cycles,
     _edge_ids,
     _feedback_vertex_set,
@@ -74,8 +73,15 @@ def scale_of(g):
 
 
 def adjacency_of(g):
-    """``_adjacency`` of ``g`` on the integer weights ``horton_basis`` uses."""
-    return _adjacency(g, g.integer_weights()[0])
+    """``g`` unreduced, laid out as ``_reduce`` lays out a kernel: per vertex,
+    ``(neighbor, weight, 1 << edge id)`` for every incident edge in ascending
+    edge id, on the integer weights ``horton_basis`` uses."""
+    weights = g.integer_weights()[0]
+    adjacency = [[] for _ in range(g.vertex_count)]
+    for eid, source, target, _ in g.edges:
+        adjacency[source].append((target, weights[eid], 1 << eid))
+        adjacency[target].append((source, weights[eid], 1 << eid))
+    return adjacency
 
 
 def shortest_paths(g, source):
@@ -202,7 +208,7 @@ class TestReferenceDijkstra:
     def test_same_labels_from_every_root(self):
         for g in reference_corpus():
             weights = g.integer_weights()[0]
-            adjacency = _adjacency(g, weights)
+            adjacency = adjacency_of(g)
             for s in range(g.vertex_count):
                 assert _shortest_paths(adjacency, s) == \
                     basis_reference._shortest_paths(g, weights, s)
@@ -214,8 +220,6 @@ class TestReferenceDijkstra:
         for g in reference_corpus():
             weights, scale = g.integer_weights()
             adjacency, originals, forced = _reduce(g, weights)
-            if originals is None:
-                originals = [1 << i for i in range(g.edge_count)]
             kernel = kernel_graph(adjacency)
             assert _feedback_vertex_set(adjacency) == basis_reference._feedback_vertex_set(kernel)
             cycles = basis_reference.horton_cycles(kernel) if adjacency else []
@@ -353,20 +357,6 @@ class TestReduction:
                 reduced += 1
                 assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight
 
-    def test_every_chosen_cycle_is_a_checked_simple_cycle(self):
-        # Forced and kernel cycles alike: a simple cycle of g with its
-        # recorded weight, independent of the others, nu of them in all.
-        rng = random.Random(0xB16)
-        functions = [lower(parse(nested_mini_function(rng, d), "big.mini").functions[0]).graph
-                     for d in (10, 25, 40, 60)]
-        for g in reference_corpus() + functions:
-            basis = horton_basis(g)
-            gf2 = Gf2Basis()
-            for m, w in basis.masks:
-                assert Cycle.from_edges(g, _edge_ids(m)).weight == Fraction(w, basis.scale)
-                assert gf2.try_add(m)
-            assert len(basis.masks) == cycle_rank(g)
-
     def test_if_chain_reduces_away(self):
         # omega = 4n + 1: each if's body closes a triangle of weight 3, and
         # the shortest entry-to-exit path, closed by the zero-weight arc,
@@ -486,15 +476,22 @@ class TestWeightedCorpus:
             assert is_forest_without(g, _feedback_vertex_set(adjacency_of(g)))
 
     def test_chosen_cycles_pass_the_cycle_check(self):
-        # horton_basis takes each chosen cycle straight from its mask and
-        # integer weight; Cycle.from_edges walks it and sums its weights.
+        # horton_basis takes each chosen cycle, forced or from the kernel,
+        # straight from its mask and integer weight; Cycle.from_edges walks
+        # it and sums its weights. The cycles are independent, nu of them.
         rng = random.Random(0x5CA1ED)
         graphs = [random_weighted_multigraph(rng) for _ in range(1000)]
-        for g in graphs + fixture_graphs():
+        rng = random.Random(0xB16)
+        graphs += [lower(parse(nested_mini_function(rng, d), "big.mini").functions[0]).graph
+                   for d in (10, 25, 40, 60)]
+        for g in graphs + reference_corpus():
             basis = horton_basis(g)
+            gf2 = Gf2Basis()
             for c in basis.cycles:
                 assert type(c.weight) is Fraction
                 assert c == Cycle.from_edges(g, c.edge_ids)
+                assert gf2.try_add(sum(1 << i for i in c.edge_ids))
+            assert len(basis.masks) == cycle_rank(g)
             assert type(basis.total_weight) is Fraction
             assert basis.total_weight == sum((c.weight for c in basis.cycles), Fraction(0))
 
