@@ -48,10 +48,10 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
-from .errors import DisconnectedGraph, NegativeWeight, TooLarge
+from .errors import NegativeWeight, TooLarge
 from .graph import (
     Cycle,
     Gf2Basis,
@@ -102,15 +102,14 @@ def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[in
     then takes the vertex of highest remaining degree (lowest id on ties),
     until no vertex is left. Degree counts parallel arcs one by one, so a
     2-cycle between parallel arcs keeps its vertices until one is taken.
-    The choice reads a heap of ``(-degree, vertex)``: degrees only fall, so
-    an entry whose degree has fallen goes back in at its current degree.
+    Each choice is one scan of the live vertices, which costs less than the
+    Dijkstra that the chosen root then runs.
     """
     n = len(adjacency)
     degree = [len(row) for row in adjacency]
     alive = [True] * n
-    prune = [v for v in range(n) if degree[v] <= 1]
-    heap = [(-d, v) for v, d in enumerate(degree)]
-    heapify(heap)
+    live = range(n)
+    prune = [v for v in live if degree[v] <= 1]
     fvs = []
 
     def remove(v):
@@ -126,14 +125,10 @@ def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[in
             v = prune.pop()
             if alive[v]:
                 remove(v)
-        while heap:
-            key, v = heappop(heap)
-            if alive[v]:
-                if -key == degree[v]:
-                    break
-                heappush(heap, (-degree[v], v))
-        else:
+        live = [v for v in live if alive[v]]
+        if not live:
             return fvs
+        v = max(live, key=degree.__getitem__)  # the first, so the lowest id
         fvs.append(v)
         remove(v)
 
@@ -173,8 +168,6 @@ def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int):
                 dist[u] = nd
                 path[u] = npath = p | bit
                 heappush(heap, (nd, npath, u))
-    if not all(done):
-        raise DisconnectedGraph(f"vertex unreachable from {source} (unoriented)")
     return dist, path
 
 
@@ -277,15 +270,13 @@ def _candidate_cycles(adjacency: List[List[Tuple[int, int, int]]]) -> Dict[int, 
 def horton_basis(g: WeightedDigraph) -> CycleBasis:
     """Exact minimum-weight cycle basis of a connected graph with weights >= 0.
 
-    Acyclic graphs (cycle rank 0) yield an empty basis rather than an error,
-    so straight-line control-flow subgraphs stay total. The cycles are in
-    ``(weight, mask)`` order.
+    Acyclic graphs (cycle rank 0) reduce to nothing and yield an empty
+    basis rather than an error, so straight-line control-flow subgraphs
+    stay total. The cycles are in ``(weight, mask)`` order.
     """
     # Label-setting Dijkstra is unsound on negative weights.
     _require_nonnegative(g)
     nu = cycle_rank(g)
-    if nu == 0:
-        return CycleBasis((), 1, Fraction(0), Provenance.EXACT)
     weights, scale = g.integer_weights()
     adjacency, originals, forced = _reduce(g, weights)
     rank = nu - len(forced)
@@ -324,14 +315,26 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> CycleBasis:
     """The fundamental system of cycles of ``t``: a valid basis, so an upper
     bound on the minimum basis weight (not necessarily minimal).
 
-    The cycles are ``SpanningTree.fundamental_masks`` in chord order; the
-    total adds their integer weights and divides once.
+    Per chord e = (x, y), in ascending id, the cycle ``t + e`` is the XOR of
+    the root-path masks of x and y, plus e. Its integer weight is w(e) plus
+    the weighted depths of x and y, less twice that of the vertex where the
+    two paths meet (their AND ends there). The total divides once.
     """
     if t.host is not g:
         raise ValueError("tree does not belong to this graph")
     _require_nonnegative(g)
-    masks = tuple(t.fundamental_masks([g.edges[eid] for eid in t.chords()]))
-    scale = g.integer_weights()[1]
+    weights, scale = g.integer_weights()
+    # Per vertex, its root path's edge mask and integer weight; per mask, the weight.
+    path = [0] * g.vertex_count
+    depth = [0] * g.vertex_count
+    depth_of = {0: 0}
+    for v, (p, eid) in t.parent.items():  # parents first
+        path[v] = mask = path[p] | 1 << eid
+        depth[v] = depth_of[mask] = depth[p] + weights[eid]
+    tree = t.tree_edges
+    masks = tuple((path[x] ^ path[y] | 1 << eid,
+                   depth[x] + depth[y] - 2 * depth_of[path[x] & path[y]] + weights[eid])
+                  for eid, x, y, _ in g.edges if eid not in tree)
     total = Fraction(sum(w for _, w in masks), scale)
     return CycleBasis(masks, scale, total, Provenance.TREE_BOUND)
 

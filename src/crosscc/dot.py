@@ -108,10 +108,7 @@ class DotGraphDoc(NamedTuple):
         if not self.tree_edge_ids:
             return None
         root = self.start if self.start is not None else 0
-        tree_ids = set(self.tree_edge_ids)
-        if self.virtual_arc is not None:
-            tree_ids.discard(self.virtual_arc)
-        return SpanningTree.from_edge_ids(self.graph, root, tree_ids)
+        return SpanningTree.from_edge_ids(self.graph, root, self.tree_edge_ids)
 
 
 class _DotParser:

@@ -1,4 +1,4 @@
-"""Weighted digraphs, spanning trees, fundamental cycles, and GF(2) elimination.
+"""Weighted digraphs, spanning trees, cycles, and GF(2) elimination.
 
 Edges carry dense integer ids and that id, not the endpoint pair, is an
 edge's identity. Parallel arcs between the same vertices are therefore
@@ -8,11 +8,10 @@ synthetic exit-to-start arc duplicates an existing arc.
 Cycles are unoriented edge-id sets: arc direction matters to control-flow
 semantics, never to the cycle algebra, so every algorithm here traverses
 the underlying undirected graph. Over GF(2) a cycle is an int bitmask with
-bit i set iff edge i is in it; a fundamental cycle is the XOR of two
-root-path masks. All weights are exact ``fractions.Fraction`` values so
-equality assertions are exact; sums over many edges run on the graph's
-integer weights (``WeightedDigraph.integer_weights``), which are the same
-weights times one common factor.
+bit i set iff edge i is in it. All weights are exact ``fractions.Fraction``
+values so equality assertions are exact; sums over many edges run on the
+graph's integer weights (``WeightedDigraph.integer_weights``), which are
+the same weights times one common factor.
 """
 
 from __future__ import annotations
@@ -183,23 +182,6 @@ class SpanningTree(NamedTuple):
     def chords(self) -> list:
         """Non-tree edge ids in ascending order."""
         return [eid for eid, _, _, _ in self.host.edges if eid not in self.tree_edges]
-
-    def fundamental_masks(self, chords: Iterable[Edge]) -> List[Tuple[int, int]]:
-        """Edge mask and integer weight of the cycle ``tree + e``, per chord e:
-        the XOR of the root paths of e's ends, whose AND ends where they meet."""
-        weights = self.host.integer_weights()[0]
-        # Per vertex, the edge mask and integer weight of its path from the
-        # root, and the vertex at which each such mask ends.
-        path = [0] * self.host.vertex_count
-        depth = [0] * self.host.vertex_count
-        at = {0: self.root}
-        for v, (p, eid) in self.parent.items():  # parents first
-            path[v] = mask = path[p] | 1 << eid
-            depth[v] = depth[p] + weights[eid]
-            at[mask] = v
-        return [(path[x] ^ path[y] | 1 << eid,
-                 depth[x] + depth[y] - 2 * depth[at[path[x] & path[y]]] + weights[eid])
-                for eid, x, y, _ in chords]
 
     @classmethod
     def from_edge_ids(cls, g: WeightedDigraph, root: int, edge_ids: Iterable[int]) -> "SpanningTree":

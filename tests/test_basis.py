@@ -136,11 +136,6 @@ class TestAllPairsShortestPaths:
         with pytest.raises(NegativeWeight, match="edge 1 has weight -1/2"):
             _require_nonnegative(g)  # however small
 
-    def test_disconnected_rejected(self):
-        g = WeightedDigraph(3, [(0, 1)])
-        with pytest.raises(DisconnectedGraph):
-            shortest_paths(g, 0)
-
 
 def fixture_graphs():
     """The graph of every fixture: each lowered .mini function, each .dot."""

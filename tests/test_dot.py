@@ -201,6 +201,7 @@ class TestLines:
     def test_end_of_input_after_a_trailing_comment(self):
         # The scanner must not search ahead into the comment's words.
         assert error_at("digraph g {\n  a -> b; // c -> d }") == (2, "missing closing '}'")
+        assert error_at("digraph g {\n  a -> b [weight=1 // ]") == (2, "missing closing ']'")
         doc = parse_dot("digraph g { a -> b; } // c -> d")
         assert doc.node_names == ("a", "b")
 

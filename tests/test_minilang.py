@@ -6,6 +6,8 @@ from crosscc.errors import (
     UnresolvedLabel,
 )
 from crosscc.minilang import (
+    Block,
+    Break,
     Continue,
     For,
     If,
@@ -58,6 +60,23 @@ class TestBasics:
     def test_multiple_functions(self):
         prog = parse("fn a() { x; } fn b() { y; }")
         assert [fn.name for fn in prog.functions] == ["a", "b"]
+
+
+class TestNodes:
+    def test_equal_nodes_hash_equal(self):
+        a = If("c", Block((Break("L", 2, 3),)), None, 1, 10)
+        b = If("c", Block((Break("L", 2, 3),)), None, 1, 10)
+        assert a == b and hash(a) == hash(b)
+        assert a != If("c", Block(()), None, 1, 10)
+
+    def test_equality_needs_the_same_class(self):
+        assert Break(None, 1, 2) != Continue(None, 1, 2)
+        assert Break(None, 1, 2) == Break(None, 1, 2)
+
+    def test_repr_names_every_field(self):
+        # The form pytest prints when two trees differ.
+        assert repr(If("c", Block(()), None, 1, 10)) == \
+            "If(cond='c', then=Block(stmts=()), orelse=None, line=1, col=10)"
 
 
 class TestListingFixture:
