@@ -128,7 +128,7 @@ def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[in
         live = [v for v in live if alive[v]]
         if not live:
             return fvs
-        v = max(live, key=degree.__getitem__)  # the first, so the lowest id
+        v = max(live, key=degree.__getitem__)  # max keeps the first of ties: the lowest id
         fvs.append(v)
         remove(v)
 
