@@ -85,10 +85,13 @@ class CycleBasis(NamedTuple):
                      for m, w in self.masks)
 
 
-def _require_nonnegative(g: WeightedDigraph) -> None:
-    if min(g.integer_weights()[0], default=0) < 0:  # the basis reads them anyway
+def _require_nonnegative(g: WeightedDigraph) -> Tuple[List[int], int]:
+    """``g.integer_weights()``, once each is checked to be >= 0."""
+    weights, scale = g.integer_weights()
+    if min(weights, default=0) < 0:
         e = next(e for e in g.edges if e.weight < 0)
         raise NegativeWeight(f"edge {e.id} has weight {e.weight}")
+    return weights, scale
 
 
 def _mask(edge_ids: Iterable[int]) -> int:
@@ -275,9 +278,8 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
     stay total. The cycles are in ``(weight, mask)`` order.
     """
     # Label-setting Dijkstra is unsound on negative weights.
-    _require_nonnegative(g)
+    weights, scale = _require_nonnegative(g)
     nu = cycle_rank(g)
-    weights, scale = g.integer_weights()
     adjacency, originals, forced = _reduce(g, weights)
     rank = nu - len(forced)
     candidates = _candidate_cycles(adjacency)
@@ -322,8 +324,7 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> CycleBasis:
     """
     if t.host is not g:
         raise ValueError("tree does not belong to this graph")
-    _require_nonnegative(g)
-    weights, scale = g.integer_weights()
+    weights, scale = _require_nonnegative(g)
     # Per vertex, its root path's edge mask and integer weight; per mask, the weight.
     path = [0] * g.vertex_count
     depth = [0] * g.vertex_count

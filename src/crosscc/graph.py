@@ -12,6 +12,9 @@ bit i set iff edge i is in it. All weights are exact ``fractions.Fraction``
 values so equality assertions are exact; sums over many edges run on the
 graph's integer weights (``WeightedDigraph.integer_weights``), which are
 the same weights times one common factor.
+
+Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
+(``cycle_rank``), so nu can be read as the size of a basis.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class Edge(NamedTuple):
 class WeightedDigraph:
     """Immutable weighted digraph over dense vertex ids ``0..vertex_count-1``."""
 
-    __slots__ = ("vertex_count", "edges", "_incidence", "_integer_weights", "_tree0")
+    __slots__ = ("vertex_count", "edges", "_incidence")
 
     def __init__(self, vertex_count: int, edges: Iterable[Union[Edge, tuple]]):
         if vertex_count < 0:
@@ -97,8 +100,6 @@ class WeightedDigraph:
         self.vertex_count = vertex_count
         self.edges = tuple(built)
         self._incidence = tuple(map(tuple, incidence))
-        self._integer_weights = None
-        self._tree0 = None
 
     @property
     def edge_count(self) -> int:
@@ -115,31 +116,14 @@ class WeightedDigraph:
 
     def integer_weights(self) -> Tuple[List[int], int]:
         """``(weights, scale)``: every edge weight times ``scale``, the least
-        common multiple of their denominators, by edge id. Computed once per
-        graph; a sum of these over ``scale`` is the exact ``Fraction`` sum."""
-        if self._integer_weights is None:
-            ratios = [w.as_integer_ratio() for _, _, _, w in self.edges]
-            scale = math.lcm(*{d for _, d in ratios})
-            self._integer_weights = ([n * (scale // d) for n, d in ratios], scale)
-        return self._integer_weights
+        common multiple of their denominators, by edge id. A sum of these over
+        ``scale`` is the exact ``Fraction`` sum."""
+        ratios = [w.as_integer_ratio() for _, _, _, w in self.edges]
+        scale = math.lcm(*{d for _, d in ratios})
+        return [n * (scale // d) for n, d in ratios], scale
 
     def weight_of(self, edge_ids: Iterable[int]) -> Fraction:
         return sum((self.edge(i).weight for i in edge_ids), Fraction(0))
-
-    def _bfs_parents_of_0(self) -> dict:
-        """``_bfs_parents(self, 0)``, computed once per graph: it decides
-        connectivity, and it is the spanning tree rooted at 0."""
-        if self._tree0 is None:
-            self._tree0 = _bfs_parents(self, 0)
-        return self._tree0
-
-    def require_connected(self) -> None:
-        """Raise unless the graph has a vertex and its unoriented graph is
-        connected."""
-        if self.vertex_count == 0:
-            raise EmptyGraph("graph has no vertices")
-        if len(self._bfs_parents_of_0()) != self.vertex_count - 1:
-            raise DisconnectedGraph("graph is not connected (unoriented)")
 
     def __repr__(self):
         return f"WeightedDigraph(V={self.vertex_count}, E={len(self.edges)})"
@@ -179,10 +163,6 @@ class SpanningTree(NamedTuple):
     tree_edges: frozenset
     parent: Mapping[int, tuple]
 
-    def chords(self) -> list:
-        """Non-tree edge ids in ascending order."""
-        return [eid for eid, _, _, _ in self.host.edges if eid not in self.tree_edges]
-
     @classmethod
     def from_edge_ids(cls, g: WeightedDigraph, root: int, edge_ids: Iterable[int]) -> "SpanningTree":
         """Build a tree from an explicit edge set, validating it spans ``g``."""
@@ -203,18 +183,23 @@ class SpanningTree(NamedTuple):
         return cls(host=g, root=root, tree_edges=ids, parent=parent)
 
 
-def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
-    """BFS spanning tree rooted at ``root``, ignoring arc direction; a pure
-    function of the graph (see ``_bfs_parents``)."""
+def _connected_parents(g: WeightedDigraph, root: int) -> dict:
+    """``_bfs_parents(g, root)`` of a graph that must have a vertex, hold
+    ``root`` and be connected (unoriented)."""
     if g.vertex_count == 0:
         raise EmptyGraph("graph has no vertices")
     if not (0 <= root < g.vertex_count):
         raise ValueError(f"root {root} out of range")
-    parent = g._bfs_parents_of_0() if root == 0 else _bfs_parents(g, root)
+    parent = _bfs_parents(g, root)
     if len(parent) != g.vertex_count - 1:
-        raise DisconnectedGraph(
-            f"only {len(parent) + 1} of {g.vertex_count} vertices reachable from {root}"
-        )
+        raise DisconnectedGraph("graph is not connected (unoriented)")
+    return parent
+
+
+def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
+    """BFS spanning tree rooted at ``root``, ignoring arc direction; a pure
+    function of the graph (see ``_bfs_parents``)."""
+    parent = _connected_parents(g, root)
     tree_edges = frozenset(eid for _, eid in parent.values())
     return SpanningTree(host=g, root=root, tree_edges=tree_edges, parent=parent)
 
@@ -291,5 +276,5 @@ class Gf2Basis:
 
 def cycle_rank(g: WeightedDigraph) -> int:
     """Dimension of the cycle space of a connected graph: #E - #V + 1."""
-    g.require_connected()
+    _connected_parents(g, 0)
     return g.edge_count - g.vertex_count + 1

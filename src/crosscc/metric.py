@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Union
 from .basis import Provenance, horton_basis, tree_bound
 from .cfg import ControlFlowGraph
 from .errors import ZeroNu
-from .graph import SpanningTree, WeightedDigraph, as_weight, cycle_rank, spanning_tree
+from .graph import SpanningTree, WeightedDigraph, as_weight, spanning_tree
 
 DEFAULT_SLOPE = Fraction(2)
 
@@ -69,7 +69,8 @@ def cross_complexity(
     ``mode=Provenance.EXACT`` runs the exact minimum-basis algorithm;
     ``Provenance.TREE_BOUND`` sums the fundamental cycles of ``tree`` (or of
     the deterministic BFS tree rooted at the start vertex when none is
-    given). ``Provenance.ORACLE`` is not a mode and raises ValueError.
+    given). ``Provenance.ORACLE`` is not a mode and raises ValueError. nu is
+    the basis's size, the same for every basis of the graph.
     """
     if isinstance(subject, ControlFlowGraph):
         graph = subject.graph
@@ -77,13 +78,13 @@ def cross_complexity(
     else:
         graph = subject
         root = 0
-    nu = cycle_rank(graph)
     if mode is Provenance.EXACT:
         basis = horton_basis(graph)
     elif mode is Provenance.TREE_BOUND:
         basis = tree_bound(graph, tree or spanning_tree(graph, root))
     else:
         raise ValueError(f"cross complexity has no {mode.value!r} mode")
+    nu = len(basis.masks)
     if nu == 0:
         raise ZeroNu("cross complexity needs cycle rank >= 1 "
                      "(a closed control-flow graph always has it)")

@@ -168,7 +168,7 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> Tuple[Tuple[Cycle, ...], 
     if t.host is not g:
         raise ValueError("tree does not belong to this graph")
     _require_nonnegative(g)
-    cycles = tuple(fundamental_cycle(t, g.edges[eid]) for eid in t.chords())
+    cycles = tuple(fundamental_cycle(t, e) for e in g.edges if e.id not in t.tree_edges)
     scale = g.integer_weights()[1]
     total = Fraction(sum(c.weight.numerator * (scale // c.weight.denominator) for c in cycles),
                      scale)

@@ -369,11 +369,18 @@ class TestDumpCfg:
         assert "// " + str(good) + ":seq" in captured.out
 
     def test_diagnostics_not_colored_with_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CROSSCC_NO_COLOR", "1")
+        # Captured stderr is no terminal, so claim one: else nothing is colored.
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
         bad = tmp_path / "bad.mini"
         bad.write_text("fn f() {", encoding="utf-8")
         assert main(["analyze", str(bad)]) == 1
-        assert "\x1b[" not in capsys.readouterr().err
+        colored = capsys.readouterr().err
+        monkeypatch.setenv("CROSSCC_NO_COLOR", "1")
+        assert main(["analyze", str(bad)]) == 1
+        plain = capsys.readouterr().err
+        assert "\x1b[" not in plain
+        assert plain.startswith(f"{bad}: error: ")
+        assert colored == f"\x1b[31m{plain[:-1]}\x1b[0m\n"
 
 
 def run_python(*args):

@@ -179,7 +179,8 @@ class TestSpanningTree:
 def fundamental_cycles(t: SpanningTree):
     """Each chord of ``t`` with its fundamental cycle, as the tree bound
     builds them."""
-    return dict(zip(t.chords(), tree_bound(t.host, t).cycles))
+    return dict(zip([e.id for e in t.host.edges if e.id not in t.tree_edges],
+                    tree_bound(t.host, t).cycles))
 
 
 class TestFundamentalCycle:

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from crosscc import graph
 from crosscc.basis import Provenance
 from crosscc.cfg import lower
+from crosscc.dot import parse_dot
 from crosscc.errors import ZeroNu
 from crosscc.graph import SpanningTree, WeightedDigraph
 from crosscc.metric import CrossComplexity, Region, classify_region, cross_complexity
@@ -87,6 +89,46 @@ class TestCrossComplexity:
             for fn in parse(src).functions:
                 cc = cross_complexity(lower(fn))
                 assert cc.region is not Region.INFEASIBLE
+
+
+class TestOneSearchPerUnit:
+    """nu is the size of the basis, so a unit runs the one breadth-first
+    search its basis needs and no second one for the cycle rank."""
+
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        """The root of each ``graph._bfs_parents`` call from here on."""
+        calls = []
+        bfs = graph._bfs_parents
+
+        def counted(g, root, allowed=None):
+            calls.append(root)
+            return bfs(g, root, allowed)
+
+        monkeypatch.setattr(graph, "_bfs_parents", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", [Provenance.EXACT, Provenance.TREE_BOUND])
+    def test_lowered_function(self, roots, mode):
+        for fn in parse(fixture_text("listing1.mini")).functions:
+            cfg = lower(fn)
+            roots.clear()
+            cross_complexity(cfg, mode)
+            assert len(roots) == 1
+
+    def test_dot_cfg_whose_start_is_not_vertex_0(self, roots):
+        cfg = parse_dot('digraph g { start = "s"; exit = "r"; a -> r; s -> a; s -> r; }').to_cfg()
+        assert cfg.start == 2
+        roots.clear()
+        cross_complexity(cfg, Provenance.TREE_BOUND)
+        assert roots == [2]
+
+    def test_marked_tree(self, roots):
+        doc = parse_dot(fixture_text("weighted_fan_t1.dot"))
+        roots.clear()
+        cc = cross_complexity(doc.graph, Provenance.TREE_BOUND, tree=doc.marked_tree())
+        assert len(roots) == 1
+        assert (cc.nu, cc.omega_min) == (3, 36)
 
 
 class TestClassifyRegion:

@@ -1,5 +1,6 @@
 import pytest
 
+import minilang_reference
 from crosscc.errors import (
     DuplicateFunction,
     MiniLangSyntaxError,
@@ -118,6 +119,13 @@ class TestDiagnostics:
         with pytest.raises(MiniLangSyntaxError) as err:
             parse("fn f() { x", "t.mini")
         assert str(err.value) == "t.mini:1:11: expected ';' before end of file"
+
+    def test_bare_block_is_refused_where_it_opens(self):
+        for parser in (parse, minilang_reference.parse):
+            with pytest.raises(MiniLangSyntaxError) as err:
+                parser("fn f() { { x; } }", "t.mini")
+            assert str(err.value) == ("t.mini:1:10: bare blocks are not statements; "
+                                      "braces follow a control keyword")
 
     def test_duplicate_function(self):
         with pytest.raises(DuplicateFunction):
