@@ -52,14 +52,7 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import NegativeWeight, TooLarge
-from .graph import (
-    Cycle,
-    Gf2Basis,
-    SpanningTree,
-    WeightedDigraph,
-    _edge_ids,
-    cycle_rank,
-)
+from .graph import Cycle, SpanningTree, WeightedDigraph, cycle_rank
 
 
 class Provenance(enum.Enum):
@@ -86,8 +79,12 @@ class CycleBasis(NamedTuple):
 
 
 def _require_nonnegative(g: WeightedDigraph) -> Tuple[List[int], int]:
-    """``g.integer_weights()``, once each is checked to be >= 0."""
-    weights, scale = g.integer_weights()
+    """``(weights, scale)``: every edge weight, checked to be >= 0, times
+    ``scale``, the least common multiple of their denominators, by edge id.
+    A sum of these over ``scale`` is the exact ``Fraction`` sum."""
+    ratios = [w.as_integer_ratio() for _, _, _, w in g.edges]
+    scale = math.lcm(*{d for _, d in ratios})
+    weights = [n * (scale // d) for n, d in ratios]
     if min(weights, default=0) < 0:
         e = next(e for e in g.edges if e.weight < 0)
         raise NegativeWeight(f"edge {e.id} has weight {e.weight}")
@@ -96,6 +93,16 @@ def _require_nonnegative(g: WeightedDigraph) -> Tuple[List[int], int]:
 
 def _mask(edge_ids: Iterable[int]) -> int:
     return sum(1 << i for i in edge_ids)
+
+
+def _edge_ids(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first, one step per set bit."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[int]:
@@ -300,16 +307,23 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
 def _greedy_independent(ordered_masks: Iterable[int], nu: int) -> List[int]:
     """First nu edge bitmasks, in the given order, independent over GF(2).
 
-    Every mask is a set of edge ids of the graph, so none needs a range
-    check of its own.
+    Elimination keeps one reduced mask per pivot, its highest set bit. A
+    candidate that the pivots reduce to a nonzero mask is independent and
+    is kept under that mask's pivot; one that they reduce to zero is not.
     """
-    basis = Gf2Basis()
+    pivots = {}
     chosen = []
     for mask in ordered_masks:
         if len(chosen) == nu:
             break
-        if basis.try_add(mask):
-            chosen.append(mask)
+        v = mask
+        while v:
+            msb = v.bit_length() - 1
+            if msb not in pivots:
+                pivots[msb] = v
+                chosen.append(mask)
+                break
+            v ^= pivots[msb]
     return chosen
 
 

@@ -1,4 +1,4 @@
-"""Weighted digraphs, spanning trees, cycles, and GF(2) elimination.
+"""Weighted digraphs, spanning trees and cycles.
 
 Edges carry dense integer ids and that id, not the endpoint pair, is an
 edge's identity. Parallel arcs between the same vertices are therefore
@@ -7,11 +7,8 @@ synthetic exit-to-start arc duplicates an existing arc.
 
 Cycles are unoriented edge-id sets: arc direction matters to control-flow
 semantics, never to the cycle algebra, so every algorithm here traverses
-the underlying undirected graph. Over GF(2) a cycle is an int bitmask with
-bit i set iff edge i is in it. All weights are exact ``fractions.Fraction``
-values so equality assertions are exact; sums over many edges run on the
-graph's integer weights (``WeightedDigraph.integer_weights``), which are
-the same weights times one common factor.
+the underlying undirected graph. All weights are exact
+``fractions.Fraction`` values so equality assertions are exact.
 
 Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
 (``cycle_rank``), so nu can be read as the size of a basis.
@@ -19,9 +16,8 @@ Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -113,14 +109,6 @@ class WeightedDigraph:
     def incident(self, vertex: int) -> Sequence[Edge]:
         """Edges touching ``vertex`` (unoriented view), ascending edge id."""
         return self._incidence[vertex]
-
-    def integer_weights(self) -> Tuple[List[int], int]:
-        """``(weights, scale)``: every edge weight times ``scale``, the least
-        common multiple of their denominators, by edge id. A sum of these over
-        ``scale`` is the exact ``Fraction`` sum."""
-        ratios = [w.as_integer_ratio() for _, _, _, w in self.edges]
-        scale = math.lcm(*{d for _, d in ratios})
-        return [n * (scale // d) for n, d in ratios], scale
 
     def weight_of(self, edge_ids: Iterable[int]) -> Fraction:
         return sum((self.edge(i).weight for i in edge_ids), Fraction(0))
@@ -236,42 +224,6 @@ class Cycle(NamedTuple):
         if len(visited_edges) != len(ids):
             raise NotACycle("edge set is a union of disjoint cycles, not one cycle")
         return cls(edge_ids=ids, weight=g.weight_of(ids))
-
-
-def _edge_ids(mask: int) -> List[int]:
-    """The set bits of ``mask``, lowest first, one step per set bit."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return ids
-
-
-class Gf2Basis:
-    """Incremental GF(2) elimination over int bitmasks.
-
-    Keeps one reduced vector per pivot (highest set bit). ``try_add``
-    reduces the candidate by existing pivots; a surviving nonzero mask is
-    independent and gets stored, a vanished one was dependent.
-    """
-
-    def __init__(self):
-        self._pivots = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def try_add(self, bits: int) -> bool:
-        v = bits
-        while v:
-            msb = v.bit_length() - 1
-            if msb not in self._pivots:
-                self._pivots[msb] = v
-                return True
-            v ^= self._pivots[msb]
-        return False
 
 
 def cycle_rank(g: WeightedDigraph) -> int:

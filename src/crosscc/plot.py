@@ -16,6 +16,9 @@ from .report import AnalysisReport, _number
 
 _SIZE = 640
 _MARGIN = 48
+# What XML 1.0 forbids in text, each to U+FFFD: C0 controls but tab, LF and CR,
+# and U+FFFE and U+FFFF. A DOT quoted name, so a unit name, may hold any of them.
+_NOT_XML = dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")
 
 
 def points_csv(report: AnalysisReport) -> str:
@@ -106,4 +109,5 @@ def halfplane_svg(report: AnalysisReport) -> str:
 
 
 def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .translate(_NOT_XML))

@@ -13,8 +13,11 @@ version of ``crosscc.basis``. Nothing under ``src/`` imports this module.
   where it built a ``CycleBasis``, and ``fundamental_cycle`` raises
   ``ValueError`` for a tree edge, where it raised an exception class that
   is gone; both are otherwise unchanged.
+* ``_integer_weights``: the integer scaling, which was then the graph's
+  own ``integer_weights`` method.
 """
 
+import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
@@ -22,6 +25,14 @@ from typing import Dict, List, Tuple
 from crosscc.basis import _edge_ids, _greedy_independent, _require_nonnegative
 from crosscc.errors import DisconnectedGraph
 from crosscc.graph import Cycle, Edge, SpanningTree, WeightedDigraph, cycle_rank
+
+
+def _integer_weights(g: WeightedDigraph) -> Tuple[List[int], int]:
+    """``(weights, scale)``: every edge weight times ``scale``, the least
+    common multiple of their denominators, by edge id."""
+    ratios = [w.as_integer_ratio() for _, _, _, w in g.edges]
+    scale = math.lcm(*{d for _, d in ratios})
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 def _feedback_vertex_set(g: WeightedDigraph) -> List[int]:
@@ -120,7 +131,7 @@ def horton_cycles(g: WeightedDigraph) -> List[Cycle]:
     nu = cycle_rank(g)
     if nu == 0:
         return []
-    candidates = _candidate_cycles(g, g.integer_weights()[0])
+    candidates = _candidate_cycles(g, _integer_weights(g)[0])
     ordered = sorted(candidates, key=lambda m: (candidates[m], m))
     chosen = _greedy_independent(ordered, nu)
     return [Cycle.from_edges(g, _edge_ids(m)) for m in chosen]
@@ -154,7 +165,7 @@ def fundamental_cycle(t: SpanningTree, e: Edge) -> Cycle:
             ends[side] = v
         side = 1 - side
     ids = climbs[side] + climbs[1 - side][:depth] + [e.id]
-    weights, scale = t.host.integer_weights()
+    weights, scale = _integer_weights(t.host)
     return Cycle(frozenset(ids), Fraction(sum([weights[i] for i in ids]), scale))
 
 
@@ -169,7 +180,7 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> Tuple[Tuple[Cycle, ...], 
         raise ValueError("tree does not belong to this graph")
     _require_nonnegative(g)
     cycles = tuple(fundamental_cycle(t, e) for e in g.edges if e.id not in t.tree_edges)
-    scale = g.integer_weights()[1]
+    scale = _integer_weights(g)[1]
     total = Fraction(sum(c.weight.numerator * (scale // c.weight.denominator) for c in cycles),
                      scale)
     return cycles, total

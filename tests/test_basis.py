@@ -11,6 +11,7 @@ from crosscc.basis import (
     _candidate_cycles,
     _edge_ids,
     _feedback_vertex_set,
+    _greedy_independent,
     _reduce,
     _require_nonnegative,
     _shortest_paths,
@@ -25,7 +26,6 @@ from crosscc.errors import DisconnectedGraph, NegativeWeight, TooLarge
 from crosscc.graph import (
     Cycle,
     Edge,
-    Gf2Basis,
     SpanningTree,
     WeightedDigraph,
     cycle_rank,
@@ -68,7 +68,7 @@ def edge_ids(mask):
 
 
 def scale_of(g):
-    """The factor ``WeightedDigraph.integer_weights`` multiplies every weight by."""
+    """The factor ``_require_nonnegative`` multiplies every weight by."""
     return math.lcm(*(e.weight.denominator for e in g.edges))
 
 
@@ -76,7 +76,7 @@ def adjacency_of(g):
     """``g`` unreduced, laid out as ``_reduce`` lays out a kernel: per vertex,
     ``(neighbor, weight, 1 << edge id)`` for every incident edge in ascending
     edge id, on the integer weights ``horton_basis`` uses."""
-    weights = g.integer_weights()[0]
+    weights = _require_nonnegative(g)[0]
     adjacency = [[] for _ in range(g.vertex_count)]
     for eid, source, target, _ in g.edges:
         adjacency[source].append((target, weights[eid], 1 << eid))
@@ -202,7 +202,7 @@ class TestReferenceDijkstra:
 
     def test_same_labels_from_every_root(self):
         for g in reference_corpus():
-            weights = g.integer_weights()[0]
+            weights = _require_nonnegative(g)[0]
             adjacency = adjacency_of(g)
             for s in range(g.vertex_count):
                 assert _shortest_paths(adjacency, s) == \
@@ -213,7 +213,7 @@ class TestReferenceDijkstra:
         # graph; its cycles as original edges, with the forced cycles, in
         # (weight, mask) order, must be the basis.
         for g in reference_corpus():
-            weights, scale = g.integer_weights()
+            weights, scale = _require_nonnegative(g)
             adjacency, originals, forced = _reduce(g, weights)
             kernel = kernel_graph(adjacency)
             assert _feedback_vertex_set(adjacency) == basis_reference._feedback_vertex_set(kernel)
@@ -307,10 +307,9 @@ class TestHortonBasis:
 
     def test_basis_is_independent_and_full_rank(self):
         g = weighted_fan()
-        gf2 = Gf2Basis()
-        assert all(gf2.try_add(sum(1 << i for i in c.edge_ids))
-                   for c in horton_basis(g).cycles)
-        assert gf2.rank == cycle_rank(g)
+        masks = [sum(1 << i for i in c.edge_ids) for c in horton_basis(g).cycles]
+        assert _greedy_independent(masks, len(masks)) == masks
+        assert len(masks) == cycle_rank(g)
 
     def test_cycle_weights_recompute(self):
         g = weighted_fan()
@@ -340,7 +339,7 @@ class TestReduction:
         # forced cycle is b plus 0-2-1 (7 + 2), not b plus edge 0 (7 + 5).
         g = WeightedDigraph(
             4, [(0, 1, 5), (0, 1, 7), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        assert _reduce(g, g.integer_weights()[0])[2] == [(0b10110, 9)]
+        assert _reduce(g, _require_nonnegative(g)[0])[2] == [(0b10110, 9)]
         assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight == 22
 
     def test_multigraphs_with_a_forced_cycle_match_the_oracle(self):
@@ -348,7 +347,7 @@ class TestReduction:
         reduced = 0
         while reduced < 300:
             g = random_weighted_multigraph(rng)
-            if _reduce(g, g.integer_weights()[0])[2]:
+            if _reduce(g, _require_nonnegative(g)[0])[2]:
                 reduced += 1
                 assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight
 
@@ -360,7 +359,7 @@ class TestReduction:
             cc = cross_complexity(if_chain(n))
             assert cc.omega_min == oracle_min_basis(if_chain(n).graph).total_weight == 4 * n + 1
         cfg = if_chain(2000)
-        assert _reduce(cfg.graph, cfg.graph.integer_weights()[0])[0] == []
+        assert _reduce(cfg.graph, _require_nonnegative(cfg.graph)[0])[0] == []
         cc = cross_complexity(cfg)
         assert (cc.nu, cc.omega_min) == (2001, 8001)
 
@@ -481,11 +480,11 @@ class TestWeightedCorpus:
                    for d in (10, 25, 40, 60)]
         for g in graphs + reference_corpus():
             basis = horton_basis(g)
-            gf2 = Gf2Basis()
             for c in basis.cycles:
                 assert type(c.weight) is Fraction
                 assert c == Cycle.from_edges(g, c.edge_ids)
-                assert gf2.try_add(sum(1 << i for i in c.edge_ids))
+            masks = [sum(1 << i for i in c.edge_ids) for c in basis.cycles]
+            assert _greedy_independent(masks, len(masks)) == masks
             assert len(basis.masks) == cycle_rank(g)
             assert type(basis.total_weight) is Fraction
             assert basis.total_weight == sum((c.weight for c in basis.cycles), Fraction(0))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,14 @@ import pytest
 from crosscc import graph
 from crosscc.basis import Provenance
 from crosscc.cfg import lower
+from crosscc.cli import main
 from crosscc.dot import parse_dot
 from crosscc.errors import ZeroNu
 from crosscc.graph import SpanningTree, WeightedDigraph
 from crosscc.metric import CrossComplexity, Region, classify_region, cross_complexity
 from crosscc.minilang import parse
 
-from conftest import FAN_TREE_1, FAN_TREE_2, fixture_text, weighted_fan
+from conftest import FAN_TREE_1, FAN_TREE_2, FIXTURES, fixture_text, weighted_fan
 
 
 def bubble_sort_cfg():
@@ -129,6 +131,15 @@ class TestOneSearchPerUnit:
         cc = cross_complexity(doc.graph, Provenance.TREE_BOUND, tree=doc.marked_tree())
         assert len(roots) == 1
         assert (cc.nu, cc.omega_min) == (3, 36)
+
+    def test_dump_cfg_runs_none(self, roots, capsys):
+        # Lowering has proved each graph connected, so mcc is #E - #V + 1.
+        assert main(["dump-cfg", str(FIXTURES / "listing1.mini")]) == 0
+        assert roots == []
+        mccs = re.findall(r"  mcc=(\d+)$", capsys.readouterr().out, re.M)
+        assert [int(m) for m in mccs] == [
+            cross_complexity(lower(fn)).nu
+            for fn in parse(fixture_text("listing1.mini")).functions]
 
 
 class TestClassifyRegion:

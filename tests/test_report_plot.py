@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from xml.dom import minidom
 
 import pytest
 
@@ -108,3 +109,15 @@ class TestPlot:
 
     def test_svg_deterministic(self):
         assert halfplane_svg(paper_report()) == halfplane_svg(paper_report())
+
+    def test_svg_is_xml_whatever_the_unit_name(self):
+        # A DOT quoted name may hold characters that XML 1.0 forbids; each
+        # becomes U+FFFD, and markup characters are escaped.
+        names = ["a\x01<b>", "\x00\x08\x0b\x0c\x0e\x1f", "\ufffe\uffff", "t\tl\nc\r&"]
+        report = AnalysisReport.build([record(n, 1, 2, position=i) for i, n in enumerate(names)],
+                                      "0", "exact", Fraction(2))
+        labels = [t.firstChild.data
+                  for t in minidom.parseString(halfplane_svg(report)).getElementsByTagName("text")
+                  if t.getAttribute("fill") == "#1f4e9c"]
+        assert labels == ["a\ufffd<b>: (1,2)", "\ufffd" * 6 + ": (1,2)",
+                          "\ufffd\ufffd: (1,2)", "t\tl\nc\n&: (1,2)"]
