@@ -28,8 +28,7 @@ from .graph import (
 )
 from .metric import CrossComplexity, Region, classify_region, cross_complexity
 from .minilang import parse
-from .plot import halfplane_svg, points_csv
-from .report import AnalysisReport, UnitRecord
+from .report import AnalysisReport, UnitRecord, halfplane_svg, points_csv
 
 __version__ = "0.1.0"
 

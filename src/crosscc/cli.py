@@ -32,8 +32,8 @@ from .errors import CrossCCError
 from .graph import as_weight
 from .metric import CrossComplexity, cross_complexity
 from .minilang import parse
-from .plot import halfplane_svg, points_csv
-from .report import AnalysisReport, UnitRecord, finite, report_from_json
+from .report import (AnalysisReport, UnitRecord, finite, halfplane_svg, points_csv,
+                     report_from_json)
 
 
 def _color_enabled() -> bool:
@@ -50,13 +50,16 @@ def _diag(message: str) -> None:
 
 def _emit(text: str, output: Optional[str]) -> int:
     """Write ``text`` to the file ``output``, or to stdout when it is None.
-    Returns 0, or 1 after a diagnostic when the file cannot be written."""
+    Returns 0, or 1 after a diagnostic when the file cannot be written.
+
+    The text is encoded before the file is opened, so a failure creates no
+    file; the bytes of a file name that were not UTF-8 are written back."""
     if output is None:
         sys.stdout.write(text)
         return 0
     try:
-        Path(output).write_text(text, encoding="utf-8")
-    except OSError as ex:
+        Path(output).write_bytes(text.encode("utf-8", "surrogateescape"))
+    except (OSError, UnicodeEncodeError) as ex:
         _diag(f"{output}: error: {ex}")
         return 1
     return 0
@@ -136,7 +139,7 @@ def _cmd_plot(args) -> int:
         report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
         svg = halfplane_svg(report)
         csv_text = points_csv(report)
-    except (CrossCCError, OSError, ValueError, KeyError, OverflowError) as ex:
+    except (CrossCCError, OSError, ValueError, OverflowError) as ex:
         _diag(f"{args.report}: error: {ex}")
         return 1
     return (_emit(svg, args.output)

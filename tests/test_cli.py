@@ -327,6 +327,27 @@ class TestPlotCommand:
         assert capsys.readouterr().err.startswith(f"{out}: error: ")
         assert not out.exists()
 
+    def test_unit_utf8_cannot_encode_is_refused_before_writing(self, tmp_path, capsys):
+        # JSON can spell a lone surrogate, which no UTF-8 file can hold.
+        report = tmp_path / "report.json"
+        report.write_text('{"records": [{"unit": "\\ud800", "source": "a", "nu": 1,'
+                          ' "omega": 1, "provenance": "exact", "region": "non-trivial",'
+                          ' "indicator": 1}]}', encoding="utf-8")
+        out = tmp_path / "plot.svg"
+        assert main(["plot", str(report), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"{report}: error: record 0: ")
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+    def test_text_utf8_cannot_encode_is_a_diagnostic_and_no_file(self, tmp_path, capsys):
+        # Past report_from_json no unit can be such text; stand in a renderer.
+        report = tmp_path / "report.json"
+        assert main(["analyze", str(FIXTURES / "listing1.mini"), "-o", str(report)]) == 0
+        out = tmp_path / "plot.svg"
+        with mock.patch("crosscc.cli.halfplane_svg", return_value="\ud800"):
+            assert main(["plot", str(report), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"{out}: error: ")
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
 
 class TestDumpCfg:
     def test_dump_is_valid_dot(self, tmp_path, capsys):
@@ -430,3 +451,15 @@ def test_unwritable_output_is_a_diagnostic(tmp_path, command):
     assert run.returncode == 1
     assert f"{out}: error:" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("command", [["analyze", "--format", "csv"], ["dump-cfg"]])
+def test_file_name_bytes_that_are_not_utf8_are_written_back(tmp_path, command):
+    src = tmp_path / os.fsdecode(b"\xff.mini")
+    try:
+        shutil.copy(FIXTURES / "atomic_seq.mini", src)
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    out = tmp_path / "out"
+    assert main([*command, str(src), "-o", str(out)]) == 0
+    assert os.fsencode(src) + b":seq" in out.read_bytes()

@@ -5,8 +5,8 @@ from xml.dom import minidom
 import pytest
 
 from crosscc.errors import EmptyReport, MalformedReport
-from crosscc.plot import halfplane_svg, points_csv
-from crosscc.report import AnalysisReport, UnitRecord, report_from_json
+from crosscc.report import (AnalysisReport, UnitRecord, halfplane_svg, points_csv,
+                            report_from_json)
 
 
 def record(unit, nu, omega, file="prog.mini", position=0):
