@@ -8,18 +8,16 @@ conflates.
 """
 
 from .basis import (
+    Cycle,
     CycleBasis,
     Provenance,
-    enumerate_simple_cycles,
     horton_basis,
-    oracle_min_basis,
     tree_bound,
 )
 from .cfg import ControlFlowGraph, lower
 from .dot import DotGraphDoc, dump_cfg_dot, dump_dot, parse_dot
 from .errors import CrossCCError
 from .graph import (
-    Cycle,
     Edge,
     SpanningTree,
     WeightedDigraph,
@@ -44,8 +42,6 @@ __all__ = [
     "Provenance",
     "horton_basis",
     "tree_bound",
-    "oracle_min_basis",
-    "enumerate_simple_cycles",
     "parse",
     "ControlFlowGraph",
     "lower",

@@ -1,6 +1,11 @@
 """Minimum-weight cycle bases: exact greedy-over-candidates algorithm, the
 spanning-tree upper bound, and an independent brute-force oracle.
 
+Cycles are unoriented edge-id sets with exact ``fractions.Fraction``
+weights: arc direction matters to control-flow semantics, never to the
+cycle algebra, so every algorithm here traverses the underlying
+undirected graph.
+
 The exact algorithm first reduces the graph by three rules until none
 applies. Each keeps omega, the minimum basis weight, exactly:
 
@@ -51,8 +56,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
-from .errors import NegativeWeight, TooLarge
-from .graph import Cycle, SpanningTree, WeightedDigraph, cycle_rank
+from .errors import NegativeWeight, NotACycle, TooLarge
+from .graph import SpanningTree, WeightedDigraph, cycle_rank
 
 
 class Provenance(enum.Enum):
@@ -61,6 +66,40 @@ class Provenance(enum.Enum):
     EXACT = "exact"
     TREE_BOUND = "tree-bound"
     ORACLE = "oracle"
+
+
+class Cycle(NamedTuple):
+    """An unoriented simple cycle as an edge-id set with its exact weight."""
+
+    edge_ids: frozenset
+    weight: Fraction
+
+    @classmethod
+    def from_edges(cls, g: WeightedDigraph, edge_ids: Iterable[int]) -> "Cycle":
+        """Validate that ``edge_ids`` form one simple closed walk and build the cycle."""
+        ids = frozenset(edge_ids)
+        if not ids:
+            raise NotACycle("empty edge set")
+        degree = {}
+        for i in ids:
+            e = g.edge(i)
+            degree[e.source] = degree.get(e.source, 0) + 1
+            degree[e.target] = degree.get(e.target, 0) + 1
+        if any(d != 2 for d in degree.values()):
+            raise NotACycle("some vertex does not have degree 2 in the edge set")
+        # Degree 2 everywhere makes a disjoint union of cycles: a walk always
+        # has an unused edge to leave by, and closes at its start.
+        start = v = min(degree)
+        visited_edges = set()
+        while True:
+            e = next(e for e in g.incident(v) if e.id in ids and e.id not in visited_edges)
+            visited_edges.add(e.id)
+            v = e.other(v)
+            if v == start:
+                break
+        if len(visited_edges) != len(ids):
+            raise NotACycle("edge set is a union of disjoint cycles, not one cycle")
+        return cls(edge_ids=ids, weight=sum((g.edge(i).weight for i in ids), Fraction(0)))
 
 
 class CycleBasis(NamedTuple):

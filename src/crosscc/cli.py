@@ -50,17 +50,23 @@ def _diag(message: str) -> None:
 
 def _emit(text: str, output: Optional[str]) -> int:
     """Write ``text`` to the file ``output``, or to stdout when it is None.
-    Returns 0, or 1 after a diagnostic when the file cannot be written.
+    Returns 0, or 1 after a diagnostic when the text cannot be written.
 
-    The text is encoded before the file is opened, so a failure creates no
-    file; the bytes of a file name that were not UTF-8 are written back."""
-    if output is None:
-        sys.stdout.write(text)
-        return 0
+    The text is encoded once, before a file is opened, so a failure creates
+    no file; the bytes of a file name that were not UTF-8 are written back,
+    to a file and to stdout alike. A stdout without a byte ``buffer`` (a
+    ``StringIO`` put in its place) takes the text itself."""
     try:
-        Path(output).write_bytes(text.encode("utf-8", "surrogateescape"))
+        data = text.encode("utf-8", "surrogateescape")
+        if output is not None:
+            Path(output).write_bytes(data)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+        else:
+            sys.stdout.write(text)
     except (OSError, UnicodeEncodeError) as ex:
-        _diag(f"{output}: error: {ex}")
+        _diag(f"{'<stdout>' if output is None else output}: error: {ex}")
         return 1
     return 0
 

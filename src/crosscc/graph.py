@@ -1,14 +1,12 @@
-"""Weighted digraphs, spanning trees and cycles.
+"""Weighted digraphs and spanning trees.
 
 Edges carry dense integer ids and that id, not the endpoint pair, is an
 edge's identity. Parallel arcs between the same vertices are therefore
 representable, which keeps the control-flow construction total when the
 synthetic exit-to-start arc duplicates an existing arc.
 
-Cycles are unoriented edge-id sets: arc direction matters to control-flow
-semantics, never to the cycle algebra, so every algorithm here traverses
-the underlying undirected graph. All weights are exact
-``fractions.Fraction`` values so equality assertions are exact.
+Every search here traverses the underlying undirected graph. All weights
+are exact ``fractions.Fraction`` values so equality assertions are exact.
 
 Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
 (``cycle_rank``), so nu can be read as the size of a basis.
@@ -22,7 +20,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 from .errors import (
     DisconnectedGraph,
     EmptyGraph,
-    NotACycle,
     NotASpanningTree,
     UnknownEdge,
 )
@@ -110,9 +107,6 @@ class WeightedDigraph:
         """Edges touching ``vertex`` (unoriented view), ascending edge id."""
         return self._incidence[vertex]
 
-    def weight_of(self, edge_ids: Iterable[int]) -> Fraction:
-        return sum((self.edge(i).weight for i in edge_ids), Fraction(0))
-
     def __repr__(self):
         return f"WeightedDigraph(V={self.vertex_count}, E={len(self.edges)})"
 
@@ -190,40 +184,6 @@ def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
     parent = _connected_parents(g, root)
     tree_edges = frozenset(eid for _, eid in parent.values())
     return SpanningTree(host=g, root=root, tree_edges=tree_edges, parent=parent)
-
-
-class Cycle(NamedTuple):
-    """An unoriented simple cycle as an edge-id set with its exact weight."""
-
-    edge_ids: frozenset
-    weight: Fraction
-
-    @classmethod
-    def from_edges(cls, g: WeightedDigraph, edge_ids: Iterable[int]) -> "Cycle":
-        """Validate that ``edge_ids`` form one simple closed walk and build the cycle."""
-        ids = frozenset(edge_ids)
-        if not ids:
-            raise NotACycle("empty edge set")
-        degree = {}
-        for i in ids:
-            e = g.edge(i)
-            degree[e.source] = degree.get(e.source, 0) + 1
-            degree[e.target] = degree.get(e.target, 0) + 1
-        if any(d != 2 for d in degree.values()):
-            raise NotACycle("some vertex does not have degree 2 in the edge set")
-        # Degree 2 everywhere makes a disjoint union of cycles: a walk always
-        # has an unused edge to leave by, and closes at its start.
-        start = v = min(degree)
-        visited_edges = set()
-        while True:
-            e = next(e for e in g.incident(v) if e.id in ids and e.id not in visited_edges)
-            visited_edges.add(e.id)
-            v = e.other(v)
-            if v == start:
-                break
-        if len(visited_edges) != len(ids):
-            raise NotACycle("edge set is a union of disjoint cycles, not one cycle")
-        return cls(edge_ids=ids, weight=g.weight_of(ids))
 
 
 def cycle_rank(g: WeightedDigraph) -> int:

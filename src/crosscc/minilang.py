@@ -1,4 +1,4 @@
-"""MiniLang: a 9-keyword imperative language used as the parsing frontend.
+"""MiniLang: the parsing frontend, an imperative language of nine statement keywords.
 
 Functions look like ``fn name(args) { ... }``. Statements: if/else, while,
 for, switch/case/default, break, continue, return, labels, and expression

@@ -172,6 +172,10 @@ def halfplane_svg(report: AnalysisReport) -> str:
     def pt(nu, omega) -> str:
         return f"{sx(nu):.1f},{sy(omega):.1f}"
 
+    def line(nu1, omega1, nu2, omega2, stroke, width) -> str:
+        return (f'<line x1="{sx(nu1):.1f}" y1="{sy(omega1):.1f}" x2="{sx(nu2):.1f}" '
+                f'y2="{sy(omega2):.1f}" stroke="{stroke}" stroke-width="{width}"/>')
+
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
@@ -193,25 +197,18 @@ def halfplane_svg(report: AnalysisReport) -> str:
     step_x = max(1, span_x // 12)
     step_y = max(1, span_y // 12)
     for i in range(0, span_x + 1, step_x):
-        lines.append(f'<line x1="{sx(i):.1f}" y1="{sy(0):.1f}" x2="{sx(i):.1f}" '
-                     f'y2="{sy(span_y):.1f}" stroke="#e8e8e8" stroke-width="1"/>')
+        lines.append(line(i, 0, i, span_y, "#e8e8e8", 1))
         lines.append(f'<text x="{sx(i):.1f}" y="{sy(0) + 16:.1f}" font-size="10" '
                      f'text-anchor="middle" fill="#444">{i}</text>')
     for j in range(0, span_y + 1, step_y):
-        lines.append(f'<line x1="{sx(0):.1f}" y1="{sy(j):.1f}" x2="{sx(span_x):.1f}" '
-                     f'y2="{sy(j):.1f}" stroke="#e8e8e8" stroke-width="1"/>')
+        lines.append(line(0, j, span_x, j, "#e8e8e8", 1))
         lines.append(f'<text x="{sx(0) - 8:.1f}" y="{sy(j) + 3:.1f}" font-size="10" '
                      f'text-anchor="end" fill="#444">{j}</text>')
 
     # Axes and the two boundary lines.
-    lines.append(f'<line x1="{sx(0):.1f}" y1="{sy(0):.1f}" x2="{sx(span_x):.1f}" '
-                 f'y2="{sy(0):.1f}" stroke="black" stroke-width="1.5"/>')
-    lines.append(f'<line x1="{sx(0):.1f}" y1="{sy(0):.1f}" x2="{sx(0):.1f}" '
-                 f'y2="{sy(span_y):.1f}" stroke="black" stroke-width="1.5"/>')
-    lines.append(f'<line x1="{sx(0):.1f}" y1="{sy(0):.1f}" x2="{sx(span_x):.1f}" '
-                 f'y2="{sy(span_x):.1f}" stroke="#666" stroke-width="1.5"/>')
-    lines.append(f'<line x1="{sx(0):.1f}" y1="{sy(0):.1f}" x2="{sx(span_x):.1f}" '
-                 f'y2="{sy(slope * span_x):.1f}" stroke="#333" stroke-width="1.5"/>')
+    lines += [line(0, 0, span_x, 0, "black", 1.5), line(0, 0, 0, span_y, "black", 1.5),
+              line(0, 0, span_x, span_x, "#666", 1.5),
+              line(0, 0, span_x, slope * span_x, "#333", 1.5)]
     lines.append(f'<text x="{sx(span_x) + 6:.1f}" y="{sy(0) + 4:.1f}" '
                  'font-size="13" fill="black">nu</text>')
     lines.append(f'<text x="{sx(0):.1f}" y="{sy(span_y) - 8:.1f}" font-size="13" '

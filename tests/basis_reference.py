@@ -22,9 +22,9 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
-from crosscc.basis import _edge_ids, _greedy_independent, _require_nonnegative
+from crosscc.basis import Cycle, _edge_ids, _greedy_independent, _require_nonnegative
 from crosscc.errors import DisconnectedGraph
-from crosscc.graph import Cycle, Edge, SpanningTree, WeightedDigraph, cycle_rank
+from crosscc.graph import Edge, SpanningTree, WeightedDigraph, cycle_rank
 
 
 def _integer_weights(g: WeightedDigraph) -> Tuple[List[int], int]:

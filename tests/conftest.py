@@ -18,6 +18,11 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def weight_of(g: WeightedDigraph, edge_ids) -> Fraction:
+    """The exact total weight of the edges ``edge_ids`` of ``g``."""
+    return sum((g.edge(i).weight for i in edge_ids), Fraction(0))
+
+
 def weighted_fan() -> WeightedDigraph:
     """Hub a joined to b,c,d,e plus the rim b-c, c-d, d-e; the worked
     weighted example used throughout the suite (weights 1,3,5,4,2,7,6)."""

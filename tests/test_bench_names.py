@@ -2,12 +2,19 @@
 
 The benchmark's own tests (``python -m pytest bench``) are not part of this
 suite, so without this check a rename that breaks ``bench/`` would pass
-here. The scan only reads ``bench/*.py``; it runs none of it.
+here. The scan only reads ``bench/*.py``. The last test runs the graph
+walks ``bench/`` makes through methods of crosscc objects, which no name
+shows.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from crosscc.basis import horton_basis
+from crosscc.dot import parse_dot
+
+from conftest import fixture_text
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -62,3 +69,17 @@ def test_every_name_the_benchmark_imports_resolves():
     assert {"crosscc.basis.tree_bound", "crosscc.graph.spanning_tree",
             "crosscc.errors.TooLarge", "crosscc.cli.main"} <= names
     assert [name for name in sorted(names) if not resolves(name)] == []
+
+
+def test_the_graph_walks_the_benchmark_runs_still_work(monkeypatch):
+    # The scan above sees names, not the methods bench/ calls on crosscc
+    # objects: corpus._size walks g.incident(v) and e.other(v), and
+    # check.networkx_omega reads each edge's id, endpoints and weight.
+    monkeypatch.syspath_prepend(str(BENCH))
+    corpus = importlib.import_module("corpus")
+    check = importlib.import_module("check")
+    dot = fixture_text("mccabe_g1.dot")
+    assert corpus._mini_size(fixture_text("listing1.mini")) > 0
+    assert corpus._dot_size((dot, 0)) > 0
+    g = parse_dot(dot).to_cfg().graph
+    assert check.networkx_omega(g) == horton_basis(g).total_weight

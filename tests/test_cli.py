@@ -463,3 +463,23 @@ def test_file_name_bytes_that_are_not_utf8_are_written_back(tmp_path, command):
     out = tmp_path / "out"
     assert main([*command, str(src), "-o", str(out)]) == 0
     assert os.fsencode(src) + b":seq" in out.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["analyze", "--format", "csv"], ["dump-cfg"]])
+def test_file_name_bytes_that_are_not_utf8_reach_a_strict_stdout(tmp_path, command):
+    # Python's stdout would refuse the surrogate that stands for the byte.
+    src = tmp_path / os.fsdecode(b"\xff.mini")
+    try:
+        shutil.copy(FIXTURES / "atomic_seq.mini", src)
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    out = tmp_path / "out"
+    assert main([*command, str(src), "-o", str(out)]) == 0
+    package = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict", PYTHONPATH=os.pathsep.join(
+        filter(None, [package, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "crosscc", *command, src],
+                         capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert b"Traceback" not in run.stderr
+    assert run.stdout == out.read_bytes()

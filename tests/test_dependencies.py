@@ -16,13 +16,14 @@ import tomllib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crosscc"
+TESTS = Path(__file__).resolve().parent
 
 
-def absolute_imports():
-    """The top-level module of every absolute import in ``src/crosscc/*.py``,
+def absolute_imports(directory: Path):
+    """The top-level module of every absolute import in ``directory/*.py``,
     imports inside functions included."""
     modules = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 modules.update(alias.name.split(".")[0] for alias in node.names)
@@ -32,25 +33,9 @@ def absolute_imports():
 
 
 def test_every_absolute_import_is_from_the_standard_library():
-    modules = absolute_imports()
+    modules = absolute_imports(PACKAGE)
     assert {"fractions", "math", "re", "argparse", "__future__"} <= modules
     assert sorted(modules - sys.stdlib_module_names) == []
-
-
-TESTS = Path(__file__).resolve().parent
-
-
-def imports_of_tests():
-    """The top-level module of every absolute import in ``tests/*.py``, by
-    the same walk as ``absolute_imports``."""
-    modules = set()
-    for path in sorted(TESTS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                modules.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules.add(node.module.split(".")[0])
-    return modules
 
 
 def declared_test_dependencies():
@@ -63,7 +48,7 @@ def declared_test_dependencies():
 
 
 def test_every_module_the_tests_import_is_declared():
-    modules = imports_of_tests()
+    modules = absolute_imports(TESTS)
     assert {"pytest", "hypothesis", "networkx", "crosscc", "conftest"} <= modules
     local = {path.stem for path in TESTS.glob("*.py")}
     undeclared = (modules - sys.stdlib_module_names - {"crosscc"} - local

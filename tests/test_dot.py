@@ -25,6 +25,7 @@ from conftest import (
     fixture_text,
     random_connected_graph,
     random_weighted_multigraph,
+    weight_of,
 )
 
 
@@ -33,7 +34,7 @@ class TestParse:
         doc = parse_dot(fixture_text("weighted_fan.dot"))
         assert doc.graph.vertex_count == 5
         assert doc.graph.edge_count == 7
-        assert doc.graph.weight_of(range(7)) == 28
+        assert weight_of(doc.graph, range(7)) == 28
         assert not doc.is_cfg()
         assert doc.virtual_arc is None
 
