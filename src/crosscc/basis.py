@@ -23,7 +23,13 @@ applies. Each keeps omega, the minimum basis weight, exactly:
   w(a) - w(b) <= 0, and the dropped one weighs at least w(b) + d. Hence
   omega(G) >= omega(G - b) + w(b) + d, and the forced cycle plus a minimum
   basis of G - b attains it. The trap: w(b) + w(a) is wrong when a third
-  u-v path is shorter than a, so d comes from a Dijkstra bounded by w(a).
+  u-v path is shorter than a, so d comes from a Dijkstra bounded by w(a),
+  run only if an edge at u, where any other u-v path starts, is lighter.
+
+Each rule keeps E - V + c (c components) plus the forced cycles and joins
+no components. So, with no search of its own, the graph is connected iff
+the kernel is empty or connected (the first root's Dijkstra reaches all of
+it) and the forced cycles plus its E - V + 1, if any, are nu = E - V + 1.
 
 On what is left, the kernel, it builds for every root z of a feedback
 vertex set and every edge e=(x,y) the candidate cycle ``shortest z-x path
@@ -34,12 +40,16 @@ reached. Horton (1987) showed that with every vertex as a root this
 candidate set contains a minimum-weight basis when the shortest paths are
 unique; Mehlhorn & Michail ("Minimum cycle bases: faster and simpler", ACM
 TALG 2009) showed that roots over any feedback vertex set (a vertex set that
-meets every cycle) suffice, so the roots are a greedy one. Path ties are
-broken by the path's edge bitmask (bit i set iff kernel edge i is on the
-path), which gives one consistent shortest-path tree per root. That
-tie-break mask is the path itself: a candidate cycle is two path masks and
-the bit of e, OR-ed. A kernel edge stands for a path of original edges, so
-a chosen kernel cycle becomes an original-edge mask by OR-ing theirs.
+meets every cycle) suffice, so the roots are a greedy one. Each root's
+search skips the roots before it: a cycle of the basis found is isometric
+(between two of its vertices, one of its arcs is the shortest path), so in
+the graph without the roots before the first one on it, it is still that
+root's candidate. Path ties are broken by the path's edge bitmask (bit i
+set iff kernel edge i is on the path), which gives one consistent
+shortest-path tree per root. That tie-break mask is the path itself: a
+candidate cycle is two path masks and the bit of e, OR-ed. A kernel edge
+stands for a path of original edges, so a chosen kernel cycle becomes an
+original-edge mask by OR-ing theirs.
 
 Weights are scaled to ints on entry, by the least common multiple of their
 denominators, so no ``Fraction`` arithmetic runs in the shortest paths or
@@ -54,9 +64,10 @@ import enum
 import math
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
-from .errors import NegativeWeight, NotACycle, TooLarge
+from .errors import DisconnectedGraph, EmptyGraph, NegativeWeight, NotACycle, TooLarge
 from .graph import SpanningTree, WeightedDigraph, cycle_rank
 
 
@@ -121,7 +132,7 @@ def _require_nonnegative(g: WeightedDigraph) -> Tuple[List[int], int]:
     """``(weights, scale)``: every edge weight, checked to be >= 0, times
     ``scale``, the least common multiple of their denominators, by edge id.
     A sum of these over ``scale`` is the exact ``Fraction`` sum."""
-    ratios = [w.as_integer_ratio() for _, _, _, w in g.edges]
+    ratios = list(map(Fraction.as_integer_ratio, map(itemgetter(3), g.edges)))
     scale = math.lcm(*{d for _, d in ratios})
     weights = [n * (scale // d) for n, d in ratios]
     if min(weights, default=0) < 0:
@@ -160,31 +171,27 @@ def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[in
     live = range(n)
     prune = [v for v in live if degree[v] <= 1]
     fvs = []
-
-    def remove(v):
-        alive[v] = False
-        for u, _, _ in adjacency[v]:
-            if alive[u]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    prune.append(u)
-
     while True:
         while prune:
             v = prune.pop()
             if alive[v]:
-                remove(v)
+                alive[v] = False
+                for u, _, _ in adjacency[v]:
+                    if alive[u]:
+                        degree[u] -= 1
+                        if degree[u] == 1:
+                            prune.append(u)
         live = [v for v in live if alive[v]]
         if not live:
             return fvs
         v = max(live, key=degree.__getitem__)  # max keeps the first of ties: the lowest id
         fvs.append(v)
-        remove(v)
+        prune.append(v)  # removed first, as prune is empty
 
 
-def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int):
+def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int, done=None):
     """Single-source shortest paths on the unoriented graph of ``adjacency``
-    (see ``_reduce``; weights are non-negative integers).
+    (see ``_reduce``; weights are integers >= 0) without the ``done`` vertices.
 
     Labels are ``(distance, path)`` where path is the edge bitmask of the
     path. Distinct edge sets give distinct masks, so the optimum per vertex
@@ -194,13 +201,13 @@ def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int):
     and builds the new path mask only when its distance beats or ties the
     old one: the mask can decide nothing else.
 
-    Returns (dist, path), two lists indexed by vertex.
+    Returns (dist, path) by vertex; one not reached has dist None, path -1.
     """
     n = len(adjacency)
     dist = [None] * n
-    path = [0] * n
-    done = [False] * n
-    dist[source] = 0
+    path = [-1] * n
+    done = done or [False] * n
+    dist[source] = path[source] = 0
     heap = [(0, 0, source)]
     while heap:
         d, p, v = heappop(heap)
@@ -227,32 +234,23 @@ def _reduce(g: WeightedDigraph, weights: List[int]):
     kernel edge; the original-edge mask of each kernel edge by kernel edge id; and
     the forced cycles as ``(original-edge mask, integer weight)`` pairs."""
     # Per vertex, neighbor -> slot of the one edge between them (None once
-    # the vertex is gone); per slot, (integer weight, original-edge mask).
-    # A parallel edge is found as it is joined: the lighter keeps the slot,
-    # and the heavier waits in `heavier` for its forced cycle, which is
-    # taken before the next step changes the graph.
+    # the vertex is gone); slot i, edge i's at first, holds (integer weight,
+    # original-edge mask). Of two parallel edges the lighter keeps the slot;
+    # the heavier's forced cycle is closed before the graph next changes.
     nbr = [{} for _ in range(g.vertex_count)]
-    slots, heavier, forced = [], [], []
-
-    def join(u, v, edge):
-        k = nbr[u].get(v)
-        if k is None:
-            nbr[u][v] = nbr[v][u] = len(slots)
-            slots.append(edge)
+    slots, heavier, forced = [(w, 1 << i) for i, w in enumerate(weights)], [], []
+    for eid, u, v, _ in g.edges:
+        k = nbr[u].setdefault(v, eid)
+        if k == eid:
+            nbr[v][u] = eid
         else:
-            slots[k], edge = sorted((slots[k], edge))
-            heavier.append((u, v, edge))
-
-    for eid, source, target, _ in g.edges:
-        join(source, target, (weights[eid], 1 << eid))
+            nbr[u][v] = nbr[v][u] = min(k, eid, key=slots.__getitem__)
+            heavier.append((u, v, slots[max(k, eid, key=slots.__getitem__)]))
+    for u, v, (w, m) in heavier:
+        d, path = _detour(nbr, slots, u, v)
+        forced.append((m | path, w + d))
     stack = [v for v, row in enumerate(nbr) if len(row) <= 2]
-    while True:
-        for u, v, (w, m) in heavier:
-            d, path = _detour(nbr, slots, u, v)
-            forced.append((m | path, w + d))
-        heavier.clear()
-        if not stack:
-            break
+    while stack:
         row = nbr[v := stack.pop()]
         if row is None or len(row) > 2:
             continue
@@ -262,7 +260,16 @@ def _reduce(g: WeightedDigraph, weights: List[int]):
         if len(row) == 2:
             (a, ka), (b, kb) = row.items()
             (wa, ma), (wb, mb) = slots[ka], slots[kb]
-            join(a, b, (wa + wb, ma | mb))
+            edge = (wa + wb, ma | mb)
+            k = nbr[a].get(b)
+            if k is None:
+                nbr[a][b] = nbr[b][a] = ka
+                slots[ka] = edge
+            else:
+                if edge < slots[k]:
+                    slots[k], edge = edge, slots[k]
+                d, path = _detour(nbr, slots, a, b)
+                forced.append((edge[1] | path, edge[0] + d))
         stack += row  # a neighbor whose degree fell to 2 or less
     live = [v for v, row in enumerate(nbr) if row is not None]
     index = {v: i for i, v in enumerate(live)}
@@ -283,6 +290,11 @@ def _detour(nbr, slots, u, v):
     The Dijkstra from u settles only distances below the weight of k."""
     k = nbr[u][v]
     bound = slots[k][0]
+    for j in nbr[u].values():
+        if slots[j][0] < bound:
+            break
+    else:
+        return slots[k]
     dist = {u: 0}
     heap = [(0, u, 0)]
     while heap:
@@ -300,15 +312,19 @@ def _detour(nbr, slots, u, v):
 
 def _candidate_cycles(adjacency: List[List[Tuple[int, int, int]]]) -> Dict[int, int]:
     """All simple candidate cycles ``P(z,x) + e + P(y,z)`` over the roots z of
-    a feedback vertex set of ``adjacency`` (see ``_reduce``), as mask ->
-    integer weight."""
+    a feedback vertex set of ``adjacency`` (see ``_reduce``), each root's
+    without the roots before it, as mask -> integer weight. DisconnectedGraph
+    if the first root misses a vertex."""
     arcs = [(x, y, w, bit) for x, row in enumerate(adjacency) for y, w, bit in row if x < y]
-    candidates = {}
+    candidates, gone = {}, [False] * len(adjacency)
     for z in _feedback_vertex_set(adjacency):
-        dist, path = _shortest_paths(adjacency, z)
+        dist, path = _shortest_paths(adjacency, z, gone[:])
+        if None in dist and not any(gone):
+            raise DisconnectedGraph("graph is not connected (unoriented)")
+        gone[z] = True
         for x, y, w, bit in arcs:
             p_zx, p_zy = path[x], path[y]
-            if (p_zx | p_zy) & bit or p_zx & p_zy:
+            if (p_zx | p_zy) & bit or p_zx & p_zy:  # path -1, not reached, has every bit
                 continue
             # Two edge-disjoint root paths of one tree meet only at the root,
             # so with e they form a simple cycle.
@@ -321,26 +337,30 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
 
     Acyclic graphs (cycle rank 0) reduce to nothing and yield an empty
     basis rather than an error, so straight-line control-flow subgraphs
-    stay total. The cycles are in ``(weight, mask)`` order.
+    stay total. The cycles are in ``(weight, mask)`` order. The reduction
+    gives nu, connectivity and ``cycle_rank``'s errors (see the module docstring).
     """
     # Label-setting Dijkstra is unsound on negative weights.
     weights, scale = _require_nonnegative(g)
-    nu = cycle_rank(g)
     adjacency, originals, forced = _reduce(g, weights)
-    rank = nu - len(forced)
-    candidates = _candidate_cycles(adjacency)
-    ordered = sorted(candidates, key=lambda m: (candidates[m], m))
-    chosen = _greedy_independent(ordered, rank)
-    if len(chosen) < rank:
-        # Cannot happen for a connected graph: the candidate set contains a
-        # minimum basis. Guard against silent nonsense anyway.
-        raise AssertionError("candidate cycles did not span the cycle space")
-    # Every candidate is a simple cycle with its integer weight by
-    # construction, so the chosen ones need no walk of their own.
-    masks = sorted(forced + [(sum(originals[i] for i in _edge_ids(m)), candidates[m])
-                             for m in chosen], key=lambda c: (c[1], c[0]))
-    total = Fraction(sum(w for _, w in masks), scale)
-    return CycleBasis(tuple(masks), scale, total, Provenance.EXACT)
+    rank = len(originals) - len(adjacency) + 1 if adjacency else 0
+    if len(forced) + rank != g.edge_count - g.vertex_count + 1:
+        raise (DisconnectedGraph("graph is not connected (unoriented)") if g.vertex_count
+               else EmptyGraph("graph has no vertices"))
+    if adjacency:
+        candidates = _candidate_cycles(adjacency)
+        ordered = sorted(zip(candidates.values(), candidates))
+        chosen = _greedy_independent(map(itemgetter(1), ordered), rank)
+        if len(chosen) < rank:
+            # Cannot happen for a connected graph: the candidate set contains a
+            # minimum basis. Guard against silent nonsense anyway.
+            raise AssertionError("candidate cycles did not span the cycle space")
+        # Every candidate is a simple cycle with its integer weight by
+        # construction, so the chosen ones need no walk of their own.
+        forced += [(sum(map(originals.__getitem__, _edge_ids(m))), candidates[m]) for m in chosen]
+    masks = tuple(sorted(forced, key=itemgetter(1, 0)))
+    total = Fraction(sum(map(itemgetter(1), masks)), scale)
+    return CycleBasis(masks, scale, total, Provenance.EXACT)
 
 
 def _greedy_independent(ordered_masks: Iterable[int], nu: int) -> List[int]:

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 import basis_reference
+from crosscc import basis
 from crosscc.basis import (
     Cycle,
     Provenance,
@@ -23,7 +24,7 @@ from crosscc.basis import (
 )
 from crosscc.cfg import lower
 from crosscc.dot import parse_dot
-from crosscc.errors import DisconnectedGraph, NegativeWeight, TooLarge
+from crosscc.errors import DisconnectedGraph, EmptyGraph, NegativeWeight, TooLarge
 from crosscc.graph import (
     Edge,
     SpanningTree,
@@ -128,6 +129,16 @@ class TestAllPairsShortestPaths:
         for dist, path in all_pairs(g):
             for y in range(5):
                 assert weight_of(g, edge_ids(path[y])) == dist[y]
+
+    def test_done_vertices_are_left_out(self):
+        # From b without the hub a, the fan is the path b-c-d-e: a is not
+        # reached (distance None, path -1), and d is 9 away, not 6 via a.
+        adjacency = adjacency_of(weighted_fan())
+        dist, path = _shortest_paths(adjacency, 1, [True] + [False] * 4)
+        assert dist == [None, 0, 2, 9, 15]
+        assert path == [-1, 0, 1 << 4, 1 << 4 | 1 << 5, 1 << 4 | 1 << 5 | 1 << 6]
+        rim = [[arc for arc in row if arc[0]] if v else [] for v, row in enumerate(adjacency)]
+        assert _shortest_paths(rim, 1) == (dist, path)
 
     def test_negative_weight_rejected(self):
         # Checked once per graph, before any shortest path runs.
@@ -324,6 +335,73 @@ class TestHortonBasis:
         assert [c.edge_ids for c in b1.cycles] == [c.edge_ids for c in b2.cycles]
 
 
+def disjoint_union(*graphs, isolated=0):
+    """The graphs side by side, vertices renumbered in order, plus
+    ``isolated`` vertices without edges."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(s + offset, t + offset, w) for _, s, t, w in g.edges]
+        offset += g.vertex_count
+    return WeightedDigraph(offset + isolated, edges)
+
+
+class TestConnectivity:
+    """``horton_basis`` reads connectivity off its reduction and the first
+    root's Dijkstra, and raises what ``cycle_rank`` raises, after
+    ``NegativeWeight``."""
+
+    NOT_CONNECTED = r"^graph is not connected \(unoriented\)$"
+
+    def test_two_triangles_reduce_away_and_are_rejected(self):
+        g = disjoint_union(triangle(), triangle())
+        assert _reduce(g, _require_nonnegative(g)[0])[0] == []
+        with pytest.raises(DisconnectedGraph, match=self.NOT_CONNECTED):
+            horton_basis(g)
+
+    def test_two_kernels_are_rejected(self):
+        # Each K4 is a kernel of its own, so the counts agree with one
+        # connected graph and only the first root's Dijkstra can tell.
+        g = disjoint_union(k4(), k4())
+        assert len(_reduce(g, _require_nonnegative(g)[0])[0]) == 8
+        with pytest.raises(DisconnectedGraph, match=self.NOT_CONNECTED):
+            horton_basis(g)
+
+    def test_isolated_vertex_is_rejected(self):
+        with pytest.raises(DisconnectedGraph, match=self.NOT_CONNECTED):
+            horton_basis(disjoint_union(k4(), isolated=1))
+
+    def test_no_vertex_is_an_empty_graph(self):
+        with pytest.raises(EmptyGraph, match="^graph has no vertices$"):
+            horton_basis(WeightedDigraph(0, []))
+
+    def test_negative_weight_comes_first(self):
+        with pytest.raises(NegativeWeight):
+            horton_basis(disjoint_union(negative_weight_pentagon(), k4()))
+
+    def test_raises_exactly_where_cycle_rank_raises(self):
+        # One to three random multigraphs side by side, sometimes an isolated
+        # vertex, and up to one random arc per part, which may or may not
+        # join them.
+        rng = random.Random(0xC0111EC7)
+        disconnected = 0
+        for _ in range(300):
+            parts = [random_weighted_multigraph(rng, max_vertices=6, max_nu=3)
+                     for _ in range(rng.randint(1, 3))]
+            g = disjoint_union(*parts, isolated=int(rng.random() < 0.2))
+            links = [(*rng.sample(range(g.vertex_count), 2), rng.choice(CORPUS_WEIGHTS))
+                     for _ in range(rng.randint(0, len(parts)))]
+            g = WeightedDigraph(g.vertex_count, [e[1:] for e in g.edges] + links)
+            try:
+                cycle_rank(g)
+            except DisconnectedGraph:
+                disconnected += 1
+                with pytest.raises(DisconnectedGraph, match=self.NOT_CONNECTED):
+                    horton_basis(g)
+            else:
+                assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight
+        assert 50 < disconnected < 250
+
+
 def if_chain(n):
     """The CFG of one function of ``n`` sequential ``if (c) { x; }`` and a
     ``return``."""
@@ -363,6 +441,38 @@ class TestReduction:
         assert _reduce(cfg.graph, _require_nonnegative(cfg.graph)[0])[0] == []
         cc = cross_complexity(cfg)
         assert (cc.nu, cc.omega_min) == (2001, 8001)
+
+    @pytest.fixture
+    def pops(self, monkeypatch):
+        """The number of heap pops in ``basis`` from here on: a Dijkstra,
+        bounded or not, pops at least once."""
+        count = [0]
+        pop = basis.heappop
+
+        def counted(heap):
+            count[0] += 1
+            return pop(heap)
+
+        monkeypatch.setattr(basis, "heappop", counted)
+        return count
+
+    def test_if_chain_closes_every_forced_cycle_without_a_dijkstra(self, pops):
+        # At the first end of every parallel pair, no edge is lighter than
+        # the pair's lighter edge, so no other path between its ends can be.
+        assert len(horton_basis(if_chain(2000).graph).masks) == 2001
+        assert pops[0] == 0
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
+    def test_detour_through_a_lighter_arc_at_u(self, pops, pair):
+        # The parallel pair s-a weighs 2 and 3, and the zero-weight closing
+        # arc r -> s with a -> r (1) is a lighter s-a path. So the forced
+        # cycle of the 3 is closed by s-r-a (3 + 1), not by the 2 (3 + 2),
+        # and omega is 4 + 3, where stopping at the 2 would give 5 + 3.
+        u, v = pair
+        g = WeightedDigraph(3, [(u, v, 2), (u, v, 3), (1, 2, 1), (2, 0, 0)])
+        assert _reduce(g, _require_nonnegative(g)[0])[2][0] == (0b1110, 4)
+        assert pops[0] > 0
+        assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight == 7
 
 
 class TestTreeBound:

@@ -250,6 +250,18 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
         assert "weight" in capsys.readouterr().err
 
+    def test_disconnected_bare_dot_graph_costs_only_its_file(self, tmp_path, capsys):
+        # Without start and exit no reachability check runs, so the exact
+        # basis is what refuses the graph.
+        split = tmp_path / "split.dot"
+        split.write_text("digraph g { a -> b; b -> a; c -> d; d -> c; }", encoding="utf-8")
+        good = copy_fixture(tmp_path, "ifelse_cfg.dot")
+        assert main(["analyze", str(split), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"{split}: error: graph is not connected (unoriented)"]
+        assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["ifelse_cfg"]
+
     def test_empty_digraph_is_an_analysis_error(self, tmp_path, capsys):
         path = tmp_path / "empty.dot"
         path.write_text("digraph g { }", encoding="utf-8")
