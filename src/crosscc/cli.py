@@ -42,10 +42,18 @@ def _color_enabled() -> bool:
     return sys.stderr.isatty()
 
 
-def _diag(message: str) -> None:
+def _diag(*lines: str) -> None:
+    """Write each line to stderr, colored on its own, in one write: a
+    stderr that is not a terminal is line-buffered, so each ``print`` would
+    be a write of its own."""
     if _color_enabled():
-        message = f"\x1b[31m{message}\x1b[0m"
-    print(message, file=sys.stderr)
+        lines = tuple(f"\x1b[31m{line}\x1b[0m" for line in lines)
+    sys.stderr.write("".join(f"{line}\n" for line in lines))
+
+
+def _read(path: Path) -> str:
+    """The UTF-8 text of a source file, without a leading byte order mark."""
+    return path.read_text(encoding="utf-8").removeprefix("\ufeff")
 
 
 def _emit(text: str, output: Optional[str]) -> int:
@@ -84,17 +92,17 @@ def _record(path: Path, position: int, unit: str, source: str,
 
 
 def _analyze_mini(path: Path, mode: Provenance, slope: Fraction) -> List[UnitRecord]:
-    program = parse(path.read_text(encoding="utf-8"), str(path))
+    program = parse(_read(path), str(path))
     return [_record(path, position, fn.name, f"{path}:{fn.name}",
                     cross_complexity(lower(fn, str(path)), mode, slope))
             for position, fn in enumerate(program.functions)]
 
 
 def _analyze_dot(path: Path, mode: Provenance, slope: Fraction) -> List[UnitRecord]:
-    doc = parse_dot(path.read_text(encoding="utf-8"), str(path))
-    for src, dst in doc.duplicate_arcs:
-        _diag(f"{path}: warning: arc {src} -> {dst} declared more than once; "
-              "both kept as distinct edges")
+    doc = parse_dot(_read(path), str(path))
+    if doc.duplicate_arcs:
+        _diag(*(f"{path}: warning: arc {src} -> {dst} declared more than once; "
+                "both kept as distinct edges" for src, dst in doc.duplicate_arcs))
     subject = doc.to_cfg() if doc.is_cfg() else doc.graph
     # Marks are read only when used, so a bad mark never fails an exact run.
     marked = doc.marked_tree() if mode is Provenance.TREE_BOUND else None
@@ -129,9 +137,8 @@ def _cmd_analyze(args) -> int:
         threshold = as_weight(args.fail_above)
         offenders = [r for r in report.records if r.indicator > threshold]
         if offenders:
-            for r in offenders:
-                _diag(f"{r.source}: indicator {float(r.indicator):g} exceeds "
-                      f"--fail-above {args.fail_above}")
+            _diag(*(f"{r.source}: indicator {float(r.indicator):g} exceeds "
+                    f"--fail-above {args.fail_above}" for r in offenders))
             return 2
     return 0
 
@@ -160,7 +167,7 @@ def _cmd_dump_cfg(args) -> int:
         try:
             if path.suffix != ".mini":
                 raise CrossCCError(f"unsupported file type {path.suffix!r} (expected .mini)")
-            program = parse(path.read_text(encoding="utf-8"), str(path))
+            program = parse(_read(path), str(path))
             for fn in program.functions:
                 # lower has put every vertex on a start-to-exit path, so the
                 # graph is connected and its cycle rank needs no search.

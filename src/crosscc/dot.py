@@ -24,12 +24,25 @@ attribute value is a word (a run of characters other than white space,
 and span lines. Punctuation or end of input where a name belongs is a
 syntax error.
 
-A document is scanned in one pass: one ``findall`` over a pattern that skips
-white space and comments inside each match yields the token strings, and
-nothing else is recorded per token. A diagnostic finds its token's offset
-again and counts the line ends before it, so line numbers cost nothing
-until an error, and line ends inside quoted strings count too. Each
-distinct weight text is parsed to a ``Fraction`` once per document.
+A document is read by one of two readers, chosen by its text. The
+statement reader reads a ``digraph NAME {`` header and then one statement
+per match of one pattern, with the blanks and comments before it: an arc
+with no attributes or with only ``weight=`` and ``tree=`` attributes (an
+unquoted ``tree`` value), a graph attribute, a bare node, and the closing
+``}`` at the end of input. A document with any other statement, or one
+that a check rejects (a self-loop, a bad or negative weight, a ``start``
+or ``exit`` that names no vertex, ``start`` equal to ``exit``), is read
+again, whole, by the token parser, which gives every diagnostic.
+
+The token parser scans a document in one pass: one ``findall`` over a
+pattern that skips white space and comments inside each match yields the
+token strings, and nothing else is recorded per token. A diagnostic finds
+its token's offset again and counts the line ends before it, so line
+numbers cost nothing until an error, and line ends inside quoted strings
+count too. Either reader parses each distinct weight text to a
+``Fraction`` once per document. Each pattern is compiled when its reader
+first runs, through ``re``'s own cache, so importing this module compiles
+neither.
 """
 
 from __future__ import annotations
@@ -37,30 +50,67 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cfg import ControlFlowGraph, check_reachability
 from .errors import DotSyntaxError, MissingStartExit
 from .graph import ONE, ZERO, SpanningTree, WeightedDigraph
 
-# One match per token: whitespace and ``//`` comments are skipped inside the
-# match, so ``findall`` yields exactly the tokens. The pattern matches at
+# The lexical rules, each written once and shared by both readers' patterns:
+# blanks (white space and ``//`` comments), a quoted string, and a word,
+# which stops before ``->``. Every repetition is possessive, so a pattern
+# never gives back a comment, a string or a word it has read.
+_BLANKS = r"(?:\s++|//[^\n]*+)*+"
+_STRING = r'"(?:[^"\\]|\\.)*+"'
+_WORD = r'(?:[^\s{}\[\];=,"-]++|-(?!>))++'
+_NAME = rf"(?:{_STRING}|{_WORD})"
+
+# The token parser's pattern, one match per token: blanks are skipped inside
+# the match, so ``findall`` yields exactly the tokens. The pattern matches at
 # every offset ``findall`` resumes from, end of input included (as the empty
 # token), so it never searches ahead into a comment. A lone ``"`` opens a
 # string that never closes, the one lexical error.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s++|//[^\n]*+)*+
+_TOKEN = rf"""
+    {_BLANKS}
     (   ->
-      | [{}\[\];=,]
-      | "(?:[^"\\]|\\.)*+"
-      | (?:(?!->)[^\s{}\[\];=,"])++
+      | [{{}}\[\];=,]
+      | {_STRING}
+      | {_WORD}
       | "
       | \Z
     )
-    """,
-    re.VERBOSE,
+"""
+
+# The statement reader's pattern, one match per statement with the blanks
+# before it; its groups hold the raw tokens of the statement's shape. Any
+# other statement, and the end of input before the closing ``}``, matches
+# the last alternative, which sets no group. So the pattern matches at every
+# offset ``findall`` resumes from, and the statements are read back to back,
+# never searched for. Inside a statement, where no name follows, only white
+# space is skipped: a comment there ends the match, and what follows the
+# comment is read as the next statement, as the token parser reads it, or is
+# not read at all. Of an attribute given twice, the group keeps the last
+# value, as the token parser's dictionary does. The pattern is not VERBOSE,
+# which would take longer to compile.
+_SPACE = r"\s*+"
+_STATEMENT = (
+    _BLANKS + "(?:"
+    # digraph NAME {    where no word character continues "digraph"
+    rf'(?P<digraph>digraph)(?![^\s{{}}\[\];=,"]){_BLANKS}(?:(?P<graph>{_NAME}){_SPACE})?\{{'
+    # NAME, a bare node, then -> NAME [weight=W, tree=T] for an arc,
+    # or = NAME for a graph attribute; then an optional ;
+    rf"|(?P<first>{_NAME}){_SPACE}(?:"
+    rf"->{_BLANKS}(?P<target>{_NAME}){_SPACE}"
+    rf"(?:\[(?:{_BLANKS}(?:weight{_SPACE}={_BLANKS}(?P<weight>{_NAME})"
+    rf"|tree{_SPACE}={_BLANKS}(?P<tree>{_WORD})){_SPACE},?)*+{_SPACE}\]{_SPACE})?"
+    rf"|={_BLANKS}(?P<value>{_NAME}){_SPACE})?;?"
+    # the closing }, then nothing but blanks
+    rf"|(?P<close>\}}){_BLANKS}\Z"
+    r"|.|\Z)"
 )
+
+# The match of ``_STATEMENT`` that sets no group.
+_NO_GROUP = ("",) * 8
 
 # Tokens that cannot stand where a name belongs: punctuation and end of input.
 _NOT_NAMES = frozenset(("", "->", "{", "}", "[", "]", ";", "=", ","))
@@ -111,11 +161,131 @@ class DotGraphDoc(NamedTuple):
         return SpanningTree.from_edge_ids(self.graph, root, self.tree_edge_ids)
 
 
+def _unquote(token: str) -> str:
+    """The name a word or a quoted-string token stands for."""
+    if token[0] != '"':
+        return token
+    return token[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+
+
+def _weight(raw: str, error: Callable[[str], Exception]) -> Fraction:
+    """The weight a weight text stands for. A bad or negative one raises
+    what ``error(message)`` returns."""
+    try:
+        weight = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise error(f"bad weight {raw!r}")
+    if weight.numerator < 0:
+        raise error(f"negative weight {raw!r}")
+    return weight
+
+
+_Arc = Tuple[int, int, Fraction, bool]  # source, target, weight, tree mark
+
+
+def _document(name: str, node_ids: Dict[str, int], node_names: List[str],
+              arcs: List[_Arc], graph_attrs: Dict[str, str],
+              duplicates: List[Tuple[str, str]], filename: Optional[str],
+              error: Callable[[str], Exception]) -> DotGraphDoc:
+    """The document both readers build from the statements they read, after
+    the checks that need every statement. A failed check raises what
+    ``error(message)`` returns."""
+    start = graph_attrs.get("start")
+    exit_ = graph_attrs.get("exit")
+    addvirtual = graph_attrs.get("addvirtual", "true").lower() in ("true", "1")
+    for attr, value in (("start", start), ("exit", exit_)):
+        if value is not None and value not in node_ids:
+            raise error(f"{attr}={value!r} names a vertex that never appears")
+
+    edges = [(src, dst, w) for src, dst, w, _ in arcs]
+    tree_ids = tuple(i for i, (_, _, _, mark) in enumerate(arcs) if mark)
+    virtual_arc = None
+    if addvirtual and start is not None and exit_ is not None:
+        if start == exit_:
+            raise error("start and exit must be distinct vertices")
+        virtual_arc = len(edges)
+        edges.append((node_ids[exit_], node_ids[start], ZERO))
+    graph = WeightedDigraph(len(node_names), edges)
+    return DotGraphDoc(
+        name=name, graph=graph, node_names=tuple(node_names),
+        start=node_ids[start] if start is not None else None,
+        exit=node_ids[exit_] if exit_ is not None else None,
+        virtual_arc=virtual_arc, tree_edge_ids=tree_ids,
+        duplicate_arcs=tuple(duplicates), filename=filename)
+
+
+class _Unread(Exception):
+    """The statement reader leaves the document to the token parser."""
+
+
+def _read_statements(text: str, filename: Optional[str] = None) -> DotGraphDoc:
+    """The document, read one statement per match of ``_STATEMENT``.
+    Raises ``_Unread`` where the token parser would read a statement this
+    reader does not, or would raise."""
+    node_ids: Dict[str, int] = {}
+    node_names: List[str] = []
+    vertices: Dict[str, int] = {}  # raw name token -> vertex id
+    arcs: List[_Arc] = []
+    graph_attrs: Dict[str, str] = {}
+    duplicates: List[Tuple[str, str]] = []
+    seen_pairs = set()
+    weights: Dict[str, Fraction] = {}  # each distinct weight text, parsed once
+
+    def intern(token: str) -> int:
+        node = _unquote(token)
+        if node not in node_ids:
+            node_ids[node] = len(node_names)
+            node_names.append(node)
+        vertices[token] = node_ids[node]
+        return node_ids[node]
+
+    # The pattern matches at the end of input, so the last match sets no
+    # group. A document of the shapes read here has no other such match, a
+    # header first and its closing ``}`` last before that one.
+    statements = re.compile(_STATEMENT).findall(text)
+    if not (statements[0][0] and statements[-2][-1]
+            and statements.index(_NO_GROUP) == len(statements) - 1):
+        raise _Unread
+    for _, _, first, target, weight, tree, value, _ in statements[1:-2]:
+        if target:
+            src = vertices.get(first)
+            if src is None:
+                src = intern(first)
+            dst = vertices.get(target)
+            if dst is None:
+                dst = intern(target)
+            if src == dst:
+                raise _Unread  # a self-loop
+            if weight:
+                if weight[0] == '"':
+                    weight = _unquote(weight)
+                w = weights.get(weight)
+                if w is None:
+                    w = weights[weight] = _weight(weight, _Unread)
+            else:
+                w = ONE
+            pair = (src, dst)
+            if pair in seen_pairs:
+                duplicates.append((node_names[src], node_names[dst]))
+            seen_pairs.add(pair)
+            arcs.append((src, dst, w, tree != "" and tree.lower() in ("true", "1")))
+        elif value:
+            graph_attrs[_unquote(first)] = _unquote(value)
+        elif first:
+            if first not in vertices:
+                intern(first)
+        else:
+            raise _Unread  # a second header
+    name = statements[0][1]
+    return _document(_unquote(name) if name else "g", node_ids, node_names, arcs,
+                     graph_attrs, duplicates, filename, _Unread)
+
+
 class _DotParser:
     def __init__(self, text: str, filename: Optional[str] = None):
         self.text = text
         self.filename = filename
-        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens = re.findall(_TOKEN, text, re.VERBOSE)
         self.pos = 0
         if '"' in self.tokens:
             self.pos = self.tokens.index('"')
@@ -124,7 +294,7 @@ class _DotParser:
     def error(self, message: str) -> DotSyntaxError:
         """A diagnostic at the current token. Its line is counted only here,
         from the line ends before the token's offset."""
-        match = next(islice(_TOKEN_RE.finditer(self.text), self.pos, None))
+        match = next(islice(re.finditer(_TOKEN, self.text, re.VERBOSE), self.pos, None))
         line = self.text.count("\n", 0, match.start(1)) + 1
         return DotSyntaxError(message, line, None, self.filename)
 
@@ -143,9 +313,7 @@ class _DotParser:
         if got in _NOT_NAMES:
             raise self.error(f"expected {what}, got {got or 'end of input'!r}")
         self.pos += 1
-        if got[0] != '"':
-            return got
-        return got[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        return _unquote(got)
 
     def parse(self) -> DotGraphDoc:
         if self.peek() != "digraph":
@@ -158,7 +326,7 @@ class _DotParser:
 
         node_ids: Dict[str, int] = {}
         node_names: List[str] = []
-        arcs: List[Tuple[int, int, Fraction, bool]] = []
+        arcs: List[_Arc] = []
         graph_attrs: Dict[str, str] = {}
         duplicates: List[Tuple[str, str]] = []
         seen_pairs = set()
@@ -192,7 +360,7 @@ class _DotParser:
                 else:
                     weight = weights.get(raw_weight)
                     if weight is None:
-                        weight = weights[raw_weight] = self._weight(raw_weight)
+                        weight = weights[raw_weight] = _weight(raw_weight, self.error)
                 tree_mark = attrs.get("tree", "false").lower() in ("true", "1")
                 src, dst = intern(first), intern(target)
                 if (src, dst) in seen_pairs:
@@ -209,37 +377,8 @@ class _DotParser:
         if self.peek() != "":
             raise self.error("trailing input after closing '}'")
 
-        start = graph_attrs.get("start")
-        exit_ = graph_attrs.get("exit")
-        addvirtual = graph_attrs.get("addvirtual", "true").lower() in ("true", "1")
-        for attr, value in (("start", start), ("exit", exit_)):
-            if value is not None and value not in node_ids:
-                raise self.error(f"{attr}={value!r} names a vertex that never appears")
-
-        edges = [(src, dst, w) for src, dst, w, _ in arcs]
-        tree_ids = tuple(i for i, (_, _, _, mark) in enumerate(arcs) if mark)
-        virtual_arc = None
-        if addvirtual and start is not None and exit_ is not None:
-            if start == exit_:
-                raise self.error("start and exit must be distinct vertices")
-            virtual_arc = len(edges)
-            edges.append((node_ids[exit_], node_ids[start], ZERO))
-        graph = WeightedDigraph(len(node_names), edges)
-        return DotGraphDoc(
-            name=name, graph=graph, node_names=tuple(node_names),
-            start=node_ids[start] if start is not None else None,
-            exit=node_ids[exit_] if exit_ is not None else None,
-            virtual_arc=virtual_arc, tree_edge_ids=tree_ids,
-            duplicate_arcs=tuple(duplicates), filename=self.filename)
-
-    def _weight(self, raw: str) -> Fraction:
-        try:
-            weight = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise self.error(f"bad weight {raw!r}")
-        if weight.numerator < 0:
-            raise self.error(f"negative weight {raw!r}")
-        return weight
+        return _document(name, node_ids, node_names, arcs, graph_attrs, duplicates,
+                         self.filename, self.error)
 
     def _attr_list(self) -> Dict[str, str]:
         attrs: Dict[str, str] = {}
@@ -264,11 +403,14 @@ class _DotParser:
 
 def parse_dot(text: str, filename: Optional[str] = None) -> DotGraphDoc:
     """Parse the DOT subset; see the module docstring for the grammar."""
-    return _DotParser(text, filename).parse()
+    try:
+        return _read_statements(text, filename)
+    except _Unread:
+        return _DotParser(text, filename).parse()
 
 
 def _quote(name: str) -> str:
-    """A quoted name that ``_DotParser.name`` reads back as ``name``."""
+    """A quoted name that ``_unquote`` reads back as ``name``."""
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

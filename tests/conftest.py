@@ -7,6 +7,7 @@ import pytest
 from crosscc.graph import SpanningTree, WeightedDigraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture

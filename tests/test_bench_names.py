@@ -9,14 +9,11 @@ shows.
 
 import ast
 import importlib
-from pathlib import Path
 
 from crosscc.basis import horton_basis
 from crosscc.dot import parse_dot
 
-from conftest import fixture_text
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import BENCH, fixture_text
 
 
 def _dotted(node):

@@ -205,6 +205,44 @@ class TestAnalyze:
         (rec,) = json.loads(captured.out)["records"]
         assert rec["nu"] == 2
 
+    def test_diagnostics_of_a_loop_are_one_write(self, tmp_path, capsys, monkeypatch):
+        # Two duplicate-arc warnings, then two --fail-above offenders, each
+        # line colored on its own as a lone diagnostic is.
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        writes = []
+        write = sys.stderr.write
+        monkeypatch.setattr(sys.stderr, "write", lambda text: writes.append(text) or write(text))
+        dup = tmp_path / "dup.dot"
+        dup.write_text("digraph g { start=s; exit=r; s -> a; a -> r; a -> r; s -> a; }",
+                       encoding="utf-8")
+        assert main(["analyze", str(dup), "-o", str(tmp_path / "r.json")]) == 0
+        warning = "{}: warning: arc {} -> {} declared more than once; both kept as distinct edges"
+        assert writes == ["".join(f"\x1b[31m{warning.format(dup, *arc)}\x1b[0m\n"
+                                  for arc in (("a", "r"), ("s", "a")))]
+        writes.clear()
+        path = copy_fixture(tmp_path, "listing1.mini")
+        assert main(["analyze", "--fail-above", "1", str(path), "-o",
+                     str(tmp_path / "r.json")]) == 2
+        assert writes == [f"\x1b[31m{path}:sumOfPrimes: indicator 3.75 exceeds --fail-above 1"
+                          f"\x1b[0m\n\x1b[31m{path}:getWords: indicator 2.75 exceeds "
+                          "--fail-above 1\x1b[0m\n"]
+
+    @pytest.mark.parametrize("name", ["listing1.mini", "ifelse_cfg.dot"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys, name):
+        path = copy_fixture(tmp_path, name)
+        commands = [["analyze", str(path)]]
+        if path.suffix == ".mini":
+            commands.append(["dump-cfg", str(path)])
+
+        def run_all():
+            for command in commands:
+                assert main(command) == 0
+            return capsys.readouterr()
+        plain = run_all()
+        path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+        assert run_all() == plain
+        assert plain.err == ""
+
     def test_dot_reachability_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "stray.dot"
         path.write_text("digraph g { start=s; exit=r; s -> r; x -> s; x -> r; }",

@@ -1,3 +1,4 @@
+import importlib
 import random
 import re
 from fractions import Fraction
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from crosscc.basis import horton_basis, tree_bound
 from crosscc.cfg import lower
+from crosscc.cli import main
 import dot_reference as reference
-from crosscc.dot import dump_cfg_dot, dump_dot, parse_dot
+from crosscc.dot import _DotParser, _read_statements, _Unread, dump_cfg_dot, dump_dot, parse_dot
 from crosscc.errors import (
     CrossCCError,
     DotSyntaxError,
@@ -21,6 +23,7 @@ from crosscc.graph import WeightedDigraph, cycle_rank, spanning_tree
 from crosscc.minilang import parse
 
 from conftest import (
+    BENCH,
     FIXTURES,
     fixture_text,
     random_connected_graph,
@@ -239,6 +242,11 @@ class TestNames:
                [(e.source, e.target, e.weight) for e in g.edges]
 
 
+def read_tokens(text, filename=None):
+    """The document as the token parser reads it."""
+    return _DotParser(text, filename).parse()
+
+
 class TestWeights:
     def test_equal_weights_in_every_spelling(self):
         doc = parse_dot('digraph g { a -> b [weight=1/2]; b -> c [weight=0.5]; '
@@ -261,6 +269,19 @@ class TestWeights:
         assert first.graph.edge(0).weight is first.graph.edge(1).weight
         assert first.graph.edge(0).weight is not second.graph.edge(0).weight
         assert second.graph.edge(0).weight == Fraction(1, 2)
+
+    # The statement reader raises _Unread on a text it leaves to the token parser.
+    @pytest.mark.parametrize("read", [read_tokens, _read_statements],
+                             ids=["tokens", "statements"])
+    def test_one_fraction_per_weight_text_in_each_reader(self, read):
+        text = ('digraph g { a -> b [weight=1/2]; b -> c [weight=0.5]; c -> a [weight="1/2"]; '
+                'a -> c [weight=1/2, tree=true]; }')
+        first, second = read(text), read(text)
+        weights = [e.weight for e in first.graph.edges]
+        assert weights == [Fraction(1, 2)] * 4
+        # '1/2' and '"1/2"' are one text, '0.5' another; no document shares one.
+        assert weights[0] is weights[2] is weights[3] is not weights[1]
+        assert set(map(id, weights)).isdisjoint(id(e.weight) for e in second.graph.edges)
 
     def test_bad_and_negative_weight_report_their_arc_in_every_parse(self):
         for bad, message in (("x/2", "bad weight 'x/2'"),
@@ -394,3 +415,113 @@ class TestReferenceParser:
            st.sampled_from(["}", "}\n", "", "} x", "}\n// end", '}"']))
     def test_generated_statements(self, head, body, tail):
         assert_same_or_fixed(f"{head} {body} {tail}")
+
+
+# The statement reader against the token parser: whatever text it reads, it
+# reads as the token parser does.
+
+def assert_reader_agrees(text):
+    """``parse_dot`` reads ``text`` as the token parser does, and so does the
+    statement reader when it reads ``text`` at all. True when it does."""
+    expected = outcome(read_tokens, text)
+    assert outcome(parse_dot, text) == expected
+    try:
+        doc = _read_statements(text, "f.dot")
+    except _Unread:
+        return False
+    assert outcome(lambda *_: doc, text) == expected
+    return True
+
+
+READER_STATEMENTS = STATEMENTS + [
+    "a -> b [tree=true];", "b -> c [weight=1/2, tree=true];", "c -> a [tree=1 weight=2];",
+    "a -> c [tree=false];", "b -> a [tree=TRUE];", 'a -> b [tree="true"];',
+    'a -> b [weight="1/2"];', 'c -> b [weight="x"];', 'b -> c [weight=""];',
+    'a -> b [weight="-1"];', "a -> b [weight=1, weight=3/2];", "a -> b [weight=1,];",
+    "a -> b [ ];", "a->b[weight=2];", "a -> b [weight=1 ,tree=true ] ;", "a -> b [label=x];",
+    'a -> b [label="x"];', "a -> b [weightx=2];", "a -> b [weight//c\n=2];",
+    "a // c\n -> b;", "a -> // c\n b;", "a -> b // c\n [weight=2];", "a -> b [ // c\n weight=2];",
+    "a -> b [weight= // c\n 2];", "a -> b [weight=2 // c\n ];", "a -> b // c\n ;",
+    "a = // c\n b;", "a // c\n = b;", "a = b // c\n ;", "a//c\n -> b;", '"a" -> "b";',
+    '"a\\"b" -> c;', '"s" = "a";', 'start = "a";', 'exit = "b";', 'start = "b";',
+    "addvirtual = true;", "digraph;", "digraph -> a;", "weight = 3;", "tree;", "a -> b -> c;",
+    "a;;", "a - > b;", "a -x b;", "é -> a;", "a -> b [tree//c\n=true];"]
+# Statements the statement reader reads, so that a document of them and one
+# other statement is read whenever that one is.
+READABLE = ["a -> b;", "b -> c [weight=1/2];", "c -> a [weight=0.5, tree=true];",
+            'b -> a [weight="2/4"];', "a -> c [tree=false];", "b -> a [tree=TRUE];",
+            "a -> b [weight=1, weight=3/2];", 'start = "a";', "exit = c;",
+            "addvirtual = false;", "lonely;", '"q\nr" -> a;', "// c\n",
+            "a -> // c\n b;", '"a" -> "b";']
+
+
+class TestStatementReader:
+    @settings(max_examples=400, deadline=None)
+    @given(DOT_TEXT)
+    @example("digraph g { a -> b; // c\n}")
+    @example("digraph g { a -> b; // c }")
+    def test_generated_text(self, text):
+        assert_reader_agrees(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["digraph g {", "digraph {", 'digraph "x\ny" {', "digraph",
+                            "digraph g {\n", "// c\ndigraph g {", "digraph // c\n g {",
+                            "digraph g // c\n {", "digraph//c\n g {", '"digraph" g {',
+                            "digraph g { digraph h {"]),
+           st.lists(st.sampled_from(READER_STATEMENTS), max_size=12).map(" ".join),
+           st.sampled_from(["}", "}\n", "", "} x", "}\n// end", '}"', "} }", "};"]))
+    @example("digraph g {", "a -> b [weight=1/2, tree=true]; b -> a;", "}")
+    def test_generated_statements(self, head, body, tail):
+        assert_reader_agrees(f"{head} {body} {tail}")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(READABLE), max_size=8),
+           st.sampled_from(READER_STATEMENTS), st.integers(0, 8))
+    @example([], "a -> b [weight//c\n=2];", 0)
+    @example([], "a -> b [tree//c\n=true];", 0)
+    @example([], "b -> a [tree=TRUE];", 0)
+    def test_one_statement_among_readable_ones(self, body, other, at):
+        body.insert(at, other)
+        assert_reader_agrees("digraph g {\n  " + "\n  ".join(body) + "\n}\n")
+
+    def test_dumped_random_graphs(self):
+        # The documents of TestReferenceParser's test of dumped random graphs.
+        rng = random.Random(0xD07)
+        graphs = [random_connected_graph(rng) for _ in range(200)]
+        graphs += [random_weighted_multigraph(rng) for _ in range(100)]
+        for i, g in enumerate(graphs):
+            names = tuple(f"n{v}" for v in range(g.vertex_count))
+            start, exit_ = (None, None) if i % 2 else (0, g.vertex_count - 1)
+            varc = g.edge_count if i % 4 == 2 else None
+            if varc is not None:
+                g = WeightedDigraph(g.vertex_count,
+                                    [(e.source, e.target, e.weight) for e in g.edges]
+                                    + [(exit_, start, 0)])
+            text = dump_dot(g, name=f"g{i}", node_names=names, start=start, exit=exit_,
+                            virtual_arc=varc, node_comments=names)
+            assert assert_reader_agrees(text)
+
+
+def test_real_documents_take_the_statement_path(monkeypatch, tmp_path):
+    # The fixtures, the documents dump-cfg writes and those the benchmark
+    # generates never reach the token parser, so an edit of the statement
+    # pattern that sends them there fails here, not only in the benchmark.
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.dot"))]
+    for path in sorted(FIXTURES.glob("*.mini")):
+        out = tmp_path / f"{path.stem}.dot"
+        assert main(["dump-cfg", str(path), "-o", str(out)]) == 0
+        # One document per function, each after its "// file:function" line.
+        texts += re.split(r"(?m)^(?=// )", out.read_text(encoding="utf-8"))[1:]
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    rng = random.Random(25)
+    for nodes in (6, 12, 48, 96):
+        texts += [gen.dot_cfg(rng, f"g{i:02d}", nodes, extra_arcs=nodes * 9 // 16,
+                              parallel=nodes // 12)[0] for i in range(5)]
+    assert len(texts) == 8 + 6 + 20
+
+    def refuse(*args):
+        raise AssertionError("the token parser was asked to read a document")
+    monkeypatch.setattr("crosscc.dot._DotParser", refuse)
+    for text in texts:
+        parse_dot(text)
