@@ -40,7 +40,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from . import minilang as ast
 from .errors import UnreachableCode, UnresolvedLabel
-from .graph import ZERO, WeightedDigraph
+from .graph import ONE, ZERO, Edge, WeightedDigraph, _new
 
 EXIT_LABEL = "exit"
 
@@ -272,8 +272,11 @@ class _Lowerer:
         self.arcs += [(src, exit_node) for src in [*tail_sources, *self.exit_sources]]
         start = 0
         virtual_arc = len(self.arcs)
-        edges = [*self.arcs, (exit_node, start, ZERO)]  # an arc without a weight weighs 1
-        cfg = ControlFlowGraph(graph=WeightedDigraph(len(self.labels), edges),
+        # The lowerer makes no self-arc and no node out of range, so the arcs
+        # go into the graph unchecked.
+        edges = [_new(Edge, (i, *arc, ONE)) for i, arc in enumerate(self.arcs)]
+        edges.append(_new(Edge, (virtual_arc, exit_node, start, ZERO)))
+        cfg = ControlFlowGraph(graph=WeightedDigraph._trusted(len(self.labels), tuple(edges)),
                                start=start, exit=exit_node,
                                virtual_arc=virtual_arc,
                                node_labels=tuple(map("; ".join, self.labels)),
@@ -294,24 +297,31 @@ def check_reachability(cfg: ControlFlowGraph,
     n = cfg.graph.vertex_count
     forward = [[] for _ in range(n)]
     backward = [[] for _ in range(n)]
-    for eid, source, target, _ in cfg.graph.edges:
-        if eid != cfg.virtual_arc:
-            forward[source].append(target)
-            backward[target].append(source)
+    edges = cfg.graph.edges
+    for _, source, target, _ in edges:
+        forward[source].append(target)
+        backward[target].append(source)
+    # Leave the closing arc out. The lists hold vertices, not arc ids, so
+    # removing any copy of that vertex pair removes that arc.
+    _, source, target, _ = edges[cfg.virtual_arc]
+    forward[source].remove(target)
+    backward[target].remove(source)
 
     def closure(adj, origin):
         seen = [False] * n
         seen[origin] = True
-        stack = [origin]
-        while stack:
-            for u in adj[stack.pop()]:
+        order = [origin]
+        for v in order:  # grows while it is read
+            for u in adj[v]:
                 if not seen[u]:
                     seen[u] = True
-                    stack.append(u)
-        return seen
+                    order.append(u)
+        return seen, len(order)
 
-    from_start = closure(forward, cfg.start)
-    to_exit = closure(backward, cfg.exit)
+    from_start, reached = closure(forward, cfg.start)
+    to_exit, reaching = closure(backward, cfg.exit)
+    if reached == reaching == n:
+        return
     for v in range(n):
         if not (from_start[v] and to_exit[v]):
             line, col = positions[v] if positions else (None, None)

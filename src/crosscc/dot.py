@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cfg import ControlFlowGraph, check_reachability
 from .errors import DotSyntaxError, MissingStartExit
-from .graph import ONE, ZERO, SpanningTree, WeightedDigraph
+from .graph import ONE, ZERO, Edge, SpanningTree, WeightedDigraph, _new
 
 # The lexical rules, each written once and shared by both readers' patterns:
 # blanks (white space and ``//`` comments), a quoted string, and a word,
@@ -197,15 +197,17 @@ def _document(name: str, node_ids: Dict[str, int], node_names: List[str],
         if value is not None and value not in node_ids:
             raise error(f"{attr}={value!r} names a vertex that never appears")
 
-    edges = [(src, dst, w) for src, dst, w, _ in arcs]
+    # Both readers reject a self-loop and a bad or negative weight, and name
+    # only vertices they interned, so the arcs go into the graph unchecked.
+    edges = [_new(Edge, (i, src, dst, w)) for i, (src, dst, w, _) in enumerate(arcs)]
     tree_ids = tuple(i for i, (_, _, _, mark) in enumerate(arcs) if mark)
     virtual_arc = None
     if addvirtual and start is not None and exit_ is not None:
         if start == exit_:
             raise error("start and exit must be distinct vertices")
         virtual_arc = len(edges)
-        edges.append((node_ids[exit_], node_ids[start], ZERO))
-    graph = WeightedDigraph(len(node_names), edges)
+        edges.append(_new(Edge, (virtual_arc, node_ids[exit_], node_ids[start], ZERO)))
+    graph = WeightedDigraph._trusted(len(node_names), tuple(edges))
     return DotGraphDoc(
         name=name, graph=graph, node_names=tuple(node_names),
         start=node_ids[start] if start is not None else None,

@@ -10,12 +10,21 @@ are exact ``fractions.Fraction`` values so equality assertions are exact.
 
 Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
 (``cycle_rank``), so nu can be read as the size of a basis.
+
+A graph holds its vertex count and its edges, nothing more. The public
+constructor checks every edge a library caller gives it. The frontends,
+which build and check their own arcs, hand finished ``Edge`` tuples to
+``WeightedDigraph._trusted`` instead, so no edge is checked twice. The
+incidence lists, which only the breadth-first search and ``incident``
+read, are built on the first such read and kept in one slot; the exact
+basis never reads them. A graph stays immutable and safe to share: any
+caller that fills the slot fills it with the same lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -29,6 +38,10 @@ WeightLike = Union[int, float, str, Fraction]
 # Shared weights of unit and virtual arcs: one Fraction each, not one per arc.
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+# ``_new(Edge, (id, source, target, weight))`` builds an edge without
+# ``Edge.__new__``, a Python function; the frontends use it too.
+_new = tuple.__new__
 
 
 def as_weight(value: WeightLike) -> Fraction:
@@ -71,9 +84,6 @@ class WeightedDigraph:
         if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
         built = []
-        # Edges come in id order (checked below), so every incidence list is
-        # in ascending edge id, which makes every traversal deterministic.
-        incidence = [[] for _ in range(vertex_count)]
         for i, spec in enumerate(edges):
             if isinstance(spec, Edge):
                 if spec.id != i:
@@ -86,13 +96,28 @@ class WeightedDigraph:
                 raise ValueError(f"loop edge {i} at vertex {source} not allowed")
             if not (0 <= source < vertex_count and 0 <= target < vertex_count):
                 raise ValueError(f"edge {i} endpoint out of range")
-            e = tuple.__new__(Edge, (i, source, target, weight))  # skips Edge.__new__
-            built.append(e)
-            incidence[source].append(e)
-            incidence[target].append(e)
+            built.append(_new(Edge, (i, source, target, weight)))
         self.vertex_count = vertex_count
         self.edges = tuple(built)
-        self._incidence = tuple(map(tuple, incidence))
+        self._incidence = None
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: Tuple[Edge, ...]) -> "WeightedDigraph":
+        """A graph of ``edges`` as given, unchecked. Only for edges that hold
+        what ``__init__`` checks: ``edges[i].id == i``, endpoints distinct
+        and in ``range(vertex_count)``, and ``Fraction`` weights."""
+        g = object.__new__(cls)
+        g.vertex_count = vertex_count
+        g.edges = edges
+        g._incidence = None
+        return g
+
+    def _incidence_lists(self) -> Tuple[Tuple[Edge, ...], ...]:
+        """Per vertex, the edges touching it, built on the first read."""
+        incidence = self._incidence
+        if incidence is None:
+            incidence = self._incidence = _build_incidence(self.vertex_count, self.edges)
+        return incidence
 
     @property
     def edge_count(self) -> int:
@@ -105,10 +130,20 @@ class WeightedDigraph:
 
     def incident(self, vertex: int) -> Sequence[Edge]:
         """Edges touching ``vertex`` (unoriented view), ascending edge id."""
-        return self._incidence[vertex]
+        return self._incidence_lists()[vertex]
 
     def __repr__(self):
         return f"WeightedDigraph(V={self.vertex_count}, E={len(self.edges)})"
+
+
+def _build_incidence(vertex_count: int, edges: Tuple[Edge, ...]) -> Tuple[Tuple[Edge, ...], ...]:
+    """The incidence lists of a graph. Edges come in id order, so every list
+    is in ascending edge id, which makes every traversal deterministic."""
+    incidence = [[] for _ in range(vertex_count)]
+    for e in edges:
+        incidence[e[1]].append(e)
+        incidence[e[2]].append(e)
+    return tuple(map(tuple, incidence))
 
 
 def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
@@ -121,7 +156,7 @@ def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
     """
     parent = {}
     order = [root]
-    incidence = g._incidence
+    incidence = g._incidence_lists()
     for v in order:  # grows while it is read: a FIFO queue
         for eid, source, target, _ in incidence[v]:
             if allowed is not None and eid not in allowed:

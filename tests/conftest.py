@@ -24,6 +24,13 @@ def weight_of(g: WeightedDigraph, edge_ids) -> Fraction:
     return sum((g.edge(i).weight for i in edge_ids), Fraction(0))
 
 
+def assert_checked(g: WeightedDigraph) -> None:
+    """The frontends build their graphs without the public constructor's
+    checks; rebuilt through it, which checks every edge, ``g`` is the same."""
+    assert WeightedDigraph(g.vertex_count, g.edges).edges == g.edges
+    assert all(e.weight.__class__ is Fraction for e in g.edges)
+
+
 def weighted_fan() -> WeightedDigraph:
     """Hub a joined to b,c,d,e plus the rim b-c, c-d, d-e; the worked
     weighted example used throughout the suite (weights 1,3,5,4,2,7,6)."""
@@ -116,3 +123,14 @@ def random_spanning_tree(g: WeightedDigraph, rng: random.Random) -> SpanningTree
             parent[ru] = rv
             chosen.append(eid)
     return SpanningTree.from_edge_ids(g, 0, chosen)
+
+
+def weighted_dot_cfg(rng, nodes=48, extra=27, parallel=4):
+    """DOT text of a weighted CFG: a start-to-exit chain, ``extra`` random
+    arcs, and ``parallel`` of those arcs declared a second time."""
+    arcs = [(i, i + 1) for i in range(nodes - 1)]
+    arcs += [tuple(rng.sample(range(nodes), 2)) for _ in range(extra)]
+    arcs += rng.sample(arcs, parallel)
+    body = "".join(f"  n{u} -> n{v} [weight={rng.choice(CORPUS_WEIGHTS)}];\n"
+                   for u, v in arcs)
+    return f"digraph g {{\n  start=n0; exit=n{nodes - 1};\n{body}}}\n"

@@ -46,6 +46,7 @@ from conftest import (
     random_spanning_tree,
     random_weighted_multigraph,
     weight_of,
+    weighted_dot_cfg,
     weighted_fan,
 )
 
@@ -623,17 +624,6 @@ class TestCorpusProperties:
             for _ in range(3):
                 t = random_spanning_tree(g, rng)
                 assert tree_bound(g, t).total_weight >= exact
-
-
-def weighted_dot_cfg(rng, nodes=48, extra=27, parallel=4):
-    """DOT text of a weighted CFG: a start-to-exit chain, ``extra`` random
-    arcs, and ``parallel`` of those arcs declared a second time."""
-    arcs = [(i, i + 1) for i in range(nodes - 1)]
-    arcs += [tuple(rng.sample(range(nodes), 2)) for _ in range(extra)]
-    arcs += rng.sample(arcs, parallel)
-    body = "".join(f"  n{u} -> n{v} [weight={rng.choice(CORPUS_WEIGHTS)}];\n"
-                   for u, v in arcs)
-    return f"digraph g {{\n  start=n0; exit=n{nodes - 1};\n{body}}}\n"
 
 
 def nested_mini_function(rng, decisions, jumps=False):

@@ -3,9 +3,9 @@ import pytest
 import cfg_reference
 
 from crosscc.basis import horton_basis
-from crosscc.cfg import lower
+from crosscc.cfg import ControlFlowGraph, check_reachability, lower
 from crosscc.errors import UnreachableCode, UnresolvedLabel
-from crosscc.graph import cycle_rank
+from crosscc.graph import WeightedDigraph, cycle_rank
 from crosscc.minilang import Block, Break, Continue, Function, Switch, SwitchCase, parse
 
 from conftest import fixture_text
@@ -212,3 +212,37 @@ class TestDeterminismAndReachability:
         cfgs = lower_all(fixture_text("listing1.mini"))
         weights = [horton_basis(c.graph).total_weight for c in cfgs]
         assert weights[0] != weights[1]
+
+
+def hand_built(arcs, virtual_arc):
+    """A control-flow graph from start s = 0 to exit r = 1 of the vertices
+    s, r, a, b, whose arc ``virtual_arc`` is the one left out."""
+    return ControlFlowGraph(graph=WeightedDigraph(4, arcs), start=0, exit=1,
+                            virtual_arc=virtual_arc, node_labels=("s", "r", "a", "b"))
+
+
+class TestCheckReachability:
+    """The check on graphs neither frontend makes."""
+
+    @pytest.mark.parametrize("arcs", [
+        [(0, 1), (2, 1), (0, 3)],   # a is not reached from s, b does not reach r
+        [(0, 1), (0, 2), (3, 1)],   # a does not reach r, b is not reached from s
+        [(0, 1), (0, 2), (0, 3)],   # s reaches all, neither a nor b reaches r
+        [(0, 1), (2, 1), (3, 1)],   # all reach r, neither a nor b is reached from s
+    ])
+    def test_of_two_nodes_off_every_path_the_lower_id_is_named(self, arcs):
+        cfg = hand_built(arcs + [(1, 0)], len(arcs))
+        with pytest.raises(UnreachableCode) as err:
+            check_reachability(cfg, [(1, 1), (9, 1), (3, 5), (2, 7)], "t.mini")
+        assert err.value.message == "node 'a' lies on no start-to-exit path"
+        assert (err.value.line, err.value.col, err.value.filename) == (3, 5, "t.mini")
+
+    def test_the_left_out_arc_need_not_be_last(self):
+        arcs = [(0, 2), (2, 3), (3, 1), (1, 0)]
+        check_reachability(hand_built(arcs, 3))
+        for virtual_arc in (0, 1, 2):  # each is the only way through a and b
+            with pytest.raises(UnreachableCode):
+                check_reachability(hand_built(arcs, virtual_arc))
+        # Only that arc is left out, not its parallel copy.
+        check_reachability(hand_built([(0, 2), (0, 2), (2, 3), (3, 1), (1, 0)], 0))
+        check_reachability(hand_built([(0, 2), (0, 2), (2, 3), (3, 1), (1, 0)], 1))

@@ -7,10 +7,14 @@ other test. The scan reads the sources; it imports none of them.
 The suite's own imports are held to ``pyproject.toml`` the same way: each
 is from the standard library, ``crosscc``, a file of ``tests/``, or the
 ``test`` extra, so the documented install collects every test file.
+
+A test extra's own warnings must not end the run: ``pyproject.toml`` turns
+warnings into errors, and a failing hypothesis test loads ``libcst``.
 """
 
 import ast
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -54,3 +58,32 @@ def test_every_module_the_tests_import_is_declared():
     undeclared = (modules - sys.stdlib_module_names - {"crosscc"} - local
                   - declared_test_dependencies())
     assert sorted(undeclared) == []
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    # On failure, hypothesis's plugin imports libcst to write a patch, and
+    # libcst warns on import. Under the repository's configuration the run
+    # must still report both tests, not stop with INTERNALERROR.
+    (tmp_path / "pyproject.toml").write_bytes((TESTS.parent / "pyproject.toml").read_bytes())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1

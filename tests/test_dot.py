@@ -25,10 +25,12 @@ from crosscc.minilang import parse
 from conftest import (
     BENCH,
     FIXTURES,
+    assert_checked,
     fixture_text,
     random_connected_graph,
     random_weighted_multigraph,
     weight_of,
+    weighted_dot_cfg,
 )
 
 
@@ -303,10 +305,13 @@ _NAME_ERROR = re.compile(
 
 
 def outcome(parse, text):
+    """What ``parse`` makes of ``text``: a diagnostic, or the document,
+    whose graph must also pass the public constructor's checks."""
     try:
         doc = parse(text, "f.dot")
     except CrossCCError as err:
         return type(err).__name__, err.message, err.line
+    assert_checked(doc.graph)
     return (doc.name, doc.node_names, doc.start, doc.exit, doc.virtual_arc,
             doc.tree_edge_ids, doc.duplicate_arcs,
             tuple((e.id, e.source, e.target, e.weight) for e in doc.graph.edges))
@@ -500,6 +505,27 @@ class TestStatementReader:
             text = dump_dot(g, name=f"g{i}", node_names=names, start=start, exit=exit_,
                             virtual_arc=varc, node_comments=names)
             assert assert_reader_agrees(text)
+
+
+class TestTrustedEdges:
+    """Both readers hand their edges to the graph unchecked. ``outcome``
+    checks them on every document it reads: the fixtures and the generated
+    texts above, in each reader. These add the fixtures in the token parser
+    and the weighted control-flow graphs that ``test_basis`` checks against
+    networkx, with parallel arcs and rational weights."""
+
+    @pytest.mark.parametrize("read", [read_tokens, _read_statements],
+                             ids=["tokens", "statements"])
+    def test_weighted_cfgs(self, read):
+        rng = random.Random(48)
+        for nodes in (6, 12, 48, 96):
+            text = weighted_dot_cfg(rng, nodes, extra=nodes * 9 // 16, parallel=nodes // 12)
+            assert outcome(read, text) == outcome(reference.parse_dot, text)
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.dot")), ids=lambda p: p.name)
+    def test_fixtures_in_the_token_parser(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert outcome(read_tokens, text) == outcome(reference.parse_dot, text)
 
 
 def test_real_documents_take_the_statement_path(monkeypatch, tmp_path):

@@ -144,6 +144,59 @@ class TestOneSearchPerUnit:
             for fn in parse(fixture_text("listing1.mini")).functions]
 
 
+class TestIncidenceListsPerUnit:
+    """A graph builds its incidence lists on their first read, which the
+    exact basis never makes: a unit builds none in exact mode, and the one
+    its tree's search reads in tree-bound mode."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The vertex count of each ``graph._build_incidence`` call from here on."""
+        calls = []
+        build = graph._build_incidence
+
+        def counted(vertex_count, edges):
+            calls.append(vertex_count)
+            return build(vertex_count, edges)
+
+        monkeypatch.setattr(graph, "_build_incidence", counted)
+        return calls
+
+    def units(self):
+        """Every control-flow graph of the fixtures, lowered or read."""
+        cfgs = [lower(fn) for path in sorted(FIXTURES.glob("*.mini"))
+                for fn in parse(path.read_text(encoding="utf-8")).functions]
+        docs = [parse_dot(path.read_text(encoding="utf-8"))
+                for path in sorted(FIXTURES.glob("*.dot"))]
+        return cfgs + [doc.to_cfg() for doc in docs if doc.is_cfg()]
+
+    @pytest.mark.parametrize("mode", [Provenance.EXACT, Provenance.TREE_BOUND])
+    def test_fixture_units(self, builds, mode):
+        units = self.units()
+        assert len(units) >= 10 and builds == []
+        for cfg in units:
+            cross_complexity(cfg, mode)
+            cross_complexity(cfg, mode)  # the second run finds the lists built
+        assert len(builds) == {Provenance.EXACT: 0, Provenance.TREE_BOUND: len(units)}[mode]
+
+    @pytest.mark.parametrize("mode", ["exact", "treebound"])
+    def test_analyze(self, builds, mode, capsys):
+        paths = [str(p) for p in sorted(FIXTURES.glob("*.mini"))]
+        assert main(["analyze", *paths, "--mode", mode, "--format", "csv"]) == 0
+        units = len(capsys.readouterr().out.strip().splitlines()) - 1
+        assert len(builds) == {"exact": 0, "treebound": units}[mode]
+
+    def test_incident_lists(self, builds):
+        # Immutable, in ascending edge id, and built once per graph.
+        units = self.units()
+        for cfg in units:
+            g = cfg.graph
+            for v in range(g.vertex_count):
+                assert g.incident(v) == tuple(e for e in g.edges if v in (e.source, e.target))
+                assert g.incident(v) is g.incident(v)
+        assert builds == [cfg.graph.vertex_count for cfg in units]
+
+
 class TestClassifyRegion:
     def test_omega_below_nu_is_infeasible(self):
         assert classify_region(3, 2) is Region.INFEASIBLE

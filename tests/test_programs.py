@@ -30,7 +30,7 @@ from crosscc.graph import cycle_rank, spanning_tree
 from crosscc.metric import cross_complexity
 from crosscc.minilang import parse
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_checked
 
 MAX_DEPTH = 3
 
@@ -173,11 +173,14 @@ def test_dump_cfg_dot_round_trip_keeps_the_pair(program):
 
 
 def lowered(lower_fn, fn):
-    """One function's ``dump-cfg`` text, or its diagnostic."""
+    """One function's ``dump-cfg`` text, or its diagnostic. A graph must
+    also pass the public constructor's checks."""
     try:
-        return dump_cfg_dot(lower_fn(fn, "t.mini"))
+        cfg = lower_fn(fn, "t.mini")
     except CrossCCError as err:
         return type(err).__name__, str(err), err.line, err.col
+    assert_checked(cfg.graph)
+    return dump_cfg_dot(cfg)
 
 
 def assert_lowerers_agree(source):
