@@ -189,7 +189,7 @@ def _feedback_vertex_set(adjacency: List[List[Tuple[int, int, int]]]) -> List[in
         prune.append(v)  # removed first, as prune is empty
 
 
-def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int, done=None):
+def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int, done):
     """Single-source shortest paths on the unoriented graph of ``adjacency``
     (see ``_reduce``; weights are integers >= 0) without the ``done`` vertices.
 
@@ -206,7 +206,6 @@ def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int, do
     n = len(adjacency)
     dist = [None] * n
     path = [-1] * n
-    done = done or [False] * n
     dist[source] = path[source] = 0
     heap = [(0, 0, source)]
     while heap:

@@ -303,7 +303,7 @@ def check_reachability(cfg: ControlFlowGraph,
         backward[target].append(source)
     # Leave the closing arc out. The lists hold vertices, not arc ids, so
     # removing any copy of that vertex pair removes that arc.
-    _, source, target, _ = edges[cfg.virtual_arc]
+    _, source, target, _ = cfg.graph.edge(cfg.virtual_arc)
     forward[source].remove(target)
     backward[target].remove(source)
 

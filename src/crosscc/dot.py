@@ -24,25 +24,23 @@ attribute value is a word (a run of characters other than white space,
 and span lines. Punctuation or end of input where a name belongs is a
 syntax error.
 
-A document is read by one of two readers, chosen by its text. The
-statement reader reads a ``digraph NAME {`` header and then one statement
-per match of one pattern, with the blanks and comments before it: an arc
-with no attributes or with only ``weight=`` and ``tree=`` attributes (an
-unquoted ``tree`` value), a graph attribute, a bare node, and the closing
-``}`` at the end of input. A document with any other statement, or one
-that a check rejects (a self-loop, a bad or negative weight, a ``start``
-or ``exit`` that names no vertex, ``start`` equal to ``exit``), is read
-again, whole, by the token parser, which gives every diagnostic.
+One reader fills one set of tables. One ``findall`` of one pattern reads
+the ``digraph NAME {`` header and then one statement per match, with the
+blanks and comments before it: an arc with no attributes or with only
+``weight=`` and ``tree=`` attributes (an unquoted ``tree`` value), a graph
+attribute, a bare node, and the closing ``}`` at the end of input. From the
+first statement that no match reads whole, or that a check rejects (a
+self-loop, a bad or negative weight, a second header), the rest is read
+token by token into the same tables; from offset 0 the tokens read a whole
+document. The tokens give every diagnostic but those of the checks that
+need every statement, which stand at the end of input.
 
-The token parser scans a document in one pass: one ``findall`` over a
-pattern that skips white space and comments inside each match yields the
-token strings, and nothing else is recorded per token. A diagnostic finds
-its token's offset again and counts the line ends before it, so line
-numbers cost nothing until an error, and line ends inside quoted strings
-count too. Either reader parses each distinct weight text to a
-``Fraction`` once per document. Each pattern is compiled when its reader
-first runs, through ``re``'s own cache, so importing this module compiles
-neither.
+Tokens are scanned on demand by a pattern that skips white space and
+comments inside each match. A diagnostic counts the line ends before its
+token's offset, so line numbers cost nothing until an error, and line ends
+inside quoted strings count too. Each distinct weight text is parsed to a
+``Fraction`` once per document. Each pattern is compiled on first use,
+through ``re``'s own cache, so importing this module compiles neither.
 """
 
 from __future__ import annotations
@@ -50,26 +48,25 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from operator import length_hint
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cfg import ControlFlowGraph, check_reachability
 from .errors import DotSyntaxError, MissingStartExit
-from .graph import ONE, ZERO, Edge, SpanningTree, WeightedDigraph, _new
+from .graph import ONE, ZERO, Edge, SpanningTree, WeightedDigraph, _new, as_weight
 
-# The lexical rules, each written once and shared by both readers' patterns:
-# blanks (white space and ``//`` comments), a quoted string, and a word,
-# which stops before ``->``. Every repetition is possessive, so a pattern
-# never gives back a comment, a string or a word it has read.
+# The lexical rules, each written once and shared by both patterns: blanks
+# (white space and ``//`` comments), a quoted string, and a word, which
+# stops before ``->``. Every repetition is possessive, so a pattern never
+# gives back a comment, a string or a word it has read.
 _BLANKS = r"(?:\s++|//[^\n]*+)*+"
 _STRING = r'"(?:[^"\\]|\\.)*+"'
 _WORD = r'(?:[^\s{}\[\];=,"-]++|-(?!>))++'
 _NAME = rf"(?:{_STRING}|{_WORD})"
 
-# The token parser's pattern, one match per token: blanks are skipped inside
-# the match, so ``findall`` yields exactly the tokens. The pattern matches at
-# every offset ``findall`` resumes from, end of input included (as the empty
-# token), so it never searches ahead into a comment. A lone ``"`` opens a
-# string that never closes, the one lexical error.
+# One token per match, the blanks before it skipped inside the match. The
+# pattern matches at every offset, end of input included (as the empty
+# token). A lone ``"`` opens a string that never closes: a lexical error.
 _TOKEN = rf"""
     {_BLANKS}
     (   ->
@@ -81,36 +78,33 @@ _TOKEN = rf"""
     )
 """
 
-# The statement reader's pattern, one match per statement with the blanks
-# before it; its groups hold the raw tokens of the statement's shape. Any
-# other statement, and the end of input before the closing ``}``, matches
-# the last alternative, which sets no group. So the pattern matches at every
-# offset ``findall`` resumes from, and the statements are read back to back,
-# never searched for. Inside a statement, where no name follows, only white
-# space is skipped: a comment there ends the match, and what follows the
-# comment is read as the next statement, as the token parser reads it, or is
-# not read at all. Of an attribute given twice, the group keeps the last
-# value, as the token parser's dictionary does. The pattern is not VERBOSE,
-# which would take longer to compile.
+# One statement per match, with the blanks before it; the groups hold the
+# raw tokens of the statement's shape. Any other statement, and the end of
+# input before the closing ``}``, matches the last alternative, which sets
+# no group. So the pattern matches at every offset ``findall`` resumes from,
+# and the statements are read back to back, never searched for. Inside a
+# statement, where no name follows, only white space is skipped. A match
+# ends in the statement's ``;``, so it never reads only the start of one, as
+# the bare node ``a`` of the arc ``a // c\n -> b;``; a statement without
+# its ``;`` is left to the token step. Of an attribute given twice, the group
+# keeps the last value, as the token step's dictionary does. The pattern is
+# not VERBOSE, which would take longer to compile.
 _SPACE = r"\s*+"
 _STATEMENT = (
     _BLANKS + "(?:"
     # digraph NAME {    where no word character continues "digraph"
     rf'(?P<digraph>digraph)(?![^\s{{}}\[\];=,"]){_BLANKS}(?:(?P<graph>{_NAME}){_SPACE})?\{{'
     # NAME, a bare node, then -> NAME [weight=W, tree=T] for an arc,
-    # or = NAME for a graph attribute; then an optional ;
+    # or = NAME for a graph attribute; then the ;
     rf"|(?P<first>{_NAME}){_SPACE}(?:"
     rf"->{_BLANKS}(?P<target>{_NAME}){_SPACE}"
     rf"(?:\[(?:{_BLANKS}(?:weight{_SPACE}={_BLANKS}(?P<weight>{_NAME})"
     rf"|tree{_SPACE}={_BLANKS}(?P<tree>{_WORD})){_SPACE},?)*+{_SPACE}\]{_SPACE})?"
-    rf"|={_BLANKS}(?P<value>{_NAME}){_SPACE})?;?"
+    rf"|={_BLANKS}(?P<value>{_NAME}){_SPACE})?;"
     # the closing }, then nothing but blanks
     rf"|(?P<close>\}}){_BLANKS}\Z"
     r"|.|\Z)"
 )
-
-# The match of ``_STATEMENT`` that sets no group.
-_NO_GROUP = ("",) * 8
 
 # Tokens that cannot stand where a name belongs: punctuation and end of input.
 _NOT_NAMES = frozenset(("", "->", "{", "}", "[", "]", ";", "=", ","))
@@ -168,247 +162,227 @@ def _unquote(token: str) -> str:
     return token[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _weight(raw: str, error: Callable[[str], Exception]) -> Fraction:
+def _weight(raw: str) -> Fraction:
     """The weight a weight text stands for. A bad or negative one raises
-    what ``error(message)`` returns."""
+    ``ValueError`` with the diagnostic's message."""
     try:
-        weight = Fraction(raw)
+        weight = as_weight(raw)
     except (ValueError, ZeroDivisionError):
-        raise error(f"bad weight {raw!r}")
+        raise ValueError(f"bad weight {raw!r}") from None
     if weight.numerator < 0:
-        raise error(f"negative weight {raw!r}")
+        raise ValueError(f"negative weight {raw!r}")
     return weight
 
 
-_Arc = Tuple[int, int, Fraction, bool]  # source, target, weight, tree mark
+class _Reader:
+    """One document's tables, filled by statement matches and then, from the
+    first statement no match reads, by tokens."""
 
-
-def _document(name: str, node_ids: Dict[str, int], node_names: List[str],
-              arcs: List[_Arc], graph_attrs: Dict[str, str],
-              duplicates: List[Tuple[str, str]], filename: Optional[str],
-              error: Callable[[str], Exception]) -> DotGraphDoc:
-    """The document both readers build from the statements they read, after
-    the checks that need every statement. A failed check raises what
-    ``error(message)`` returns."""
-    start = graph_attrs.get("start")
-    exit_ = graph_attrs.get("exit")
-    addvirtual = graph_attrs.get("addvirtual", "true").lower() in ("true", "1")
-    for attr, value in (("start", start), ("exit", exit_)):
-        if value is not None and value not in node_ids:
-            raise error(f"{attr}={value!r} names a vertex that never appears")
-
-    # Both readers reject a self-loop and a bad or negative weight, and name
-    # only vertices they interned, so the arcs go into the graph unchecked.
-    edges = [_new(Edge, (i, src, dst, w)) for i, (src, dst, w, _) in enumerate(arcs)]
-    tree_ids = tuple(i for i, (_, _, _, mark) in enumerate(arcs) if mark)
-    virtual_arc = None
-    if addvirtual and start is not None and exit_ is not None:
-        if start == exit_:
-            raise error("start and exit must be distinct vertices")
-        virtual_arc = len(edges)
-        edges.append(_new(Edge, (virtual_arc, node_ids[exit_], node_ids[start], ZERO)))
-    graph = WeightedDigraph._trusted(len(node_names), tuple(edges))
-    return DotGraphDoc(
-        name=name, graph=graph, node_names=tuple(node_names),
-        start=node_ids[start] if start is not None else None,
-        exit=node_ids[exit_] if exit_ is not None else None,
-        virtual_arc=virtual_arc, tree_edge_ids=tree_ids,
-        duplicate_arcs=tuple(duplicates), filename=filename)
-
-
-class _Unread(Exception):
-    """The statement reader leaves the document to the token parser."""
-
-
-def _read_statements(text: str, filename: Optional[str] = None) -> DotGraphDoc:
-    """The document, read one statement per match of ``_STATEMENT``.
-    Raises ``_Unread`` where the token parser would read a statement this
-    reader does not, or would raise."""
-    node_ids: Dict[str, int] = {}
-    node_names: List[str] = []
-    vertices: Dict[str, int] = {}  # raw name token -> vertex id
-    arcs: List[_Arc] = []
-    graph_attrs: Dict[str, str] = {}
-    duplicates: List[Tuple[str, str]] = []
-    seen_pairs = set()
-    weights: Dict[str, Fraction] = {}  # each distinct weight text, parsed once
-
-    def intern(token: str) -> int:
-        node = _unquote(token)
-        if node not in node_ids:
-            node_ids[node] = len(node_names)
-            node_names.append(node)
-        vertices[token] = node_ids[node]
-        return node_ids[node]
-
-    # The pattern matches at the end of input, so the last match sets no
-    # group. A document of the shapes read here has no other such match, a
-    # header first and its closing ``}`` last before that one.
-    statements = re.compile(_STATEMENT).findall(text)
-    if not (statements[0][0] and statements[-2][-1]
-            and statements.index(_NO_GROUP) == len(statements) - 1):
-        raise _Unread
-    for _, _, first, target, weight, tree, value, _ in statements[1:-2]:
-        if target:
-            src = vertices.get(first)
-            if src is None:
-                src = intern(first)
-            dst = vertices.get(target)
-            if dst is None:
-                dst = intern(target)
-            if src == dst:
-                raise _Unread  # a self-loop
-            if weight:
-                if weight[0] == '"':
-                    weight = _unquote(weight)
-                w = weights.get(weight)
-                if w is None:
-                    w = weights[weight] = _weight(weight, _Unread)
-            else:
-                w = ONE
-            pair = (src, dst)
-            if pair in seen_pairs:
-                duplicates.append((node_names[src], node_names[dst]))
-            seen_pairs.add(pair)
-            arcs.append((src, dst, w, tree != "" and tree.lower() in ("true", "1")))
-        elif value:
-            graph_attrs[_unquote(first)] = _unquote(value)
-        elif first:
-            if first not in vertices:
-                intern(first)
-        else:
-            raise _Unread  # a second header
-    name = statements[0][1]
-    return _document(_unquote(name) if name else "g", node_ids, node_names, arcs,
-                     graph_attrs, duplicates, filename, _Unread)
-
-
-class _DotParser:
     def __init__(self, text: str, filename: Optional[str] = None):
         self.text = text
         self.filename = filename
-        self.tokens = re.findall(_TOKEN, text, re.VERBOSE)
-        self.pos = 0
-        if '"' in self.tokens:
-            self.pos = self.tokens.index('"')
-            raise self.error("unexpected character '\"'")
+        self.name = "g"
+        self.node_ids: Dict[str, int] = {}  # in first-mention order
+        self.arcs: List[Tuple[int, int, Fraction, bool]] = []  # src, dst, weight, tree mark
+        self.graph_attrs: Dict[str, str] = {}
+        self.duplicates: List[Tuple[int, int]] = []  # src, dst of each arc declared again
+        self.seen_pairs = set()
+        self.weights: Dict[str, Fraction] = {}  # each distinct weight text, parsed once
 
-    def error(self, message: str) -> DotSyntaxError:
-        """A diagnostic at the current token. Its line is counted only here,
-        from the line ends before the token's offset."""
-        match = next(islice(re.finditer(_TOKEN, self.text, re.VERBOSE), self.pos, None))
-        line = self.text.count("\n", 0, match.start(1)) + 1
-        return DotSyntaxError(message, line, None, self.filename)
+    def vertex(self, node: str) -> int:
+        """The id of ``node``, a new one at its first mention."""
+        return self.node_ids.setdefault(node, len(self.node_ids))
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def read(self) -> DotGraphDoc:
+        """The document, one statement per match of ``_STATEMENT`` up to the
+        first one that no match reads or a check rejects, then by tokens."""
+        statements = re.compile(_STATEMENT).findall(self.text)
+        rest = iter(statements)
+        header, name, *_ = next(rest)
+        if not header:
+            return self.read_tokens(0)
+        self.name = _unquote(name or "g")
+        node_ids, arcs, duplicates = self.node_ids, self.arcs, self.duplicates
+        seen_pairs, weights = self.seen_pairs, self.weights
+        vertices: Dict[str, int] = {}  # raw name token -> vertex id
 
-    def expect(self, text):
-        got = self.peek()
-        if got != text:
-            raise self.error(f"expected {text!r}, got {got or 'end of input'!r}")
-        self.pos += 1
+        def intern(token: str) -> int:
+            vertices[token] = v = node_ids.setdefault(_unquote(token), len(node_ids))
+            return v
 
-    def name(self, what: str) -> str:
-        """A word or a quoted string, whatever the string holds."""
-        got = self.peek()
-        if got in _NOT_NAMES:
-            raise self.error(f"expected {what}, got {got or 'end of input'!r}")
-        self.pos += 1
-        return _unquote(got)
+        for _, _, first, target, weight, tree, value, close in rest:
+            if target:
+                src = vertices.get(first)
+                if src is None:
+                    src = intern(first)
+                dst = vertices.get(target)
+                if dst is None:
+                    dst = intern(target)
+                if src == dst:
+                    break  # a self-loop
+                if weight:
+                    if weight[0] == '"':
+                        weight = _unquote(weight)
+                    w = weights.get(weight)
+                    if w is None:
+                        try:
+                            w = weights[weight] = _weight(weight)
+                        except ValueError:
+                            break
+                else:
+                    w = ONE
+                pair = (src, dst)
+                if pair in seen_pairs:
+                    duplicates.append(pair)
+                seen_pairs.add(pair)
+                arcs.append((src, dst, w, tree != "" and tree.lower() in ("true", "1")))
+            elif value:
+                self.graph_attrs[_unquote(first)] = _unquote(value)
+            elif first:
+                if first not in vertices:
+                    intern(first)
+            elif close:
+                return self._document()
+            else:
+                break  # a second header, or a statement no match reads
+        # The statement unread is the last one taken from ``rest``.
+        i = len(statements) - length_hint(rest) - 1
+        unread = next(islice(re.compile(_STATEMENT).finditer(self.text), i, None))
+        return self.read_tokens(unread.start())
 
-    def parse(self) -> DotGraphDoc:
-        if self.peek() != "digraph":
-            raise self.error("input must begin with 'digraph'")
-        self.pos += 1
-        name = "g"
-        if self.peek() != "{":
-            name = self.name("a graph name")
-        self.expect("{")
-
-        node_ids: Dict[str, int] = {}
-        node_names: List[str] = []
-        arcs: List[_Arc] = []
-        graph_attrs: Dict[str, str] = {}
-        duplicates: List[Tuple[str, str]] = []
-        seen_pairs = set()
-        weights: Dict[str, Fraction] = {}  # each distinct weight text, parsed once
-
-        def intern(node: str) -> int:
-            if node not in node_ids:
-                node_ids[node] = len(node_names)
-                node_names.append(node)
-            return node_ids[node]
-
-        while self.peek() != "}":
-            if self.peek() == "":
+    def read_tokens(self, pos: int) -> DotGraphDoc:
+        """The document from offset ``pos`` on, token by token. From offset 0
+        that is the whole document, its header included."""
+        self._token = re.compile(_TOKEN, re.VERBOSE).match
+        self._end = pos
+        self._next()
+        if pos == 0:
+            if self._tok != "digraph":
+                raise self.error("input must begin with 'digraph'")
+            self._next()
+            if self._tok != "{":
+                self.name = self._name("a graph name")
+            self._expect("{")
+        while self._tok != "}":
+            if self._tok == "":
                 raise self.error("missing closing '}'")
-            first = self.name("a node or attribute name")
-            tok = self.peek()
-            if tok == "=":
-                self.pos += 1
-                graph_attrs[first] = self.name("an attribute value")
-                self._semi()
-                continue
-            if tok == "->":
-                self.pos += 1
-                target = self.name("a target node")
+            first = self._name("a node or attribute name")
+            if self._tok == "=":
+                self._next()
+                self.graph_attrs[first] = self._name("an attribute value")
+            elif self._tok == "->":
+                self._next()
+                target = self._name("a target node")
                 if target == first:
                     raise self.error(f"self-loop on {first!r} not allowed")
                 attrs = self._attr_list()
-                raw_weight = attrs.get("weight")
-                if raw_weight is None:
-                    weight = ONE
-                else:
-                    weight = weights.get(raw_weight)
-                    if weight is None:
-                        weight = weights[raw_weight] = _weight(raw_weight, self.error)
-                tree_mark = attrs.get("tree", "false").lower() in ("true", "1")
-                src, dst = intern(first), intern(target)
-                if (src, dst) in seen_pairs:
-                    duplicates.append((first, target))
-                seen_pairs.add((src, dst))
-                arcs.append((src, dst, weight, tree_mark))
-                self._semi()
-                continue
-            # bare node statement
-            intern(first)
-            self._attr_list()
-            self._semi()
-        self.expect("}")
-        if self.peek() != "":
+                raw = attrs.get("weight")
+                weight = ONE if raw is None else self.weights.get(raw)
+                if weight is None:
+                    try:
+                        weight = self.weights[raw] = _weight(raw)
+                    except ValueError as err:
+                        raise self.error(str(err)) from None
+                src, dst = self.vertex(first), self.vertex(target)
+                if (src, dst) in self.seen_pairs:
+                    self.duplicates.append((src, dst))
+                self.seen_pairs.add((src, dst))
+                self.arcs.append((src, dst, weight,
+                                  attrs.get("tree", "false").lower() in ("true", "1")))
+            else:  # a bare node
+                self.vertex(first)
+                self._attr_list()
+            if self._tok == ";":
+                self._next()
+        self._next()
+        if self._tok != "":
             raise self.error("trailing input after closing '}'")
+        return self._document()
 
-        return _document(name, node_ids, node_names, arcs, graph_attrs, duplicates,
-                         self.filename, self.error)
+    def _next(self) -> None:
+        """Step to the next token; a lone ``"`` is an error wherever it is."""
+        self._at = self._token(self.text, self._end)
+        self._end = self._at.end()
+        self._tok = self._at.group(1)
+        if self._tok == '"':
+            raise self.error("unexpected character '\"'")
+
+    def error(self, message: str) -> DotSyntaxError:
+        """A diagnostic at the current token, unless a lone ``"`` follows:
+        reading on to it raises that error instead. The line is counted only
+        here, from the line ends before the token's offset."""
+        at = self._at
+        while self._tok not in ('"', ""):
+            self._next()
+        line = self.text.count("\n", 0, at.start(1)) + 1
+        return DotSyntaxError(message, line, None, self.filename)
+
+    def _at_end(self, message: str) -> DotSyntaxError:
+        """A diagnostic at the end of input, where every statement is read."""
+        return DotSyntaxError(message, self.text.count("\n") + 1, None, self.filename)
+
+    def _expect(self, text: str) -> None:
+        if self._tok != text:
+            raise self.error(f"expected {text!r}, got {self._tok or 'end of input'!r}")
+        self._next()
+
+    def _name(self, what: str) -> str:
+        """A word or a quoted string, whatever the string holds."""
+        got = self._tok
+        if got in _NOT_NAMES:
+            raise self.error(f"expected {what}, got {got or 'end of input'!r}")
+        self._next()
+        return _unquote(got)
 
     def _attr_list(self) -> Dict[str, str]:
         attrs: Dict[str, str] = {}
-        if self.peek() != "[":
-            return attrs
-        self.pos += 1
-        while self.peek() != "]":
-            if self.peek() == "":
-                raise self.error("missing closing ']'")
-            key = self.name("an attribute name")
-            self.expect("=")
-            attrs[key] = self.name("an attribute value")
-            if self.peek() == ",":
-                self.pos += 1
-        self.expect("]")
+        if self._tok == "[":
+            self._next()
+            while self._tok != "]":
+                if self._tok == "":
+                    raise self.error("missing closing ']'")
+                key = self._name("an attribute name")
+                self._expect("=")
+                attrs[key] = self._name("an attribute value")
+                if self._tok == ",":
+                    self._next()
+            self._next()
         return attrs
 
-    def _semi(self):
-        if self.peek() == ";":
-            self.pos += 1
+    def _document(self) -> DotGraphDoc:
+        """The document read, after the checks that need every statement."""
+        node_ids = self.node_ids
+        start, exit_ = self.graph_attrs.get("start"), self.graph_attrs.get("exit")
+        addvirtual = self.graph_attrs.get("addvirtual", "true").lower() in ("true", "1")
+        for attr, value in (("start", start), ("exit", exit_)):
+            if value is not None and value not in node_ids:
+                raise self._at_end(f"{attr}={value!r} names a vertex that never appears")
+
+        # Both steps reject a self-loop and a bad or negative weight, and
+        # name only vertices they interned, so the arcs go in unchecked.
+        arcs = self.arcs
+        edges = [_new(Edge, (i, src, dst, w)) for i, (src, dst, w, _) in enumerate(arcs)]
+        tree_ids = tuple(i for i, (_, _, _, mark) in enumerate(arcs) if mark)
+        virtual_arc = None
+        if addvirtual and start is not None and exit_ is not None:
+            if start == exit_:
+                raise self._at_end("start and exit must be distinct vertices")
+            virtual_arc = len(edges)
+            edges.append(_new(Edge, (virtual_arc, node_ids[exit_], node_ids[start], ZERO)))
+        names = tuple(node_ids)
+        graph = WeightedDigraph._trusted(len(names), tuple(edges))
+        return DotGraphDoc(
+            name=self.name, graph=graph, node_names=names,
+            start=node_ids[start] if start is not None else None,
+            exit=node_ids[exit_] if exit_ is not None else None,
+            virtual_arc=virtual_arc, tree_edge_ids=tree_ids,
+            duplicate_arcs=tuple((names[s], names[t]) for s, t in self.duplicates),
+            filename=self.filename)
 
 
 def parse_dot(text: str, filename: Optional[str] = None) -> DotGraphDoc:
     """Parse the DOT subset; see the module docstring for the grammar."""
-    try:
-        return _read_statements(text, filename)
-    except _Unread:
-        return _DotParser(text, filename).parse()
+    return _Reader(text, filename).read()
 
 
 def _quote(name: str) -> str:

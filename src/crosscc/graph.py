@@ -23,6 +23,7 @@ caller that fills the slot fills it with the same lists.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
@@ -44,13 +45,27 @@ ZERO = Fraction(0)
 _new = tuple.__new__
 
 
+# The largest decimal exponent a number text may have, the bound CPython's
+# limit on the digits of an int already puts on its mantissa. ``Fraction``
+# expands an exponent in full: ``Fraction("1e10000000")`` alone takes seconds.
+# The pattern that finds an exponent is compiled and run only for a text with
+# an ``e``, so a process that reads none, such as one of ``1/2`` weights, pays
+# nothing for the check.
+_MAX_EXPONENT = 4300
+
+
 def as_weight(value: WeightLike) -> Fraction:
-    """Coerce a number (or a string like ``1/2`` or ``0.5``) to an exact Fraction."""
+    """Coerce a number (or a string like ``1/2`` or ``0.5``) to an exact Fraction.
+    A string with a decimal exponent beyond ``_MAX_EXPONENT`` raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         # Floats that came from decimal text should stay what they look like.
         return Fraction(str(value))
+    if isinstance(value, str) and "E" in value.upper():
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT} in {value!r}")
     return Fraction(value)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from .errors import EmptyReport, MalformedReport
+from .graph import as_weight
 
 SCHEMA_VERSION = 1
 
@@ -121,15 +122,15 @@ def report_from_json(text: str) -> AnalysisReport:
             records.append(UnitRecord(
                 unit=rec["unit"], source=rec["source"], file=rec["source"],
                 position=i, nu=finite(int(rec["nu"]), "nu"),
-                omega=finite(Fraction(str(rec["omega"])), "omega"),
+                omega=finite(as_weight(str(rec["omega"])), "omega"),
                 provenance=rec["provenance"], region=rec["region"],
-                indicator=finite(Fraction(str(rec["indicator"])), "indicator")))
+                indicator=finite(as_weight(str(rec["indicator"])), "indicator")))
         except KeyError as ex:
             raise MalformedReport(f"record {i} has no {ex} field") from None
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as ex:
             raise MalformedReport(f"record {i}: {ex}") from None
     try:
-        slope = finite(Fraction(str(config.get("slope", 2))), "value")
+        slope = finite(as_weight(str(config.get("slope", 2))), "value")
     except (ValueError, ZeroDivisionError) as ex:
         raise MalformedReport(f"slope: {ex}") from None
     return AnalysisReport(

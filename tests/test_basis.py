@@ -90,8 +90,8 @@ def adjacency_of(g):
 def shortest_paths(g, source):
     """``_shortest_paths`` from ``source`` on the adjacency of the integer
     weights ``horton_basis`` uses (the weighted fan's are already integers,
-    so its scale is 1)."""
-    return _shortest_paths(adjacency_of(g), source)
+    so its scale is 1), with no vertex left out."""
+    return _shortest_paths(adjacency_of(g), source, [False] * g.vertex_count)
 
 
 def all_pairs(g):
@@ -139,7 +139,7 @@ class TestAllPairsShortestPaths:
         assert dist == [None, 0, 2, 9, 15]
         assert path == [-1, 0, 1 << 4, 1 << 4 | 1 << 5, 1 << 4 | 1 << 5 | 1 << 6]
         rim = [[arc for arc in row if arc[0]] if v else [] for v, row in enumerate(adjacency)]
-        assert _shortest_paths(rim, 1) == (dist, path)
+        assert _shortest_paths(rim, 1, [False] * 5) == (dist, path)
 
     def test_negative_weight_rejected(self):
         # Checked once per graph, before any shortest path runs.
@@ -218,7 +218,7 @@ class TestReferenceDijkstra:
             weights = _require_nonnegative(g)[0]
             adjacency = adjacency_of(g)
             for s in range(g.vertex_count):
-                assert _shortest_paths(adjacency, s) == \
+                assert _shortest_paths(adjacency, s, [False] * g.vertex_count) == \
                     basis_reference._shortest_paths(g, weights, s)
 
     def test_same_roots_and_basis(self):

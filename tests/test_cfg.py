@@ -4,7 +4,7 @@ import cfg_reference
 
 from crosscc.basis import horton_basis
 from crosscc.cfg import ControlFlowGraph, check_reachability, lower
-from crosscc.errors import UnreachableCode, UnresolvedLabel
+from crosscc.errors import UnknownEdge, UnreachableCode, UnresolvedLabel
 from crosscc.graph import WeightedDigraph, cycle_rank
 from crosscc.minilang import Block, Break, Continue, Function, Switch, SwitchCase, parse
 
@@ -246,3 +246,9 @@ class TestCheckReachability:
         # Only that arc is left out, not its parallel copy.
         check_reachability(hand_built([(0, 2), (0, 2), (2, 3), (3, 1), (1, 0)], 0))
         check_reachability(hand_built([(0, 2), (0, 2), (2, 3), (3, 1), (1, 0)], 1))
+
+    @pytest.mark.parametrize("virtual_arc", [4, -1])
+    def test_a_left_out_arc_the_graph_lacks_is_an_unknown_edge(self, virtual_arc):
+        # -1 would otherwise leave out the last arc, and 4 raise IndexError.
+        with pytest.raises(UnknownEdge, match=f"no edge with id {virtual_arc}"):
+            check_reachability(hand_built([(0, 2), (2, 3), (3, 1), (1, 0)], virtual_arc))

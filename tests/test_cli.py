@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -167,7 +168,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("flag, value", [
         ("--slope", "foo"), ("--slope", "1/0"), ("--fail-above", "x"),
         pytest.param("--slope", f"1{'0' * 400}/3", id="--slope-10^400/3"),
-        ("--fail-above", "1e400")])
+        ("--fail-above", "1e400"), ("--slope", "1e100000000"),
+        ("--fail-above", "1e-100000000")])
     def test_bad_number_is_a_usage_error(self, flag, value, tmp_path, capsys):
         path = copy_fixture(tmp_path, "atomic_seq.mini")
         with pytest.raises(SystemExit) as exited:
@@ -175,6 +177,19 @@ class TestAnalyze:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {flag}" in err
+
+    def test_huge_exponent_costs_only_its_file(self, tmp_path, capsys):
+        # Fraction would expand 10^100000000 in full, for minutes.
+        good = copy_fixture(tmp_path, "atomic_seq.mini")
+        big = tmp_path / "big.dot"
+        big.write_text("digraph g { start=a; exit=b; a -> b [weight=1e100000000]; }\n",
+                       encoding="utf-8")
+        started = time.perf_counter()
+        assert main(["analyze", str(big), str(good)]) == 1
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert f"{big}: error: {big}:1: bad weight '1e100000000'" in captured.err
+        assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["seq"]
 
     def test_non_utf8_file_is_a_per_file_error(self, tmp_path, capsys):
         good = copy_fixture(tmp_path, "atomic_seq.mini")
@@ -354,6 +369,14 @@ class TestPlotCommand:
         pytest.param('{"config": {"slope": "1e400"}, "records": [{"unit": "f", "source": "a",'
                      ' "nu": 1, "omega": 1, "provenance": "exact", "region": "non-trivial",'
                      ' "indicator": 1}]}', id="slope-1e400"),
+        # Exponents that Fraction would expand in full, for minutes.
+        *(pytest.param(f'{{"config": {{"slope": {slope}}}, "records": [{{"unit": "f",'
+                       f' "source": "a", "nu": 1, "omega": {omega}, "provenance": "exact",'
+                       f' "region": "non-trivial", "indicator": {indicator}}}]}}',
+                       id=f"{field}-1e100000000")
+          for field, slope, omega, indicator in [
+              ("slope", '"1e100000000"', 1, 1), ("omega", 2, '"1e100000000"', 1),
+              ("indicator", 2, 1, '"1e-100000000"')]),
         # A slope that fits a float, but not once scaled to the plot's x-span.
         pytest.param('{"config": {"slope": 1e308}, "records": [{"unit": "f", "source": "a",'
                      ' "nu": 1, "omega": 1, "provenance": "exact", "region": "non-trivial",'

@@ -11,7 +11,7 @@ from crosscc.basis import horton_basis, tree_bound
 from crosscc.cfg import lower
 from crosscc.cli import main
 import dot_reference as reference
-from crosscc.dot import _DotParser, _read_statements, _Unread, dump_cfg_dot, dump_dot, parse_dot
+from crosscc.dot import _Reader, dump_cfg_dot, dump_dot, parse_dot
 from crosscc.errors import (
     CrossCCError,
     DotSyntaxError,
@@ -111,7 +111,8 @@ class TestParse:
             parse_dot("digraph g { a -> a; }")
 
     def test_unparseable_weight_is_a_syntax_error(self):
-        for bad_weight in ("abc", "1/0", ""):
+        # Fraction would expand the exponent of 1e100000000 in full, for minutes.
+        for bad_weight in ("abc", "1/0", "", "1e100000000", "1e-4301"):
             with pytest.raises(DotSyntaxError):
                 parse_dot(f'digraph g {{ a -> b [weight="{bad_weight}"]; }}')
 
@@ -245,8 +246,24 @@ class TestNames:
 
 
 def read_tokens(text, filename=None):
-    """The document as the token parser reads it."""
-    return _DotParser(text, filename).parse()
+    """The document as the token step reads it from offset 0, whole."""
+    return _Reader(text, filename).read_tokens(0)
+
+
+class Unread(Exception):
+    """The statement matches left part of a document to the token step."""
+
+
+class MatchReader(_Reader):
+    """The reader with its token step refused."""
+
+    def read_tokens(self, pos):
+        raise Unread(pos)
+
+
+def read_matches(text, filename=None):
+    """The document as the statement matches alone read it."""
+    return MatchReader(text, filename).read()
 
 
 class TestWeights:
@@ -272,8 +289,7 @@ class TestWeights:
         assert first.graph.edge(0).weight is not second.graph.edge(0).weight
         assert second.graph.edge(0).weight == Fraction(1, 2)
 
-    # The statement reader raises _Unread on a text it leaves to the token parser.
-    @pytest.mark.parametrize("read", [read_tokens, _read_statements],
+    @pytest.mark.parametrize("read", [read_tokens, read_matches],
                              ids=["tokens", "statements"])
     def test_one_fraction_per_weight_text_in_each_reader(self, read):
         text = ('digraph g { a -> b [weight=1/2]; b -> c [weight=0.5]; c -> a [weight="1/2"]; '
@@ -422,19 +438,18 @@ class TestReferenceParser:
         assert_same_or_fixed(f"{head} {body} {tail}")
 
 
-# The statement reader against the token parser: whatever text it reads, it
-# reads as the token parser does.
+# The statement matches against the token step: ``parse_dot``, which reads
+# statements by match up to the first one no match reads, reads every text as
+# the token step alone does from offset 0.
 
 def assert_reader_agrees(text):
-    """``parse_dot`` reads ``text`` as the token parser does, and so does the
-    statement reader when it reads ``text`` at all. True when it does."""
-    expected = outcome(read_tokens, text)
-    assert outcome(parse_dot, text) == expected
+    """``parse_dot`` reads ``text`` as the token step does from offset 0.
+    True when the statement matches read all of it."""
+    assert outcome(parse_dot, text) == outcome(read_tokens, text)
     try:
-        doc = _read_statements(text, "f.dot")
-    except _Unread:
+        outcome(read_matches, text)
+    except Unread:
         return False
-    assert outcome(lambda *_: doc, text) == expected
     return True
 
 
@@ -451,8 +466,8 @@ READER_STATEMENTS = STATEMENTS + [
     '"a\\"b" -> c;', '"s" = "a";', 'start = "a";', 'exit = "b";', 'start = "b";',
     "addvirtual = true;", "digraph;", "digraph -> a;", "weight = 3;", "tree;", "a -> b -> c;",
     "a;;", "a - > b;", "a -x b;", "é -> a;", "a -> b [tree//c\n=true];"]
-# Statements the statement reader reads, so that a document of them and one
-# other statement is read whenever that one is.
+# Statements the statement matches read, so that a document of them and one
+# other statement goes to the token step at that one, if at all.
 READABLE = ["a -> b;", "b -> c [weight=1/2];", "c -> a [weight=0.5, tree=true];",
             'b -> a [weight="2/4"];', "a -> c [tree=false];", "b -> a [tree=TRUE];",
             "a -> b [weight=1, weight=3/2];", 'start = "a";', "exit = c;",
@@ -482,6 +497,8 @@ class TestStatementReader:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.sampled_from(READABLE), max_size=8),
            st.sampled_from(READER_STATEMENTS), st.integers(0, 8))
+    @example([], "a -> b // c\n [weight=2];", 0)
+    @example(["a -> b;"], "a // c\n -> b;", 1)
     @example([], "a -> b [weight//c\n=2];", 0)
     @example([], "a -> b [tree//c\n=true];", 0)
     @example([], "b -> a [tree=TRUE];", 0)
@@ -507,14 +524,74 @@ class TestStatementReader:
             assert assert_reader_agrees(text)
 
 
+class TestSwitchToTokens:
+    """From the first statement no match reads, or that a check rejects, the
+    token step reads the rest, from that statement's offset on, into the
+    same tables."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The offsets the token step starts from, and those it scans a
+        token from, as ``parse_dot`` runs."""
+        starts, scanned = [], []
+        read_tokens, next_token = _Reader.read_tokens, _Reader._next
+
+        def start(reader, pos):
+            starts.append(pos)
+            return read_tokens(reader, pos)
+
+        def scan(reader):
+            scanned.append(reader._end)
+            next_token(reader)
+        monkeypatch.setattr(_Reader, "read_tokens", start)
+        monkeypatch.setattr(_Reader, "_next", scan)
+        return starts, scanned
+
+    def test_a_document_is_read_once(self, monkeypatch):
+        starts, scanned = self.spy(monkeypatch)
+        matched = "digraph g {\n  start = a;\n  a -> b [weight=1/2];\n  b -> c;"
+        text = matched + "\n  c -> a [label=x];\n  exit = c;\n}\n"
+        doc = parse_dot(text)
+        assert starts == [len(matched)]
+        assert min(scanned) == len(matched)  # no token before it is scanned
+        assert (doc.node_names, doc.start, doc.exit, doc.virtual_arc) == (("a", "b", "c"), 0, 2, 3)
+
+    def test_vertices_weights_and_duplicates_carry_across(self, monkeypatch):
+        starts, _ = self.spy(monkeypatch)
+        text = ('digraph g {\n  a -> b [weight=1/2];\n  "c" -> a;\n  d [x=1];\n'
+                '  b -> c [weight=1/2];\n  a -> b;\n  c -> "a";\n}\n')
+        doc = parse_dot(text)
+        assert starts == [text.index("\n  d [x=1]")]
+        assert doc.node_names == ("a", "b", "c", "d")
+        assert [(e.source, e.target) for e in doc.graph.edges] == \
+               [(0, 1), (2, 0), (1, 2), (0, 1), (2, 0)]
+        assert doc.duplicate_arcs == (("a", "b"), ("c", "a"))
+        # One Fraction per weight text, on both sides of the switch.
+        assert doc.graph.edge(0).weight is doc.graph.edge(2).weight
+        assert outcome(parse_dot, text) == outcome(read_tokens, text)
+
+    @pytest.mark.parametrize("unread, line, message", [
+        ("a [x=1] -> b;", 3, "expected a node or attribute name, got '->'"),
+        ("c -> c;", 3, "self-loop on 'c' not allowed"),
+        ("c -> d [weight=x];", 3, "bad weight 'x'"),
+        ("} x", 3, "trailing input after closing '}'"),
+    ])
+    def test_a_lone_quote_after_the_switch_wins(self, monkeypatch, unread, line, message):
+        starts, _ = self.spy(monkeypatch)
+        text = f'digraph g {{\n  a -> b;\n  {unread}\n  e -> f;\n  g "\n}}\n'
+        assert error_at(text) == (5, "unexpected character '\"'")
+        assert starts == [text.index("\n  " + unread)]
+        assert error_at(text.replace('"', "")) == (line, message)
+
+
 class TestTrustedEdges:
-    """Both readers hand their edges to the graph unchecked. ``outcome``
+    """The reader hands its edges to the graph unchecked. ``outcome``
     checks them on every document it reads: the fixtures and the generated
-    texts above, in each reader. These add the fixtures in the token parser
+    texts above, in each step. These add the fixtures in the token step
     and the weighted control-flow graphs that ``test_basis`` checks against
     networkx, with parallel arcs and rational weights."""
 
-    @pytest.mark.parametrize("read", [read_tokens, _read_statements],
+    @pytest.mark.parametrize("read", [read_tokens, read_matches],
                              ids=["tokens", "statements"])
     def test_weighted_cfgs(self, read):
         rng = random.Random(48)
@@ -530,7 +607,7 @@ class TestTrustedEdges:
 
 def test_real_documents_take_the_statement_path(monkeypatch, tmp_path):
     # The fixtures, the documents dump-cfg writes and those the benchmark
-    # generates never reach the token parser, so an edit of the statement
+    # generates never reach the token step, so an edit of the statement
     # pattern that sends them there fails here, not only in the benchmark.
     texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.dot"))]
     for path in sorted(FIXTURES.glob("*.mini")):
@@ -545,9 +622,5 @@ def test_real_documents_take_the_statement_path(monkeypatch, tmp_path):
         texts += [gen.dot_cfg(rng, f"g{i:02d}", nodes, extra_arcs=nodes * 9 // 16,
                               parallel=nodes // 12)[0] for i in range(5)]
     assert len(texts) == 8 + 6 + 20
-
-    def refuse(*args):
-        raise AssertionError("the token parser was asked to read a document")
-    monkeypatch.setattr("crosscc.dot._DotParser", refuse)
     for text in texts:
-        parse_dot(text)
+        read_matches(text)  # raises Unread where the token step would read

@@ -19,6 +19,7 @@ from crosscc.graph import (
     Edge,
     SpanningTree,
     WeightedDigraph,
+    as_weight,
     cycle_rank,
     spanning_tree,
 )
@@ -93,6 +94,18 @@ class TestEdge:
 
 
 class TestGraphWeight:
+    def test_decimal_exponent_is_bounded(self):
+        # Fraction expands an exponent in full; 1e100000000 would take minutes.
+        # 4300 is CPython's limit on the digits of an int.
+        assert as_weight("1e4300") == 10**4300
+        assert as_weight(" 25E-4_299 ") == Fraction(25, 10**4299)
+        for text in ("1e4301", "1e-4301", "0.5E+100000000", "1e1_0000_0000 ",
+                     "1e" + "9" * 5000):
+            with pytest.raises(ValueError):
+                as_weight(text)
+        with pytest.raises(ValueError):
+            WeightedDigraph(2, [(0, 1, "1e100000000")])
+
     def test_mixed_sign_weights_sum_exactly(self):
         g = negative_weight_pentagon()
         assert total_weight(g) == Fraction(-1, 2)
