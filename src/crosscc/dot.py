@@ -24,22 +24,24 @@ attribute value is a word (a run of characters other than white space,
 and span lines. Punctuation or end of input where a name belongs is a
 syntax error.
 
-One reader fills one set of tables. One ``findall`` of one pattern reads
-the ``digraph NAME {`` header and then one statement per match, with the
-blanks and comments before it: an arc with no attributes or with only
-``weight=`` and ``tree=`` attributes (an unquoted ``tree`` value), a graph
-attribute, a bare node, and the closing ``}`` at the end of input. From the
-first statement that no match reads whole, or that a check rejects (a
-self-loop, a bad or negative weight, a second header), the rest is read
-token by token into the same tables; from offset 0 the tokens read a whole
-document. The tokens give every diagnostic but those of the checks that
-need every statement, which stand at the end of input.
+One reader fills the vertices, the arcs with their ``tree=`` text, the
+graph attributes and the weights, one ``Fraction`` per distinct text. One
+``findall`` of one pattern reads the ``digraph NAME {`` header and then
+one statement per match, with the blanks and comments before it: an arc
+with no attributes or with only ``weight=`` and ``tree=`` attributes (an
+unquoted ``tree`` value), a graph attribute, a bare node, and the closing
+``}`` at the end of input. From the first statement that no match reads
+whole, or that a check rejects (a self-loop, a bad or negative weight, a
+second header), the rest is read token by token into the same tables; from
+offset 0 the tokens read a whole document. ``_document`` derives the
+edges, the tree edge ids and the duplicate arcs, and runs the checks that
+need every statement, reported at the end of input; the tokens give the
+other diagnostics.
 
 Tokens are scanned on demand by a pattern that skips white space and
 comments inside each match. A diagnostic counts the line ends before its
 token's offset, so line numbers cost nothing until an error, and line ends
-inside quoted strings count too. Each distinct weight text is parsed to a
-``Fraction`` once per document. Each pattern is compiled on first use,
+inside quoted strings count too. Each pattern is compiled on first use,
 through ``re``'s own cache, so importing this module compiles neither.
 """
 
@@ -176,17 +178,15 @@ def _weight(raw: str) -> Fraction:
 
 class _Reader:
     """One document's tables, filled by statement matches and then, from the
-    first statement no match reads, by tokens."""
+    first statement no match reads, by tokens; ``_document`` derives the rest."""
 
     def __init__(self, text: str, filename: Optional[str] = None):
         self.text = text
         self.filename = filename
         self.name = "g"
         self.node_ids: Dict[str, int] = {}  # in first-mention order
-        self.arcs: List[Tuple[int, int, Fraction, bool]] = []  # src, dst, weight, tree mark
+        self.arcs: List[Tuple[int, int, Fraction, str]] = []  # src, dst, weight, tree= text
         self.graph_attrs: Dict[str, str] = {}
-        self.duplicates: List[Tuple[int, int]] = []  # src, dst of each arc declared again
-        self.seen_pairs = set()
         self.weights: Dict[str, Fraction] = {}  # each distinct weight text, parsed once
 
     def vertex(self, node: str) -> int:
@@ -202,8 +202,7 @@ class _Reader:
         if not header:
             return self.read_tokens(0)
         self.name = _unquote(name or "g")
-        node_ids, arcs, duplicates = self.node_ids, self.arcs, self.duplicates
-        seen_pairs, weights = self.seen_pairs, self.weights
+        node_ids, arcs, weights = self.node_ids, self.arcs, self.weights
         vertices: Dict[str, int] = {}  # raw name token -> vertex id
 
         def intern(token: str) -> int:
@@ -231,11 +230,7 @@ class _Reader:
                             break
                 else:
                     w = ONE
-                pair = (src, dst)
-                if pair in seen_pairs:
-                    duplicates.append(pair)
-                seen_pairs.add(pair)
-                arcs.append((src, dst, w, tree != "" and tree.lower() in ("true", "1")))
+                arcs.append((src, dst, w, tree))
             elif value:
                 self.graph_attrs[_unquote(first)] = _unquote(value)
             elif first:
@@ -283,12 +278,8 @@ class _Reader:
                         weight = self.weights[raw] = _weight(raw)
                     except ValueError as err:
                         raise self.error(str(err)) from None
-                src, dst = self.vertex(first), self.vertex(target)
-                if (src, dst) in self.seen_pairs:
-                    self.duplicates.append((src, dst))
-                self.seen_pairs.add((src, dst))
-                self.arcs.append((src, dst, weight,
-                                  attrs.get("tree", "false").lower() in ("true", "1")))
+                self.arcs.append((self.vertex(first), self.vertex(target), weight,
+                                  attrs.get("tree", "")))
             else:  # a bare node
                 self.vertex(first)
                 self._attr_list()
@@ -362,22 +353,25 @@ class _Reader:
         # name only vertices they interned, so the arcs go in unchecked.
         arcs = self.arcs
         edges = [_new(Edge, (i, src, dst, w)) for i, (src, dst, w, _) in enumerate(arcs)]
-        tree_ids = tuple(i for i, (_, _, _, mark) in enumerate(arcs) if mark)
+        tree_ids = tuple(i for i, (_, _, _, tree) in enumerate(arcs)
+                         if tree and tree.lower() in ("true", "1"))
+        names = tuple(node_ids)
+        seen = set()  # ``add`` gives None, so each pair is added as it is tested
+        duplicates = tuple((names[src], names[dst]) for src, dst, _, _ in arcs
+                           if (src, dst) in seen or seen.add((src, dst)))
         virtual_arc = None
         if addvirtual and start is not None and exit_ is not None:
             if start == exit_:
                 raise self._at_end("start and exit must be distinct vertices")
             virtual_arc = len(edges)
             edges.append(_new(Edge, (virtual_arc, node_ids[exit_], node_ids[start], ZERO)))
-        names = tuple(node_ids)
         graph = WeightedDigraph._trusted(len(names), tuple(edges))
         return DotGraphDoc(
             name=self.name, graph=graph, node_names=names,
             start=node_ids[start] if start is not None else None,
             exit=node_ids[exit_] if exit_ is not None else None,
             virtual_arc=virtual_arc, tree_edge_ids=tree_ids,
-            duplicate_arcs=tuple((names[s], names[t]) for s, t in self.duplicates),
-            filename=self.filename)
+            duplicate_arcs=duplicates, filename=self.filename)
 
 
 def parse_dot(text: str, filename: Optional[str] = None) -> DotGraphDoc:

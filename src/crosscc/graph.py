@@ -5,8 +5,9 @@ edge's identity. Parallel arcs between the same vertices are therefore
 representable, which keeps the control-flow construction total when the
 synthetic exit-to-start arc duplicates an existing arc.
 
-Every search here traverses the underlying undirected graph. All weights
-are exact ``fractions.Fraction`` values so equality assertions are exact.
+Every tree comes from one search of the underlying undirected graph,
+``_bfs_parents``, which checks its root. All weights are exact
+``fractions.Fraction`` values so equality assertions are exact.
 
 Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
 (``cycle_rank``), so nu can be read as the size of a basis.
@@ -45,18 +46,17 @@ ZERO = Fraction(0)
 _new = tuple.__new__
 
 
-# The largest decimal exponent a number text may have, the bound CPython's
-# limit on the digits of an int already puts on its mantissa. ``Fraction``
-# expands an exponent in full: ``Fraction("1e10000000")`` alone takes seconds.
-# The pattern that finds an exponent is compiled and run only for a text with
-# an ``e``, so a process that reads none, such as one of ``1/2`` weights, pays
-# nothing for the check.
+# CPython's limit on the digits of an int, which ``str`` needs to write a
+# weight back. ``Fraction`` expands a decimal exponent in full (seconds for
+# ``1e10000000``), so a longer exponent is refused first, and then terms of
+# more digits (``1e4300``); 10**n has over 3n bits, so only terms of more
+# bits are compared with it. Only a text with an ``e`` runs the pattern.
 _MAX_EXPONENT = 4300
 
 
 def as_weight(value: WeightLike) -> Fraction:
     """Coerce a number (or a string like ``1/2`` or ``0.5``) to an exact Fraction.
-    A string with a decimal exponent beyond ``_MAX_EXPONENT`` raises ValueError."""
+    A string whose exponent or whose terms' digits pass ``_MAX_EXPONENT`` raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -66,6 +66,11 @@ def as_weight(value: WeightLike) -> Fraction:
         exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
             raise ValueError(f"exponent beyond {_MAX_EXPONENT} in {value!r}")
+        weight = Fraction(value)
+        term = max(abs(weight.numerator), weight.denominator)
+        if term.bit_length() > 3 * _MAX_EXPONENT and term >= 10**_MAX_EXPONENT:
+            raise ValueError(f"more than {_MAX_EXPONENT} digits in {value!r}")
+        return weight
     return Fraction(value)
 
 
@@ -139,8 +144,9 @@ class WeightedDigraph:
         return len(self.edges)
 
     def edge(self, edge_id: int) -> Edge:
-        if not (0 <= edge_id < len(self.edges)):
-            raise UnknownEdge(f"no edge with id {edge_id}")
+        """``UnknownEdge`` unless ``edge_id`` is an ``int``, not a ``bool``, in range."""
+        if type(edge_id) is not int or not 0 <= edge_id < len(self.edges):
+            raise UnknownEdge(f"no edge with id {edge_id!r}")
         return self.edges[edge_id]
 
     def incident(self, vertex: int) -> Sequence[Edge]:
@@ -162,13 +168,18 @@ def _build_incidence(vertex_count: int, edges: Tuple[Edge, ...]) -> Tuple[Tuple[
 
 
 def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
-    """Breadth-first search of the unoriented graph from ``root``.
+    """Breadth-first search of the unoriented graph from ``root``, which must
+    be a vertex (``EmptyGraph`` for a graph with none, else ``ValueError``).
 
     Returns ``{v: (parent_vertex, edge_id)}`` for every vertex reached other
     than the root, following only the edge ids in ``allowed`` when given.
     Neighbors are explored in ascending edge id, so the result is a pure
     function of the arguments: reruns and platforms agree bit for bit.
     """
+    if g.vertex_count == 0:
+        raise EmptyGraph("graph has no vertices")
+    if not (0 <= root < g.vertex_count):
+        raise ValueError(f"root {root} out of range")
     parent = {}
     order = [root]
     incidence = g._incidence_lists()
@@ -201,42 +212,25 @@ class SpanningTree(NamedTuple):
         ids = frozenset(edge_ids)
         for i in ids:
             g.edge(i)  # raises UnknownEdge
-        if g.vertex_count == 0:
-            raise EmptyGraph("graph has no vertices")
-        if not (0 <= root < g.vertex_count):
-            raise ValueError(f"root {root} out of range")
-        if len(ids) != g.vertex_count - 1:
-            raise NotASpanningTree(
-                f"{len(ids)} edges cannot span {g.vertex_count} vertices"
-            )
         parent = _bfs_parents(g, root, ids)
+        if len(ids) != g.vertex_count - 1:
+            raise NotASpanningTree(f"{len(ids)} edges cannot span {g.vertex_count} vertices")
         if len(parent) != g.vertex_count - 1:
             raise NotASpanningTree("edge set does not reach every vertex acyclically")
         return cls(host=g, root=root, tree_edges=ids, parent=parent)
 
 
-def _connected_parents(g: WeightedDigraph, root: int) -> dict:
-    """``_bfs_parents(g, root)`` of a graph that must have a vertex, hold
-    ``root`` and be connected (unoriented)."""
-    if g.vertex_count == 0:
-        raise EmptyGraph("graph has no vertices")
-    if not (0 <= root < g.vertex_count):
-        raise ValueError(f"root {root} out of range")
+def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
+    """BFS spanning tree rooted at ``root``, ignoring arc direction; a pure
+    function of the graph (see ``_bfs_parents``) that must be connected."""
     parent = _bfs_parents(g, root)
     if len(parent) != g.vertex_count - 1:
         raise DisconnectedGraph("graph is not connected (unoriented)")
-    return parent
-
-
-def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
-    """BFS spanning tree rooted at ``root``, ignoring arc direction; a pure
-    function of the graph (see ``_bfs_parents``)."""
-    parent = _connected_parents(g, root)
     tree_edges = frozenset(eid for _, eid in parent.values())
     return SpanningTree(host=g, root=root, tree_edges=tree_edges, parent=parent)
 
 
 def cycle_rank(g: WeightedDigraph) -> int:
     """Dimension of the cycle space of a connected graph: #E - #V + 1."""
-    _connected_parents(g, 0)
+    spanning_tree(g)
     return g.edge_count - g.vertex_count + 1

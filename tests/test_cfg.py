@@ -247,8 +247,9 @@ class TestCheckReachability:
         check_reachability(hand_built([(0, 2), (0, 2), (2, 3), (3, 1), (1, 0)], 0))
         check_reachability(hand_built([(0, 2), (0, 2), (2, 3), (3, 1), (1, 0)], 1))
 
-    @pytest.mark.parametrize("virtual_arc", [4, -1])
+    @pytest.mark.parametrize("virtual_arc", [4, -1, None, 1.0, True])
     def test_a_left_out_arc_the_graph_lacks_is_an_unknown_edge(self, virtual_arc):
-        # -1 would otherwise leave out the last arc, and 4 raise IndexError.
+        # -1 or True would otherwise leave out an arc, 4 raise IndexError,
+        # and None or 1.0 a TypeError.
         with pytest.raises(UnknownEdge, match=f"no edge with id {virtual_arc}"):
             check_reachability(hand_built([(0, 2), (2, 3), (3, 1), (1, 0)], virtual_arc))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -169,7 +171,7 @@ class TestAnalyze:
         ("--slope", "foo"), ("--slope", "1/0"), ("--fail-above", "x"),
         pytest.param("--slope", f"1{'0' * 400}/3", id="--slope-10^400/3"),
         ("--fail-above", "1e400"), ("--slope", "1e100000000"),
-        ("--fail-above", "1e-100000000")])
+        ("--fail-above", "1e-100000000"), ("--slope", "1e-4300")])
     def test_bad_number_is_a_usage_error(self, flag, value, tmp_path, capsys):
         path = copy_fixture(tmp_path, "atomic_seq.mini")
         with pytest.raises(SystemExit) as exited:
@@ -179,17 +181,19 @@ class TestAnalyze:
         assert err.startswith("usage:") and f"argument {flag}" in err
 
     def test_huge_exponent_costs_only_its_file(self, tmp_path, capsys):
-        # Fraction would expand 10^100000000 in full, for minutes.
+        # Fraction would expand 10^100000000 in full, for minutes; 10^4300 has
+        # one digit more than a weight may have.
         good = copy_fixture(tmp_path, "atomic_seq.mini")
         big = tmp_path / "big.dot"
-        big.write_text("digraph g { start=a; exit=b; a -> b [weight=1e100000000]; }\n",
-                       encoding="utf-8")
-        started = time.perf_counter()
-        assert main(["analyze", str(big), str(good)]) == 1
-        assert time.perf_counter() - started < 1
-        captured = capsys.readouterr()
-        assert f"{big}: error: {big}:1: bad weight '1e100000000'" in captured.err
-        assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["seq"]
+        for weight in ("1e100000000", "1e4300"):
+            big.write_text(f"digraph g {{ start=a; exit=b;\n a -> b [weight={weight}]; }}\n",
+                           encoding="utf-8")
+            started = time.perf_counter()
+            assert main(["analyze", str(big), str(good)]) == 1
+            assert time.perf_counter() - started < 1
+            captured = capsys.readouterr()
+            assert f"{big}: error: {big}:2: bad weight '{weight}'" in captured.err
+            assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["seq"]
 
     def test_non_utf8_file_is_a_per_file_error(self, tmp_path, capsys):
         good = copy_fixture(tmp_path, "atomic_seq.mini")
@@ -536,6 +540,15 @@ def test_file_name_bytes_that_are_not_utf8_are_written_back(tmp_path, command):
     out = tmp_path / "out"
     assert main([*command, str(src), "-o", str(out)]) == 0
     assert os.fsencode(src) + b":seq" in out.read_bytes()
+
+
+def test_a_stdout_without_a_byte_buffer_takes_the_text(tmp_path):
+    src = copy_fixture(tmp_path, "listing1.mini")
+    out = tmp_path / "out.json"
+    assert main(["analyze", str(src), "-o", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["analyze", str(src)]) == 0
+    assert stdout.getvalue() == out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", [["analyze", "--format", "csv"], ["dump-cfg"]])

@@ -111,10 +111,18 @@ class TestParse:
             parse_dot("digraph g { a -> a; }")
 
     def test_unparseable_weight_is_a_syntax_error(self):
-        # Fraction would expand the exponent of 1e100000000 in full, for minutes.
-        for bad_weight in ("abc", "1/0", "", "1e100000000", "1e-4301"):
+        # Fraction would expand the exponent of 1e100000000 in full, for minutes;
+        # 1e4300 has one digit more than dump_dot could write back.
+        for bad_weight in ("abc", "1/0", "", "1e100000000", "1e-4301",
+                           "1e4300", "99e4299", "1e-4300"):
             with pytest.raises(DotSyntaxError):
                 parse_dot(f'digraph g {{ a -> b [weight="{bad_weight}"]; }}')
+
+    def test_the_longest_weights_read_are_written_back(self):
+        for weight in ("1e4299", "9.99e4299", "1e-4299"):
+            doc = parse_dot(f"digraph g {{ a -> b [weight={weight}]; }}")
+            again = parse_dot(dump_dot(doc.graph, node_names=doc.node_names))
+            assert again.graph.edges == doc.graph.edges
 
     def test_start_equal_exit_rejected(self):
         with pytest.raises(DotSyntaxError):

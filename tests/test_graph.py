@@ -83,6 +83,13 @@ class TestEdge:
         with pytest.raises(ValueError):
             WeightedDigraph(2, [Edge(1, 0, 1, ONE)])
 
+    @pytest.mark.parametrize("edge_id", [None, 1.0, "1", True, 2, -1])
+    def test_edge_id_is_an_int_in_range(self, edge_id):
+        g = WeightedDigraph(3, [(0, 1), (1, 2)])
+        assert g.edge(1) == Edge(1, 1, 2, ONE)
+        with pytest.raises(UnknownEdge, match="no edge with id"):
+            g.edge(edge_id)
+
     @pytest.mark.parametrize("vertex_count, edges, message", [
         (-1, [], "vertex_count must be >= 0"),
         (2, [(0, 1), (1, 1)], "loop edge 1 at vertex 1 not allowed"),
@@ -96,10 +103,14 @@ class TestEdge:
 class TestGraphWeight:
     def test_decimal_exponent_is_bounded(self):
         # Fraction expands an exponent in full; 1e100000000 would take minutes.
-        # 4300 is CPython's limit on the digits of an int.
-        assert as_weight("1e4300") == 10**4300
+        # 4300 is CPython's limit on the digits of an int, which str() needs
+        # to write a weight back: 1e4300 has 4301 digits.
+        assert as_weight("1e4299") == 10**4299
+        assert as_weight("9.99e4299") == 999 * 10**4297
+        assert as_weight("1e-4299") == Fraction(1, 10**4299)
         assert as_weight(" 25E-4_299 ") == Fraction(25, 10**4299)
-        for text in ("1e4301", "1e-4301", "0.5E+100000000", "1e1_0000_0000 ",
+        for text in ("1e4300", "99e4299", "1e-4300", "-1e4300",
+                     "1e4301", "1e-4301", "0.5E+100000000", "1e1_0000_0000 ",
                      "1e" + "9" * 5000):
             with pytest.raises(ValueError):
                 as_weight(text)
@@ -160,14 +171,15 @@ class TestSpanningTree:
         with pytest.raises(DisconnectedGraph):
             spanning_tree(g, 0)
 
-    @pytest.mark.parametrize("build", [
-        lambda g, root: spanning_tree(g, root),
-        lambda g, root: SpanningTree.from_edge_ids(g, root, range(g.edge_count)),
-    ], ids=["bfs", "explicit"])
-    def test_empty_graph_and_root_out_of_range_rejected(self, build):
+    @pytest.mark.parametrize("build, roots", [
+        (lambda g, root: spanning_tree(g, root), (-1, 2)),
+        (lambda g, root: SpanningTree.from_edge_ids(g, root, range(g.edge_count)), (-1, 2)),
+        (lambda g, root: cycle_rank(g), ()),  # takes no root: the empty graph only
+    ], ids=["bfs", "explicit", "cycle_rank"])
+    def test_empty_graph_and_root_out_of_range_rejected(self, build, roots):
         with pytest.raises(EmptyGraph):
             build(WeightedDigraph(0, []), 0)
-        for root in (-1, 2):
+        for root in roots:
             with pytest.raises(ValueError, match=f"root {root} out of range"):
                 build(WeightedDigraph(2, [(0, 1)]), root)
 
@@ -177,6 +189,11 @@ class TestSpanningTree:
             SpanningTree.from_edge_ids(g, 0, [0, 1, 4])      # too few
         with pytest.raises(NotASpanningTree):
             SpanningTree.from_edge_ids(g, 0, [0, 1, 4, 5])   # contains cycle a,b,c
+        # A wrong count is reported after a bad root, and before a cycle.
+        with pytest.raises(ValueError, match="root 5 out of range"):
+            SpanningTree.from_edge_ids(g, 5, [0, 1, 4])
+        with pytest.raises(NotASpanningTree, match="5 edges cannot span 5 vertices"):
+            SpanningTree.from_edge_ids(g, 0, [0, 1, 2, 4, 5])  # cycles, and e unreached
 
     def test_tree_plus_complement_is_graph_weight(self):
         g = weighted_fan()
