@@ -68,7 +68,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import DisconnectedGraph, EmptyGraph, NegativeWeight, NotACycle, TooLarge
-from .graph import SpanningTree, WeightedDigraph, cycle_rank
+from .graph import SpanningTree, WeightedDigraph, _adjacency, _bfs_parents, cycle_rank
 
 
 class Provenance(enum.Enum):
@@ -91,26 +91,17 @@ class Cycle(NamedTuple):
         ids = frozenset(edge_ids)
         if not ids:
             raise NotACycle("empty edge set")
+        edges = sorted(map(g.edge, ids))  # g.edge raises UnknownEdge
         degree = {}
-        for i in ids:
-            e = g.edge(i)
-            degree[e.source] = degree.get(e.source, 0) + 1
-            degree[e.target] = degree.get(e.target, 0) + 1
+        for _, source, target, _ in edges:
+            degree[source] = degree.get(source, 0) + 1
+            degree[target] = degree.get(target, 0) + 1
         if any(d != 2 for d in degree.values()):
             raise NotACycle("some vertex does not have degree 2 in the edge set")
-        # Degree 2 everywhere makes a disjoint union of cycles: a walk always
-        # has an unused edge to leave by, and closes at its start.
-        start = v = min(degree)
-        visited_edges = set()
-        while True:
-            e = next(e for e in g.incident(v) if e.id in ids and e.id not in visited_edges)
-            visited_edges.add(e.id)
-            v = e.other(v)
-            if v == start:
-                break
-        if len(visited_edges) != len(ids):
+        # Degree 2 everywhere makes a disjoint union of cycles, one iff connected.
+        if len(_bfs_parents(g, min(degree), edges)) != len(degree) - 1:
             raise NotACycle("edge set is a union of disjoint cycles, not one cycle")
-        return cls(edge_ids=ids, weight=sum((g.edge(i).weight for i in ids), Fraction(0)))
+        return cls(edge_ids=ids, weight=sum((e.weight for e in edges), Fraction(0)))
 
 
 class CycleBasis(NamedTuple):
@@ -420,6 +411,7 @@ def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
     as Cycle objects only once it finishes within ``limit``."""
     found = {}
     n = g.vertex_count
+    adjacency = _adjacency(n, g.edges)
     for start in range(n):
         # Enumerate cycles whose smallest vertex is `start`; interior
         # vertices are all > start, so each cycle appears for one start only
@@ -427,15 +419,14 @@ def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
         stack = [(start, [], {start})]
         while stack:
             v, path_edges, path_vertices = stack.pop()
-            for e in g.incident(v):
-                if e.id in path_edges:
+            for u, eid in adjacency[v]:
+                if eid in path_edges:
                     continue
-                u = e.other(v)
                 if u == start:
                     if path_edges:
-                        mask = _mask(path_edges) | 1 << e.id
+                        mask = _mask(path_edges) | 1 << eid
                         if mask not in found:
-                            found[mask] = path_edges + [e.id]
+                            found[mask] = path_edges + [eid]
                             if len(found) > limit:
                                 raise TooLarge(
                                     f"more than {limit} simple cycles; oracle refused"
@@ -443,7 +434,7 @@ def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
                     continue
                 if u < start or u in path_vertices:
                     continue
-                stack.append((u, path_edges + [e.id], path_vertices | {u}))
+                stack.append((u, path_edges + [eid], path_vertices | {u}))
     cycles = {m: Cycle.from_edges(g, ids) for m, ids in found.items()}
     return [cycles[m] for m in sorted(cycles, key=lambda m: (cycles[m].weight, m))]
 

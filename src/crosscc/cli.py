@@ -188,7 +188,7 @@ def _number(text: str) -> str:
     """
     try:
         finite(as_weight(text), "number")
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
     return text
 

@@ -169,7 +169,7 @@ def _weight(raw: str) -> Fraction:
     ``ValueError`` with the diagnostic's message."""
     try:
         weight = as_weight(raw)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ValueError(f"bad weight {raw!r}") from None
     if weight.numerator < 0:
         raise ValueError(f"negative weight {raw!r}")

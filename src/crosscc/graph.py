@@ -5,9 +5,11 @@ edge's identity. Parallel arcs between the same vertices are therefore
 representable, which keeps the control-flow construction total when the
 synthetic exit-to-start arc duplicates an existing arc.
 
-Every tree comes from one search of the underlying undirected graph,
-``_bfs_parents``, which checks its root. All weights are exact
-``fractions.Fraction`` values so equality assertions are exact.
+Every walk reads ``_adjacency``, per vertex the ``(neighbor, edge id)``
+pairs of the edges it may follow, built in the pass that walks them. Every
+tree, and the check that edges form one cycle, is one search of that
+undirected graph, ``_bfs_parents``, which checks its root. All weights are
+exact ``fractions.Fraction`` values so equality assertions are exact.
 
 Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
 (``cycle_rank``), so nu can be read as the size of a basis.
@@ -15,18 +17,18 @@ Every cycle basis of a connected graph has nu = #E - #V + 1 cycles
 A graph holds its vertex count and its edges, nothing more. The public
 constructor checks every edge a library caller gives it. The frontends,
 which build and check their own arcs, hand finished ``Edge`` tuples to
-``WeightedDigraph._trusted`` instead, so no edge is checked twice. The
-incidence lists, which only the breadth-first search and ``incident``
-read, are built on the first such read and kept in one slot; the exact
-basis never reads them. A graph stays immutable and safe to share: any
-caller that fills the slot fills it with the same lists.
+``WeightedDigraph._trusted`` instead, so no edge is checked twice. Only
+``incident``, which outside callers read, keeps lists: its first call
+builds them for every vertex and keeps them in one slot. A graph stays
+immutable and safe to share: any caller that fills the slot fills it with
+the same lists.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -49,29 +51,38 @@ _new = tuple.__new__
 # CPython's limit on the digits of an int, which ``str`` needs to write a
 # weight back. ``Fraction`` expands a decimal exponent in full (seconds for
 # ``1e10000000``), so a longer exponent is refused first, and then terms of
-# more digits (``1e4300``); 10**n has over 3n bits, so only terms of more
-# bits are compared with it. Only a text with an ``e`` runs the pattern.
+# more digits (``1e4300``). Only a text with an ``e`` runs the pattern.
 _MAX_EXPONENT = 4300
+
+
+def _too_long(weight: Fraction) -> bool:
+    """Whether a term of ``weight`` has more than ``_MAX_EXPONENT`` digits.
+    10**n has over 3n bits, so only terms of more bits are compared with it."""
+    term = max(abs(weight.numerator), weight.denominator)
+    return term.bit_length() > 3 * _MAX_EXPONENT and term >= 10**_MAX_EXPONENT
 
 
 def as_weight(value: WeightLike) -> Fraction:
     """Coerce a number (or a string like ``1/2`` or ``0.5``) to an exact Fraction.
-    A string whose exponent or whose terms' digits pass ``_MAX_EXPONENT`` raises ValueError."""
+    A string with a zero denominator, or whose exponent or whose terms'
+    digits pass ``_MAX_EXPONENT``, raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         # Floats that came from decimal text should stay what they look like.
         return Fraction(str(value))
-    if isinstance(value, str) and "E" in value.upper():
+    scientific = isinstance(value, str) and "E" in value.upper()
+    if scientific:
         exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
             raise ValueError(f"exponent beyond {_MAX_EXPONENT} in {value!r}")
+    try:
         weight = Fraction(value)
-        term = max(abs(weight.numerator), weight.denominator)
-        if term.bit_length() > 3 * _MAX_EXPONENT and term >= 10**_MAX_EXPONENT:
-            raise ValueError(f"more than {_MAX_EXPONENT} digits in {value!r}")
-        return weight
-    return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    if scientific and _too_long(weight):
+        raise ValueError(f"more than {_MAX_EXPONENT} digits in {value!r}")
+    return weight
 
 
 class Edge(NamedTuple):
@@ -101,8 +112,8 @@ class WeightedDigraph:
     __slots__ = ("vertex_count", "edges", "_incidence")
 
     def __init__(self, vertex_count: int, edges: Iterable[Union[Edge, tuple]]):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be >= 0")
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise ValueError(f"vertex_count must be >= 0 and an int, not {vertex_count!r}")
         built = []
         for i, spec in enumerate(edges):
             if isinstance(spec, Edge):
@@ -112,6 +123,10 @@ class WeightedDigraph:
             else:
                 source, target = spec[0], spec[1]
                 weight = as_weight(spec[2]) if len(spec) > 2 else ONE
+            if type(source) is not int or type(target) is not int:
+                raise ValueError(f"edge {i} endpoints must be ints, not {source!r}, {target!r}")
+            if _too_long(weight):
+                raise ValueError(f"edge {i} weight has more than {_MAX_EXPONENT} digits")
             if source == target:
                 raise ValueError(f"loop edge {i} at vertex {source} not allowed")
             if not (0 <= source < vertex_count and 0 <= target < vertex_count):
@@ -132,13 +147,6 @@ class WeightedDigraph:
         g._incidence = None
         return g
 
-    def _incidence_lists(self) -> Tuple[Tuple[Edge, ...], ...]:
-        """Per vertex, the edges touching it, built on the first read."""
-        incidence = self._incidence
-        if incidence is None:
-            incidence = self._incidence = _build_incidence(self.vertex_count, self.edges)
-        return incidence
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -150,31 +158,36 @@ class WeightedDigraph:
         return self.edges[edge_id]
 
     def incident(self, vertex: int) -> Sequence[Edge]:
-        """Edges touching ``vertex`` (unoriented view), ascending edge id."""
-        return self._incidence_lists()[vertex]
+        """Edges touching ``vertex`` (unoriented view), ascending edge id. The
+        lists of every vertex are built on the first call and kept."""
+        if self._incidence is None:
+            self._incidence = tuple(tuple(self.edges[eid] for _, eid in row)
+                                    for row in _adjacency(self.vertex_count, self.edges))
+        return self._incidence[vertex]
 
     def __repr__(self):
         return f"WeightedDigraph(V={self.vertex_count}, E={len(self.edges)})"
 
 
-def _build_incidence(vertex_count: int, edges: Tuple[Edge, ...]) -> Tuple[Tuple[Edge, ...], ...]:
-    """The incidence lists of a graph. Edges come in id order, so every list
-    is in ascending edge id, which makes every traversal deterministic."""
-    incidence = [[] for _ in range(vertex_count)]
-    for e in edges:
-        incidence[e[1]].append(e)
-        incidence[e[2]].append(e)
-    return tuple(map(tuple, incidence))
+def _adjacency(vertex_count: int, edges: Iterable[Edge]) -> List[List[Tuple[int, int]]]:
+    """Per vertex, a ``(neighbor, edge id)`` pair for each of ``edges`` that
+    touches it, in the order of ``edges``: the unoriented view that every
+    walk of a graph reads, built in the pass that walks it."""
+    adjacency = [[] for _ in range(vertex_count)]
+    for eid, source, target, _ in edges:
+        adjacency[source].append((target, eid))
+        adjacency[target].append((source, eid))
+    return adjacency
 
 
-def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
-    """Breadth-first search of the unoriented graph from ``root``, which must
-    be a vertex (``EmptyGraph`` for a graph with none, else ``ValueError``).
+def _bfs_parents(g: WeightedDigraph, root: int, edges: Iterable[Edge]) -> dict:
+    """Breadth-first search of the unoriented graph of ``edges`` from ``root``,
+    a vertex of ``g`` (``EmptyGraph`` for a graph with none, else ``ValueError``).
 
     Returns ``{v: (parent_vertex, edge_id)}`` for every vertex reached other
-    than the root, following only the edge ids in ``allowed`` when given.
-    Neighbors are explored in ascending edge id, so the result is a pure
-    function of the arguments: reruns and platforms agree bit for bit.
+    than the root. Neighbors are explored in the order of ``edges``, which
+    every caller gives in ascending id, so the result is a pure function of
+    the arguments: reruns and platforms agree bit for bit.
     """
     if g.vertex_count == 0:
         raise EmptyGraph("graph has no vertices")
@@ -182,12 +195,9 @@ def _bfs_parents(g: WeightedDigraph, root: int, allowed=None) -> dict:
         raise ValueError(f"root {root} out of range")
     parent = {}
     order = [root]
-    incidence = g._incidence_lists()
+    adjacency = _adjacency(g.vertex_count, edges)
     for v in order:  # grows while it is read: a FIFO queue
-        for eid, source, target, _ in incidence[v]:
-            if allowed is not None and eid not in allowed:
-                continue
-            u = target if v == source else source
+        for u, eid in adjacency[v]:
             if u != root and u not in parent:
                 parent[u] = (v, eid)
                 order.append(u)
@@ -210,9 +220,7 @@ class SpanningTree(NamedTuple):
     def from_edge_ids(cls, g: WeightedDigraph, root: int, edge_ids: Iterable[int]) -> "SpanningTree":
         """Build a tree from an explicit edge set, validating it spans ``g``."""
         ids = frozenset(edge_ids)
-        for i in ids:
-            g.edge(i)  # raises UnknownEdge
-        parent = _bfs_parents(g, root, ids)
+        parent = _bfs_parents(g, root, sorted(map(g.edge, ids)))  # g.edge raises UnknownEdge
         if len(ids) != g.vertex_count - 1:
             raise NotASpanningTree(f"{len(ids)} edges cannot span {g.vertex_count} vertices")
         if len(parent) != g.vertex_count - 1:
@@ -223,7 +231,7 @@ class SpanningTree(NamedTuple):
 def spanning_tree(g: WeightedDigraph, root: int = 0) -> SpanningTree:
     """BFS spanning tree rooted at ``root``, ignoring arc direction; a pure
     function of the graph (see ``_bfs_parents``) that must be connected."""
-    parent = _bfs_parents(g, root)
+    parent = _bfs_parents(g, root, g.edges)
     if len(parent) != g.vertex_count - 1:
         raise DisconnectedGraph("graph is not connected (unoriented)")
     tree_edges = frozenset(eid for _, eid in parent.values())

@@ -127,11 +127,11 @@ def report_from_json(text: str) -> AnalysisReport:
                 indicator=finite(as_weight(str(rec["indicator"])), "indicator")))
         except KeyError as ex:
             raise MalformedReport(f"record {i} has no {ex} field") from None
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as ex:
+        except (TypeError, ValueError, OverflowError) as ex:
             raise MalformedReport(f"record {i}: {ex}") from None
     try:
         slope = finite(as_weight(str(config.get("slope", 2))), "value")
-    except (ValueError, ZeroDivisionError) as ex:
+    except ValueError as ex:
         raise MalformedReport(f"slope: {ex}") from None
     return AnalysisReport(
         records=tuple(records),

@@ -167,6 +167,18 @@ class TestAnalyze:
         assert f"{big}: error: g: omega is out of float range" in captured.err
         assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["seq"]
 
+    def test_omega_beyond_the_digit_limit_costs_only_its_file(self, tmp_path, capsys):
+        # Each weight has 4300 digits, the most a weight may have; their sum,
+        # omega, has 4301, and is reported like any omega beyond float range.
+        good = copy_fixture(tmp_path, "atomic_seq.mini")
+        big = tmp_path / "big.dot"
+        big.write_text("digraph g { a -> b [weight=9e4299]; b -> a [weight=9e4299]; }",
+                       encoding="utf-8")
+        assert main(["analyze", str(big), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert f"{big}: error: g: omega is out of float range" in captured.err
+        assert [r["unit"] for r in json.loads(captured.out)["records"]] == ["seq"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--slope", "foo"), ("--slope", "1/0"), ("--fail-above", "x"),
         pytest.param("--slope", f"1{'0' * 400}/3", id="--slope-10^400/3"),

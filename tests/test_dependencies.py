@@ -42,6 +42,18 @@ def test_every_absolute_import_is_from_the_standard_library():
     assert sorted(modules - sys.stdlib_module_names) == []
 
 
+def test_no_graph_walk_in_the_package_reads_incidence_lists():
+    # Every walk in src/ builds the (neighbor, edge id) lists of the edges it
+    # may follow; ``incident`` and ``Edge.other`` are kept for outside callers.
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("incident", "other")):
+                calls.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+    assert calls == []
+
+
 def declared_test_dependencies():
     """The distribution names of ``pyproject.toml``'s ``test`` extra, without
     version specifiers or markers."""

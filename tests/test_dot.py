@@ -19,7 +19,7 @@ from crosscc.errors import (
     NegativeWeight,
     UnreachableCode,
 )
-from crosscc.graph import WeightedDigraph, cycle_rank, spanning_tree
+from crosscc.graph import Edge, WeightedDigraph, cycle_rank, spanning_tree
 from crosscc.minilang import parse
 
 from conftest import (
@@ -123,6 +123,15 @@ class TestParse:
             doc = parse_dot(f"digraph g {{ a -> b [weight={weight}]; }}")
             again = parse_dot(dump_dot(doc.graph, node_names=doc.node_names))
             assert again.graph.edges == doc.graph.edges
+
+    def test_a_library_graph_takes_only_weights_dump_dot_writes_back(self):
+        for weight in (10**4299, Fraction(1, 10**4299), Fraction(10**4299 - 1, 10**4299)):
+            g = WeightedDigraph(2, [(0, 1, weight)])
+            assert parse_dot(dump_dot(g)).graph.edges == g.edges
+        for spec in ((0, 1, 10**4300), (0, 1, Fraction(1, 10**4300)), (0, 1, -10**4300),
+                     Edge(0, 0, 1, Fraction(10**4300 + 1, 3))):
+            with pytest.raises(ValueError, match="^edge 0 weight has more than 4300 digits$"):
+                WeightedDigraph(2, [spec])
 
     def test_start_equal_exit_rejected(self):
         with pytest.raises(DotSyntaxError):

@@ -94,6 +94,13 @@ class TestEdge:
         (-1, [], "vertex_count must be >= 0"),
         (2, [(0, 1), (1, 1)], "loop edge 1 at vertex 1 not allowed"),
         (2, [(0, 1), (1, 2)], "edge 1 endpoint out of range"),
+        (2.0, [], "vertex_count must be >= 0 and an int, not 2.0"),
+        ("2", [], "vertex_count must be >= 0 and an int, not '2'"),
+        (True, [], "vertex_count must be >= 0 and an int, not True"),
+        (2, [(0.0, 1), (1, 0.0)], r"edge 0 endpoints must be ints, not 0\.0, 1"),
+        (2, [(0, 1), (1, 0.0)], r"edge 1 endpoints must be ints, not 1, 0\.0"),
+        (2, [(True, 0)], "edge 0 endpoints must be ints, not True, 0"),
+        (2, [Edge(0, 0, 1.0, ONE)], r"edge 0 endpoints must be ints, not 0, 1\.0"),
     ])
     def test_graph_rejects_bad_counts_and_endpoints(self, vertex_count, edges, message):
         with pytest.raises(ValueError, match=message):
@@ -116,6 +123,13 @@ class TestGraphWeight:
                 as_weight(text)
         with pytest.raises(ValueError):
             WeightedDigraph(2, [(0, 1, "1e100000000")])
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " -3/0 ", "1/0_0"])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator in"):
+            as_weight(text)
+        with pytest.raises(ValueError, match="zero denominator in"):
+            WeightedDigraph(2, [(0, 1, text)])
 
     def test_mixed_sign_weights_sum_exactly(self):
         g = negative_weight_pentagon()
@@ -377,14 +391,24 @@ class TestCycleValidation:
 
     def test_rejects_path(self):
         g = WeightedDigraph(3, [(0, 1), (1, 2)])
-        with pytest.raises(NotACycle):
+        with pytest.raises(NotACycle, match="degree 2"):
             Cycle.from_edges(g, [0, 1])
 
     def test_rejects_disjoint_union(self):
         g = WeightedDigraph(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        with pytest.raises(NotACycle):
+        with pytest.raises(NotACycle, match="union of disjoint cycles"):
             Cycle.from_edges(g, [0, 1, 2, 3, 4, 5])
+
+    def test_parallel_arcs_are_one_cycle(self):
+        g = WeightedDigraph(3, [(1, 2, 3), (0, 1), (2, 1, "1/2")])
+        assert Cycle.from_edges(g, [2, 0]) == Cycle(frozenset({0, 2}), Fraction(7, 2))
+
+    def test_unknown_edge_comes_before_the_degree_check(self):
+        g = WeightedDigraph(3, [(0, 1), (1, 2), (2, 0)])
+        for ids in ([0, 1, 3], [0, 1, None], [0, True]):
+            with pytest.raises(UnknownEdge, match="no edge with id"):
+                Cycle.from_edges(g, ids)
 
     def test_weight_is_cached_sum(self):
         g = weighted_fan()

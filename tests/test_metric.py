@@ -104,9 +104,9 @@ class TestOneSearchPerUnit:
         calls = []
         bfs = graph._bfs_parents
 
-        def counted(g, root, allowed=None):
+        def counted(g, root, edges):
             calls.append(root)
-            return bfs(g, root, allowed)
+            return bfs(g, root, edges)
 
         monkeypatch.setattr(graph, "_bfs_parents", counted)
         return calls
@@ -145,21 +145,22 @@ class TestOneSearchPerUnit:
 
 
 class TestIncidenceListsPerUnit:
-    """A graph builds its incidence lists on their first read, which the
-    exact basis never makes: a unit builds none in exact mode, and the one
-    its tree's search reads in tree-bound mode."""
+    """Each search builds the adjacency of the edges it follows, and the
+    exact basis runs none: a unit builds no adjacency in exact mode, and one
+    per search of its tree in tree-bound mode. ``incident`` builds its lists
+    once per graph."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The vertex count of each ``graph._build_incidence`` call from here on."""
+        """The vertex count of each ``graph._adjacency`` call from here on."""
         calls = []
-        build = graph._build_incidence
+        build = graph._adjacency
 
         def counted(vertex_count, edges):
             calls.append(vertex_count)
             return build(vertex_count, edges)
 
-        monkeypatch.setattr(graph, "_build_incidence", counted)
+        monkeypatch.setattr(graph, "_adjacency", counted)
         return calls
 
     def units(self):
@@ -176,8 +177,8 @@ class TestIncidenceListsPerUnit:
         assert len(units) >= 10 and builds == []
         for cfg in units:
             cross_complexity(cfg, mode)
-            cross_complexity(cfg, mode)  # the second run finds the lists built
-        assert len(builds) == {Provenance.EXACT: 0, Provenance.TREE_BOUND: len(units)}[mode]
+            cross_complexity(cfg, mode)  # the second search builds its own
+        assert len(builds) == {Provenance.EXACT: 0, Provenance.TREE_BOUND: 2 * len(units)}[mode]
 
     @pytest.mark.parametrize("mode", ["exact", "treebound"])
     def test_analyze(self, builds, mode, capsys):
