@@ -47,9 +47,15 @@ the graph without the roots before the first one on it, it is still that
 root's candidate. Path ties are broken by the path's edge bitmask (bit i
 set iff kernel edge i is on the path), which gives one consistent
 shortest-path tree per root. That tie-break mask is the path itself: a
-candidate cycle is two path masks and the bit of e, OR-ed. A kernel edge
-stands for a path of original edges, so a chosen kernel cycle becomes an
-original-edge mask by OR-ing theirs.
+candidate cycle is two path masks and the bit of e, OR-ed.
+
+No original-edge mask is built. Every merged edge, detour and forced
+cycle is a reference to what it was made of: edge r for r >= 0, else the
+entry ``~r`` of one flat table, a tuple of earlier references (two merged
+edges, the edges of a detour, or a removed edge and its detour). A chosen
+kernel cycle keeps its kernel mask, and each kernel edge its reference.
+Every weight is summed as it is recorded, so nu and omega need no cycle,
+and ``CycleBasis.cycles`` expands the references only when it is read.
 
 Weights are scaled to ints on entry, by the least common multiple of their
 denominators, so no ``Fraction`` arithmetic runs in the shortest paths or
@@ -65,7 +71,7 @@ import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import DisconnectedGraph, EmptyGraph, NegativeWeight, NotACycle, TooLarge
 from .graph import SpanningTree, WeightedDigraph, _adjacency, _bfs_parents, cycle_rank
@@ -105,18 +111,46 @@ class Cycle(NamedTuple):
 
 
 class CycleBasis(NamedTuple):
-    """A cycle basis: cycle_rank(g) independent ``(edge mask, weight * scale)``
-    pairs and their total weight. ``cycles`` is built from them on each read."""
+    """A cycle basis: cycle_rank(g) independent ``(weight * scale, form)``
+    members and their total weight. ``cycles`` is built from them on each
+    read, in ``(weight, mask)`` order for an exact basis, else in the order
+    built: a tree bound's by chord id, the oracle's in ``(weight, mask)``
+    order too.
 
-    masks: Tuple[Tuple[int, int], ...]
+    A form below 0 is a reference (see the module docstring) into
+    ``table``; any other is a mask whose bit i stands for ``parts[i]``. The
+    edges a member's references reach are disjoint, so the cycle is their
+    union."""
+
+    members: Tuple[Tuple[int, int], ...]
+    parts: Sequence[int]
+    table: Tuple[Tuple[int, ...], ...]
     scale: int
     total_weight: Fraction
     provenance: Provenance
 
     @property
     def cycles(self) -> Tuple[Cycle, ...]:
-        return tuple(Cycle(frozenset(_edge_ids(m)), Fraction(w, self.scale))
-                     for m, w in self.masks)
+        # High to low, the edge ids compare as their masks do.
+        cycles = [(w, sorted(_expand(form, self.parts, self.table), reverse=True))
+                  for w, form in self.members]
+        if self.provenance is Provenance.EXACT:
+            cycles.sort()
+        return tuple(Cycle(frozenset(ids), Fraction(w, self.scale)) for w, ids in cycles)
+
+
+def _expand(form: int, parts: Sequence[int], table: Sequence[Tuple[int, ...]]) -> List[int]:
+    """The edge ids of a ``CycleBasis`` member's ``form``, read off with a
+    stack of references, so a chain of merges of any length is flat."""
+    stack = [form] if form < 0 else [parts[i] for i in _edge_ids(form)]
+    ids = []
+    while stack:
+        r = stack.pop()
+        if r < 0:
+            stack += table[~r]
+        else:
+            ids.append(r)
+    return ids
 
 
 def _require_nonnegative(g: WeightedDigraph) -> Tuple[List[int], int]:
@@ -218,17 +252,23 @@ def _shortest_paths(adjacency: List[List[Tuple[int, int, int]]], source: int, do
 
 
 def _reduce(g: WeightedDigraph, weights: List[int]):
-    """``(adjacency, originals, forced)``: the kernel of ``g`` on the integer
-    ``weights`` by the rules of the module docstring, laid out per vertex as
-    a list of ``(neighbor, weight, 1 << kernel edge id)``, one per incident
-    kernel edge; the original-edge mask of each kernel edge by kernel edge id; and
-    the forced cycles as ``(original-edge mask, integer weight)`` pairs."""
+    """``(adjacency, parts, forced, table)``: the kernel of ``g`` on the
+    integer ``weights`` by the rules of the module docstring, laid out per
+    vertex as a list of ``(neighbor, weight, 1 << kernel edge id)``, one per
+    incident kernel edge; the reference of each kernel edge by kernel edge
+    id; the forced cycles as ``(integer weight, reference)`` pairs; and the
+    table that the references below 0 name."""
     # Per vertex, neighbor -> slot of the one edge between them (None once
     # the vertex is gone); slot i, edge i's at first, holds (integer weight,
-    # original-edge mask). Of two parallel edges the lighter keeps the slot;
-    # the heavier's forced cycle is closed before the graph next changes.
+    # highest original edge id, reference). Of two parallel edges the
+    # lighter keeps the slot; the heavier's forced cycle is closed before
+    # the graph next changes. Lighter means less in (weight, original-edge
+    # mask). Two edges compared here hold disjoint sets of original edges,
+    # so the larger mask is the one that holds the highest id: (weight,
+    # highest id) breaks every tie as the masks would.
     nbr = [{} for _ in range(g.vertex_count)]
-    slots, heavier, forced = [(w, 1 << i) for i, w in enumerate(weights)], [], []
+    slots = [(w, i, i) for i, w in enumerate(weights)]
+    heavier, forced, table = [], [], []
     for eid, u, v, _ in g.edges:
         k = nbr[u].setdefault(v, eid)
         if k == eid:
@@ -236,9 +276,10 @@ def _reduce(g: WeightedDigraph, weights: List[int]):
         else:
             nbr[u][v] = nbr[v][u] = min(k, eid, key=slots.__getitem__)
             heavier.append((u, v, slots[max(k, eid, key=slots.__getitem__)]))
-    for u, v, (w, m) in heavier:
-        d, path = _detour(nbr, slots, u, v)
-        forced.append((m | path, w + d))
+    for u, v, (w, _, r) in heavier:
+        d, path = _detour(nbr, slots, table, u, v)
+        table.append((r, path))
+        forced.append((w + d, -len(table)))  # ~ the index of that entry
     stack = [v for v, row in enumerate(nbr) if len(row) <= 2]
     while stack:
         row = nbr[v := stack.pop()]
@@ -249,8 +290,9 @@ def _reduce(g: WeightedDigraph, weights: List[int]):
             del nbr[u][v]
         if len(row) == 2:
             (a, ka), (b, kb) = row.items()
-            (wa, ma), (wb, mb) = slots[ka], slots[kb]
-            edge = (wa + wb, ma | mb)
+            (wa, ha, ra), (wb, hb, rb) = slots[ka], slots[kb]
+            table.append((ra, rb))
+            edge = (wa + wb, ha if ha > hb else hb, -len(table))
             k = nbr[a].get(b)
             if k is None:
                 nbr[a][b] = nbr[b][a] = ka
@@ -258,46 +300,60 @@ def _reduce(g: WeightedDigraph, weights: List[int]):
             else:
                 if edge < slots[k]:
                     slots[k], edge = edge, slots[k]
-                d, path = _detour(nbr, slots, a, b)
-                forced.append((edge[1] | path, edge[0] + d))
-        stack += row  # a neighbor whose degree fell to 2 or less
+                d, path = _detour(nbr, slots, table, a, b)
+                table.append((edge[2], path))
+                forced.append((edge[0] + d, -len(table)))
+        # A neighbor's entry goes on when its degree falls to 2 or less, so
+        # it lies above any stale entry of its own and is popped first.
+        for u in row:
+            if len(nbr[u]) <= 2:
+                stack.append(u)
     live = [v for v, row in enumerate(nbr) if row is not None]
     index = {v: i for i, v in enumerate(live)}
-    adjacency, originals = [[] for _ in live], []
+    adjacency, parts = [[] for _ in live], []
     for v in live:
         for u, k in nbr[v].items():
             if u > v:
-                (w, m), bit = slots[k], 1 << len(originals)
-                originals.append(m)
+                (w, _, r), bit = slots[k], 1 << len(parts)
+                parts.append(r)
                 adjacency[index[v]].append((index[u], w, bit))
                 adjacency[index[u]].append((index[v], w, bit))
-    return adjacency, originals, forced
+    return adjacency, parts, forced, table
 
 
-def _detour(nbr, slots, u, v):
-    """``(d, original-edge mask)`` of a shortest u-v path of ``_reduce``'s
-    graph without its u-v edge k, if one is lighter than k; else k's own.
-    The Dijkstra from u settles only distances below the weight of k."""
+def _detour(nbr, slots, table, u, v):
+    """``(d, reference)`` of a shortest u-v path of ``_reduce``'s graph
+    without its u-v edge k, if one is lighter than k; else k's own. The
+    Dijkstra from u settles only distances below the weight of k, and keeps
+    each vertex's last relaxation, so the path is read back from v into a
+    new ``table`` entry. Each improvement is strictly lighter, so no two
+    heap entries tie."""
     k = nbr[u][v]
     bound = slots[k][0]
     for j in nbr[u].values():
         if slots[j][0] < bound:
             break
     else:
-        return slots[k]
-    dist = {u: 0}
-    heap = [(0, u, 0)]
+        return bound, slots[k][2]
+    dist, via = {u: 0}, {}
+    heap = [(0, u)]
     while heap:
-        d, x, p = heappop(heap)
+        d, x = heappop(heap)
         if x == v:
-            return d, p
+            path = []
+            while x != u:
+                x, j = via[x]
+                path.append(slots[j][2])
+            table.append(tuple(path))
+            return d, -len(table)
         if d == dist[x]:
             for y, j in nbr[x].items():
-                w, m = slots[j]
-                if d + w < dist.get(y, bound) and j != k:
-                    dist[y] = d + w
-                    heappush(heap, (d + w, y, p | m))
-    return slots[k]
+                nd = d + slots[j][0]
+                if nd < dist.get(y, bound) and j != k:
+                    dist[y] = nd
+                    via[y] = x, j
+                    heappush(heap, (nd, y))
+    return bound, slots[k][2]
 
 
 def _candidate_cycles(adjacency: List[List[Tuple[int, int, int]]]) -> Dict[int, int]:
@@ -327,14 +383,15 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
 
     Acyclic graphs (cycle rank 0) reduce to nothing and yield an empty
     basis rather than an error, so straight-line control-flow subgraphs
-    stay total. The cycles are in ``(weight, mask)`` order. The reduction
-    gives nu, connectivity and ``cycle_rank``'s errors (see the module docstring).
+    stay total. The reduction gives nu, connectivity and ``cycle_rank``'s
+    errors (see the module docstring), and omega is the sum of the members'
+    integer weights: no cycle is expanded until ``cycles`` is read.
     """
     # Label-setting Dijkstra is unsound on negative weights.
     weights, scale = _require_nonnegative(g)
-    adjacency, originals, forced = _reduce(g, weights)
-    rank = len(originals) - len(adjacency) + 1 if adjacency else 0
-    if len(forced) + rank != g.edge_count - g.vertex_count + 1:
+    adjacency, parts, members, table = _reduce(g, weights)
+    rank = len(parts) - len(adjacency) + 1 if adjacency else 0
+    if len(members) + rank != g.edge_count - g.vertex_count + 1:
         raise (DisconnectedGraph("graph is not connected (unoriented)") if g.vertex_count
                else EmptyGraph("graph has no vertices"))
     if adjacency:
@@ -346,11 +403,10 @@ def horton_basis(g: WeightedDigraph) -> CycleBasis:
             # minimum basis. Guard against silent nonsense anyway.
             raise AssertionError("candidate cycles did not span the cycle space")
         # Every candidate is a simple cycle with its integer weight by
-        # construction, so the chosen ones need no walk of their own.
-        forced += [(sum(map(originals.__getitem__, _edge_ids(m))), candidates[m]) for m in chosen]
-    masks = tuple(sorted(forced, key=itemgetter(1, 0)))
-    total = Fraction(sum(map(itemgetter(1), masks)), scale)
-    return CycleBasis(masks, scale, total, Provenance.EXACT)
+        # construction, so the chosen ones keep their kernel masks.
+        members += [(candidates[m], m) for m in chosen]
+    total = Fraction(sum(map(itemgetter(0), members)), scale)
+    return CycleBasis(tuple(members), tuple(parts), tuple(table), scale, total, Provenance.EXACT)
 
 
 def _greedy_independent(ordered_masks: Iterable[int], nu: int) -> List[int]:
@@ -396,11 +452,11 @@ def tree_bound(g: WeightedDigraph, t: SpanningTree) -> CycleBasis:
         path[v] = mask = path[p] | 1 << eid
         depth[v] = depth_of[mask] = depth[p] + weights[eid]
     tree = t.tree_edges
-    masks = tuple((path[x] ^ path[y] | 1 << eid,
-                   depth[x] + depth[y] - 2 * depth_of[path[x] & path[y]] + weights[eid])
-                  for eid, x, y, _ in g.edges if eid not in tree)
-    total = Fraction(sum(w for _, w in masks), scale)
-    return CycleBasis(masks, scale, total, Provenance.TREE_BOUND)
+    members = tuple((depth[x] + depth[y] - 2 * depth_of[path[x] & path[y]] + weights[eid],
+                     path[x] ^ path[y] | 1 << eid)
+                    for eid, x, y, _ in g.edges if eid not in tree)
+    total = Fraction(sum(w for w, _ in members), scale)
+    return CycleBasis(members, range(g.edge_count), (), scale, total, Provenance.TREE_BOUND)
 
 
 def enumerate_simple_cycles(g: WeightedDigraph, limit: int = 10_000):
@@ -454,5 +510,5 @@ def oracle_min_basis(g: WeightedDigraph, limit: int = 10_000) -> CycleBasis:
         raise AssertionError("cycle enumeration did not span the cycle space")
     total = sum((cycles[m].weight for m in chosen), Fraction(0))
     scale = math.lcm(*(cycles[m].weight.denominator for m in chosen))
-    masks = tuple((m, int(cycles[m].weight * scale)) for m in chosen)
-    return CycleBasis(masks, scale, total, Provenance.ORACLE)
+    members = tuple((int(cycles[m].weight * scale), m) for m in chosen)
+    return CycleBasis(members, range(g.edge_count), (), scale, total, Provenance.ORACLE)

@@ -182,7 +182,8 @@ def _adjacency(vertex_count: int, edges: Iterable[Edge]) -> List[List[Tuple[int,
 
 def _bfs_parents(g: WeightedDigraph, root: int, edges: Iterable[Edge]) -> dict:
     """Breadth-first search of the unoriented graph of ``edges`` from ``root``,
-    a vertex of ``g`` (``EmptyGraph`` for a graph with none, else ``ValueError``).
+    a vertex of ``g``: ``EmptyGraph`` for a graph with none, else
+    ``ValueError`` unless ``root`` is an ``int``, not a ``bool``, in range.
 
     Returns ``{v: (parent_vertex, edge_id)}`` for every vertex reached other
     than the root. Neighbors are explored in the order of ``edges``, which
@@ -191,8 +192,8 @@ def _bfs_parents(g: WeightedDigraph, root: int, edges: Iterable[Edge]) -> dict:
     """
     if g.vertex_count == 0:
         raise EmptyGraph("graph has no vertices")
-    if not (0 <= root < g.vertex_count):
-        raise ValueError(f"root {root} out of range")
+    if type(root) is not int or not 0 <= root < g.vertex_count:
+        raise ValueError(f"root {root!r} out of range")
     parent = {}
     order = [root]
     adjacency = _adjacency(g.vertex_count, edges)

@@ -70,7 +70,9 @@ def cross_complexity(
     ``Provenance.TREE_BOUND`` sums the fundamental cycles of ``tree`` (or of
     the deterministic BFS tree rooted at the start vertex when none is
     given). ``Provenance.ORACLE`` is not a mode and raises ValueError. nu is
-    the basis's size, the same for every basis of the graph.
+    the basis's number of members, the same for every basis of the graph,
+    and omega its total weight: both come from the members' integer weights,
+    so no cycle of the basis is expanded.
     """
     if isinstance(subject, ControlFlowGraph):
         graph = subject.graph
@@ -84,7 +86,7 @@ def cross_complexity(
         basis = tree_bound(graph, tree or spanning_tree(graph, root))
     else:
         raise ValueError(f"cross complexity has no {mode.value!r} mode")
-    nu = len(basis.masks)
+    nu = len(basis.members)
     if nu == 0:
         raise ZeroNu("cross complexity needs cycle rank >= 1 "
                      "(a closed control-flow graph always has it)")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -12,6 +13,7 @@ from crosscc.basis import (
     Provenance,
     _candidate_cycles,
     _edge_ids,
+    _expand,
     _feedback_vertex_set,
     _greedy_independent,
     _reduce,
@@ -190,6 +192,17 @@ class TestCandidateCycles:
             self.check(g)
 
 
+def reduced(g):
+    """``_reduce`` on the integer weights ``horton_basis`` uses, with its
+    references expanded: the kernel adjacency, the original-edge mask of
+    each kernel edge, and the forced cycles as ``(original-edge mask,
+    integer weight)`` pairs."""
+    adjacency, parts, forced, table = _reduce(g, _require_nonnegative(g)[0])
+    originals = [sum(1 << i for i in _expand(1 << k, parts, table)) for k in range(len(parts))]
+    return adjacency, originals, [(sum(1 << i for i in _expand(r, (), table)), w)
+                                  for w, r in forced]
+
+
 def kernel_graph(adjacency):
     """The kernel ``adjacency`` of ``_reduce`` as a graph on its integer
     weights, kernel edge i as edge i."""
@@ -226,8 +239,8 @@ class TestReferenceDijkstra:
         # graph; its cycles as original edges, with the forced cycles, in
         # (weight, mask) order, must be the basis.
         for g in reference_corpus():
-            weights, scale = _require_nonnegative(g)
-            adjacency, originals, forced = _reduce(g, weights)
+            scale = _require_nonnegative(g)[1]
+            adjacency, originals, forced = reduced(g)
             kernel = kernel_graph(adjacency)
             assert _feedback_vertex_set(adjacency) == basis_reference._feedback_vertex_set(kernel)
             cycles = basis_reference.horton_cycles(kernel) if adjacency else []
@@ -238,7 +251,7 @@ class TestReferenceDijkstra:
                 [Cycle(frozenset(_edge_ids(m)), Fraction(w, scale)) for m, w in expected]
 
     def test_oracle_cycles_are_the_checked_ones(self):
-        # The oracle's basis keeps masks like the others; the cycles it
+        # The oracle's members keep their original-edge masks; the cycles it
         # builds from them are the ones Cycle.from_edges checked and summed.
         for g in reference_corpus():
             basis = oracle_min_basis(g)
@@ -291,7 +304,7 @@ class TestHortonBasis:
     def test_triangle(self):
         basis = horton_basis(triangle())
         assert basis.total_weight == 3
-        assert len(basis.masks) == 1
+        assert len(basis.members) == 1
 
     def test_ifelse_cfg_pair(self):
         # Unique basis: the two entry-to-exit lobes, each closed by the
@@ -419,7 +432,7 @@ class TestReduction:
         # forced cycle is b plus 0-2-1 (7 + 2), not b plus edge 0 (7 + 5).
         g = WeightedDigraph(
             4, [(0, 1, 5), (0, 1, 7), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        assert _reduce(g, _require_nonnegative(g)[0])[2] == [(0b10110, 9)]
+        assert reduced(g)[2] == [(0b10110, 9)]
         assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight == 22
 
     def test_multigraphs_with_a_forced_cycle_match_the_oracle(self):
@@ -443,6 +456,35 @@ class TestReduction:
         cc = cross_complexity(cfg)
         assert (cc.nu, cc.omega_min) == (2001, 8001)
 
+    @pytest.mark.slow
+    def test_deep_chains_stay_flat(self):
+        # Each if merges into, and closes its forced cycle on, what the ifs
+        # before it left: 20 000 references deep. The table keeps them flat,
+        # so ==, repr and cycles recurse nowhere.
+        graph = if_chain(20000).graph
+        basis = horton_basis(graph)
+        assert basis == horton_basis(graph)
+        assert repr(basis).startswith("CycleBasis(members=(")
+        cycles = basis.cycles
+        assert len(cycles) == 20001
+        assert sum((c.weight for c in cycles), Fraction(0)) == basis.total_weight == 80001
+        for c in random.Random(20000).sample(cycles[:-1], 50) + [cycles[-1]]:
+            assert Cycle.from_edges(graph, c.edge_ids) == c  # the last is the longest
+
+    @pytest.mark.slow
+    def test_long_function_allocates_little(self):
+        # An original-edge mask per merged edge and forced cycle, each as wide
+        # as its highest edge id, peaked at 26-27 MB here; the references
+        # peak at about 4 MB.
+        graph = if_chain(5000).graph
+        tracemalloc.start()
+        try:
+            horton_basis(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
     @pytest.fixture
     def pops(self, monkeypatch):
         """The number of heap pops in ``basis`` from here on: a Dijkstra,
@@ -460,7 +502,7 @@ class TestReduction:
     def test_if_chain_closes_every_forced_cycle_without_a_dijkstra(self, pops):
         # At the first end of every parallel pair, no edge is lighter than
         # the pair's lighter edge, so no other path between its ends can be.
-        assert len(horton_basis(if_chain(2000).graph).masks) == 2001
+        assert len(horton_basis(if_chain(2000).graph).members) == 2001
         assert pops[0] == 0
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
@@ -471,7 +513,7 @@ class TestReduction:
         # and omega is 4 + 3, where stopping at the 2 would give 5 + 3.
         u, v = pair
         g = WeightedDigraph(3, [(u, v, 2), (u, v, 3), (1, 2, 1), (2, 0, 0)])
-        assert _reduce(g, _require_nonnegative(g)[0])[2][0] == (0b1110, 4)
+        assert reduced(g)[2][0] == (0b1110, 4)
         assert pops[0] > 0
         assert horton_basis(g).total_weight == oracle_min_basis(g).total_weight == 7
 
@@ -484,14 +526,19 @@ class TestTreeBound:
             bound = tree_bound(g, t)
             assert bound.total_weight == expected
             assert bound.provenance is Provenance.TREE_BOUND
-            assert len(bound.masks) == cycle_rank(g)
+            assert len(bound.members) == cycle_rank(g)
 
     def test_cycles_are_built_on_first_read(self):
+        # In member order for the tree bound, in (weight, mask) order for
+        # the exact basis.
         g = weighted_fan()
         for basis in (tree_bound(g, spanning_tree(g, 0)), horton_basis(g)):
-            assert len(basis.masks) == cycle_rank(g)
-            assert [(sum(1 << i for i in c.edge_ids), c.weight) for c in basis.cycles] \
-                == [(m, Fraction(w, basis.scale)) for m, w in basis.masks]
+            assert len(basis.members) == cycle_rank(g)
+            members = [(sum(1 << i for i in _expand(f, basis.parts, basis.table)),
+                        Fraction(w, basis.scale)) for w, f in basis.members]
+            if basis.provenance is Provenance.EXACT:
+                members.sort(key=lambda m: (m[1], m[0]))
+            assert [(sum(1 << i for i in c.edge_ids), c.weight) for c in basis.cycles] == members
 
     def test_acyclic_graph_empty(self):
         g = WeightedDigraph(3, [(0, 1), (1, 2)])
@@ -597,7 +644,7 @@ class TestWeightedCorpus:
                 assert c == Cycle.from_edges(g, c.edge_ids)
             masks = [sum(1 << i for i in c.edge_ids) for c in basis.cycles]
             assert _greedy_independent(masks, len(masks)) == masks
-            assert len(basis.masks) == cycle_rank(g)
+            assert len(basis.members) == cycle_rank(g)
             assert type(basis.total_weight) is Fraction
             assert basis.total_weight == sum((c.weight for c in basis.cycles), Fraction(0))
 
@@ -684,4 +731,4 @@ def test_networkx_agrees_above_the_oracle_size(graph):
     with pytest.raises(TooLarge):
         oracle_min_basis(g)
     basis = horton_basis(g)
-    assert networkx_min_basis(g) == (len(basis.masks), basis.total_weight)
+    assert networkx_min_basis(g) == (len(basis.members), basis.total_weight)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,20 @@ class TestSpanningTree:
         for root in roots:
             with pytest.raises(ValueError, match=f"root {root} out of range"):
                 build(WeightedDigraph(2, [(0, 1)]), root)
+
+    @pytest.mark.parametrize("build", [
+        lambda g, root: spanning_tree(g, root),
+        lambda g, root: SpanningTree.from_edge_ids(g, root, range(g.edge_count)),
+    ], ids=["bfs", "explicit"])
+    def test_root_that_is_not_an_int_rejected(self, build):
+        # The rule of WeightedDigraph.edge: an int, and not a bool. A True
+        # root used to build a tree rooted at True; 1.0 and "1" raised
+        # TypeError. The empty graph still comes first.
+        for root in (True, False, 1.0, "1", None):
+            with pytest.raises(ValueError, match=f"^root {re.escape(repr(root))} out of range$"):
+                build(WeightedDigraph(2, [(0, 1)]), root)
+            with pytest.raises(EmptyGraph):
+                build(WeightedDigraph(0, []), root)
 
     def test_bad_explicit_tree_rejected(self):
         g = weighted_fan()
