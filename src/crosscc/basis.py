@@ -330,11 +330,6 @@ def _detour(nbr, slots, table, u, v):
     heap entries tie."""
     k = nbr[u][v]
     bound = slots[k][0]
-    for j in nbr[u].values():
-        if slots[j][0] < bound:
-            break
-    else:
-        return bound, slots[k][2]
     dist, via = {u: 0}, {}
     heap = [(0, u)]
     while heap:

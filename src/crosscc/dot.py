@@ -399,8 +399,23 @@ def dump_dot(
     ``addvirtual = true`` and a fresh parse will append it again at the same
     id, so dump/parse round-trips exactly. Names are quoted (the graph's
     unless it is a word), and each line of a node comment is a comment.
+    ``start`` and ``exit`` must be vertices, and ``virtual_arc`` the id of
+    the last edge, a 0-weight arc from ``exit`` to ``start``: the one a parse
+    appends. ``node_names`` has one name per vertex, ``node_comments`` at
+    most one comment per vertex. Any other value is a ValueError.
     """
-    raw_names = node_names or tuple(f"v{i}" for i in range(graph.vertex_count))
+    n = graph.vertex_count
+    raw_names = node_names or tuple(f"v{i}" for i in range(n))
+    for arg, value in (("start", start), ("exit", exit)):
+        if value is not None and (type(value) is not int or not 0 <= value < n):
+            raise ValueError(f"{arg} must be an int in range({n}), not {value!r}")
+    if virtual_arc is not None and graph.edges[-1:] != (Edge(virtual_arc, exit, start, ZERO),):
+        raise ValueError("virtual_arc must be the id of the last edge, a 0-weight arc "
+                         f"from exit to start, not {virtual_arc!r}")
+    if len(raw_names) != n:
+        raise ValueError(f"node_names has {len(raw_names)} names for {n} vertices")
+    if node_comments and len(node_comments) > n:
+        raise ValueError(f"node_comments has {len(node_comments)} comments for {n} vertices")
     names = tuple(map(_quote, raw_names))
     if not re.fullmatch(r"\w+", name):
         name = _quote(name)

@@ -120,6 +120,9 @@ class WeightedDigraph:
                 if spec.id != i:
                     raise ValueError(f"edge ids must be dense and ordered, got {spec.id} at {i}")
                 source, target, weight = spec.source, spec.target, as_weight(spec.weight)
+            elif not hasattr(spec, "__len__") or len(spec) not in (2, 3):
+                raise ValueError(f"edge {i} must be (source, target) or "
+                                 f"(source, target, weight), not {spec!r}")
             else:
                 source, target = spec[0], spec[1]
                 weight = as_weight(spec[2]) if len(spec) > 2 else ONE

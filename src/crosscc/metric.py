@@ -69,10 +69,10 @@ def cross_complexity(
     ``mode=Provenance.EXACT`` runs the exact minimum-basis algorithm;
     ``Provenance.TREE_BOUND`` sums the fundamental cycles of ``tree`` (or of
     the deterministic BFS tree rooted at the start vertex when none is
-    given). ``Provenance.ORACLE`` is not a mode and raises ValueError. nu is
-    the basis's number of members, the same for every basis of the graph,
-    and omega its total weight: both come from the members' integer weights,
-    so no cycle of the basis is expanded.
+    given). ``Provenance.ORACLE``, or any other value, is not a mode and
+    raises ValueError. nu is the basis's number of members, the same for
+    every basis of the graph, and omega its total weight: both come from the
+    members' integer weights, so no cycle of the basis is expanded.
     """
     if isinstance(subject, ControlFlowGraph):
         graph = subject.graph
@@ -84,8 +84,10 @@ def cross_complexity(
         basis = horton_basis(graph)
     elif mode is Provenance.TREE_BOUND:
         basis = tree_bound(graph, tree or spanning_tree(graph, root))
+    elif mode is Provenance.ORACLE:
+        raise ValueError("cross complexity has no 'oracle' mode")
     else:
-        raise ValueError(f"cross complexity has no {mode.value!r} mode")
+        raise ValueError(f"mode must be Provenance.EXACT or Provenance.TREE_BOUND, not {mode!r}")
     nu = len(basis.members)
     if nu == 0:
         raise ZeroNu("cross complexity needs cycle rank >= 1 "

@@ -374,28 +374,11 @@ class _Parser:
             self.error(f"expected identifier, got {tok.text!r}")
         return self.next()
 
-    def capture_parenthesized(self) -> str:
-        """Consume ``( ... )`` with balanced nesting; return the inner text."""
-        self.expect("(")
-        start = self.tok.start
-        depth = 0
-        while True:
-            tok = self.tok
-            if tok.kind == "eof":
-                self.error("unbalanced parenthesis")
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                if depth == 0:
-                    self.next()
-                    return self.source[start:tok.start].strip()
-                depth -= 1
-            self.next()
-
     def capture_until(self, stop: str, empty: Optional[str] = None) -> str:
-        """Consume the text (paren-balanced) up to ``stop`` and ``stop``
-        itself; return the text. Empty text is the error ``empty`` at
-        ``stop``, when given."""
+        """Consume the text up to ``stop`` outside ``(``/``[`` groups, and
+        ``stop`` itself; return the text. The token path's one text reader:
+        every statement, head, parameter list and case label. Empty text is
+        the error ``empty`` at ``stop``, when given."""
         start = self.tok.start
         depth = 0
         while True:
@@ -451,7 +434,8 @@ class _Parser:
                 self.error(f"expected 'fn', got {tok.text!r}")
             self.next()
             name = self.expect_ident().text
-            params = self.capture_parenthesized()
+            self.expect("(")
+            params = self.capture_until(")")
             self.open_body()
         body = yield from self.parse_block_body()
         return Function(name, params, body, *self.at(start))
@@ -522,11 +506,11 @@ class _Parser:
             text = tok.text
             if text == "for" or text in _COMPOUND:
                 self.next()
+                self.expect("(")
                 if text == "for":
-                    self.expect("(")
                     texts = [self.capture_until(stop) or None for stop in (";", ";", ")")]
                 else:
-                    texts = [self.capture_parenthesized()]
+                    texts = [self.capture_until(")")]
                 self.open_body()
                 return self.compound(text, texts, label, start)
             if text == "break" or text == "continue":

@@ -5,7 +5,10 @@ versions of ``crosscc.minilang``. Nothing under ``src/`` imports this module.
   scanner replaced.
 * ``parse``: the parser that read a full token list from ``_tokenize``
   before the parser learned to scan on demand and skip expression text.
-  It builds the same AST classes as ``crosscc.minilang``.
+  It builds the same AST classes as ``crosscc.minilang``. One change since:
+  a parameter list and an ``if``/``while``/``switch`` head are read by
+  ``capture_until``, under the one bracket rule of every other text, where
+  they once counted parentheses alone.
 """
 
 from dataclasses import dataclass
@@ -156,22 +159,12 @@ class _Parser:
         return self.next()
 
     def capture_parenthesized(self) -> str:
-        """Consume ``( ... )`` with balanced nesting; return the inner text."""
+        """Consume ``( ... )`` and return the inner text, read by
+        ``capture_until`` like every other text."""
         self.expect("(")
-        start = self.peek()
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.error("unbalanced parenthesis")
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                if depth == 0:
-                    self.next()
-                    return self.source[start.start:tok.start].strip()
-                depth -= 1
-            self.next()
+        text = self.capture_until(")")
+        self.expect(")")
+        return text
 
     def capture_until(self, *stops: str) -> str:
         """Consume tokens (paren-balanced) up to one of the stop puncts, exclusive."""

@@ -197,6 +197,26 @@ class TestRoundTrip:
         doc = parse_dot(dump_dot(g, name=name, node_names=(name, "b"), start=0, exit=1))
         assert (doc.name, doc.node_names, doc.start, doc.exit) == (name, (name, "b"), 0, 1)
 
+    @pytest.mark.parametrize("arguments, message", [
+        ({"start": 7}, r"start must be an int in range\(3\), not 7"),
+        ({"exit": -1}, r"exit must be an int in range\(3\), not -1"),
+        ({"start": 1.0}, r"start must be an int in range\(3\), not 1\.0"),
+        ({"node_names": ("a", "b")}, "node_names has 2 names for 3 vertices"),
+        ({"node_names": ("a", "b", "c", "d")}, "node_names has 4 names for 3 vertices"),
+        ({"node_comments": ("a", "b", "c", "d")}, "node_comments has 4 comments for 3 vertices"),
+        ({"virtual_arc": 3}, "virtual_arc must be the id of the last edge, .* not 3"),
+        ({"virtual_arc": 0}, "virtual_arc must be the id of the last edge, .* not 0"),
+        ({"virtual_arc": 2, "exit": None}, "virtual_arc must be the id of the last edge"),
+        ({"virtual_arc": 2, "start": 2, "exit": 0}, "virtual_arc must be the id of the last edge"),
+    ])
+    def test_dump_refuses_an_index_the_graph_does_not_have(self, arguments, message):
+        # Each of these once raised IndexError or wrote a document whose
+        # parse lost an arc or gained one the graph never had.
+        g = WeightedDigraph(3, [(0, 1), (1, 2), (2, 0, 0)])
+        assert parse_dot(dump_dot(g, start=0, exit=2, virtual_arc=2)).graph.edges == g.edges
+        with pytest.raises(ValueError, match=message):
+            dump_dot(g, **{"start": 0, "exit": 2, "virtual_arc": 2, **arguments})
+
     def test_fractional_weights_round_trip(self):
         doc = parse_dot('digraph g { a -> b [weight=1/2]; b -> a [weight=0.25]; }')
         again = parse_dot(dump_dot(doc.graph, node_names=doc.node_names))

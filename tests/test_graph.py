@@ -102,6 +102,11 @@ class TestEdge:
         (2, [(0, 1), (1, 0.0)], r"edge 1 endpoints must be ints, not 1, 0\.0"),
         (2, [(True, 0)], "edge 0 endpoints must be ints, not True, 0"),
         (2, [Edge(0, 0, 1.0, ONE)], r"edge 0 endpoints must be ints, not 0, 1\.0"),
+        (2, [(0, 1), (0,)], r"edge 1 must be \(source, target\) or \(source, target, "
+                            r"weight\), not \(0,\)"),
+        (2, [5], r"edge 0 must be .*, not 5$"),
+        (2, [{0: 1}], r"edge 0 must be .*, not \{0: 1\}"),
+        (2, [(0, 1, 2, 3)], r"edge 0 must be .*, not \(0, 1, 2, 3\)"),
     ])
     def test_graph_rejects_bad_counts_and_endpoints(self, vertex_count, edges, message):
         with pytest.raises(ValueError, match=message):

@@ -82,8 +82,14 @@ class TestCrossComplexity:
             cross_complexity(WeightedDigraph(3, [(0, 1), (1, 2)]))
 
     def test_oracle_is_not_a_mode(self):
-        with pytest.raises(ValueError):
-            cross_complexity(weighted_fan(), mode=Provenance.ORACLE)
+        # Nor is anything else but the two modes: a mode name is not a mode.
+        for mode, message in [
+            (Provenance.ORACLE, "cross complexity has no 'oracle' mode"),
+            ("exact", "mode must be Provenance.EXACT or Provenance.TREE_BOUND, not 'exact'"),
+            (None, "mode must be Provenance.EXACT or Provenance.TREE_BOUND, not None"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cross_complexity(weighted_fan(), mode=mode)
 
     def test_region_never_infeasible_for_real_graphs(self):
         for src in ("fn f() { x; }", "fn f() { while (c) { x; } }",

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import minilang_reference
 from crosscc.errors import (
@@ -157,3 +159,65 @@ class TestDiagnostics:
     def test_empty_switch_rejected(self):
         with pytest.raises(MiniLangSyntaxError):
             parse("fn f() { switch (x) { } }")
+
+    @pytest.mark.parametrize("source, message", [
+        ("fn f() { while (a[) { x; } }", "1:29: expected ')' before end of file"),
+        ("fn f() { if (a]) { x; } }", "1:15: unbalanced ']'"),
+        ("fn f() { x = (a[); }", "1:21: expected ';' before end of file"),
+        ("fn f() { if (a", "1:15: expected ')' before end of file"),
+        ("fn f(a", "1:7: expected ')' before end of file"),
+        ("fn f() { for (a; b; c", "1:22: expected ')' before end of file"),
+    ])
+    def test_heads_and_statements_follow_one_bracket_rule(self, source, message):
+        with pytest.raises(MiniLangSyntaxError) as err:
+            parse(source, "t.mini")
+        assert str(err.value) == f"t.mini:{message}"
+
+
+# A head's text T at the offset of a ``for`` step's, so the two readings can
+# be compared position for position: each prefix is 17 characters, and each
+# suffix closes the head with a body that parses. The ``for`` statement's
+# suffix is padded to the head's length, so the end of the file is at one
+# offset too.
+HEAD_FORMS = {
+    "if": ("fn f() { if     (", ") { } }", lambda fn: fn.body.stmts[0].cond),
+    "while": ("fn f() { while  (", ") { } }", lambda fn: fn.body.stmts[0].cond),
+    "switch": ("fn f() { switch (", ") { default: { } } }",
+               lambda fn: fn.body.stmts[0].scrutinee),
+    "fn": ("fn e() { }  fn f(", ") { }  ", lambda fn: fn.params),
+}
+STEP_PREFIX = "fn f() { for (;; "
+# Brackets, strings, comments, ``?:``, braces and non-ASCII text; the only
+# letters are ``a``, ``b`` and ``é``, so no piece run spells a keyword.
+HEAD_PIECES = ["(", ")", "[", "]", "{", "}", '"', '")"', '"\\"', "/*", "*/", "/* ) */",
+               "// )\n", "//", ";", ":", "?", " ? b : ", "?:", "a", "b", " ", "\n",
+               "é", "²", "½", ","]
+HEAD_TEXT = st.lists(st.sampled_from(HEAD_PIECES), max_size=12).map("".join)
+
+
+def head_reading(source, head_of):
+    """The head text that ``head_of`` takes from the parsed program's last
+    function, or the diagnostic as ``(message, line, col)``."""
+    try:
+        program = parse(source, "t.mini")
+    except MiniLangSyntaxError as err:
+        return str(err), err.line, err.col
+    return head_of(program.functions[-1]) or None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(HEAD_FORMS)), HEAD_TEXT)
+@example("if", "]]}:a")
+@example("while", "(")
+@example("switch", "a]")
+@example("fn", "a[")
+@example("if", "a[")
+@example("fn", "(")
+def test_a_head_reads_its_text_as_a_for_step_does(kind, text):
+    # A switch or function body is not a loop body: a ``{`` in the text that
+    # opens the body early would be read by two grammars.
+    assume(kind in ("if", "while") or "{" not in text)
+    prefix, suffix, head_of = HEAD_FORMS[kind]
+    step_suffix = ") { }" + " " * (len(suffix) - 7) + " }"
+    step = head_reading(STEP_PREFIX + text + step_suffix, lambda fn: fn.body.stmts[0].step)
+    assert head_reading(prefix + text + suffix, head_of) == step
