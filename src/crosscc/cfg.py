@@ -161,16 +161,13 @@ class _Lowerer:
     # lowers a nested block (see ``minilang.trampoline``); a simple
     # statement's lowering returns None.
 
-    def lower_block(self, block: ast.Block):
-        for stmt in block.stmts:
+    def lower_block(self, stmts: tuple):
+        for stmt in stmts:
             nested = self.lower_stmt(stmt)
             if nested is not None:
                 yield nested
 
     def lower_stmt(self, stmt):
-        label = None
-        while stmt.__class__ is ast.Labeled:  # a loop takes the label nearest to it
-            label, stmt = stmt.label, stmt.stmt
         cls = stmt.__class__
         pos = (stmt.line, stmt.col)
         if cls is ast.ExprStmt:
@@ -182,12 +179,12 @@ class _Lowerer:
                 self._append(f"return {stmt.value}", pos)
             self.exit_sources += self._jump(pos)
         elif cls is ast.While:
-            return self.lower_loop(f"while ({stmt.cond})", stmt.body, None, pos, label)
+            return self.lower_loop(f"while ({stmt.cond})", stmt.body, None, pos, stmt.label)
         elif cls is ast.For:
             if stmt.init:
                 self._append(stmt.init, pos)
             cond = stmt.cond if stmt.cond is not None else ""
-            return self.lower_loop(f"for ({cond})", stmt.body, stmt.step, pos, label)
+            return self.lower_loop(f"for ({cond})", stmt.body, stmt.step, pos, stmt.label)
         elif cls is ast.Switch:
             return self.lower_switch(stmt)
         elif cls is ast.Break:
@@ -213,14 +210,14 @@ class _Lowerer:
             yield from self.lower_block(stmt.orelse)
         self._resume(self._join(exits))
 
-    def lower_loop(self, head_label: str, body: ast.Block, step: Optional[str],
+    def lower_loop(self, head_label: str, body: tuple, step: Optional[str],
                    pos, label: Optional[str]):
         self._require_alive(pos)
         cond = self._enter_node(head_label, pos)
         target = _Target(cond, label)
         self.targets.append(target)
         self._resume([cond])
-        if body.stmts:
+        if body:
             yield from self.lower_block(body)
         else:
             self._enter_node("", pos)

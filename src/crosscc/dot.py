@@ -401,8 +401,9 @@ def dump_dot(
     unless it is a word), and each line of a node comment is a comment.
     ``start`` and ``exit`` must be vertices, and ``virtual_arc`` the id of
     the last edge, a 0-weight arc from ``exit`` to ``start``: the one a parse
-    appends. ``node_names`` has one name per vertex, ``node_comments`` at
-    most one comment per vertex. Any other value is a ValueError.
+    appends. ``name`` is a string and ``node_names`` one string per vertex;
+    ``node_comments`` has at most one comment per vertex. Any other value is
+    a ValueError.
     """
     n = graph.vertex_count
     raw_names = node_names or tuple(f"v{i}" for i in range(n))
@@ -414,6 +415,11 @@ def dump_dot(
                          f"from exit to start, not {virtual_arc!r}")
     if len(raw_names) != n:
         raise ValueError(f"node_names has {len(raw_names)} names for {n} vertices")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, not {name!r}")
+    for value in raw_names:
+        if not isinstance(value, str):
+            raise ValueError(f"node_names must be strings, not {value!r}")
     if node_comments and len(node_comments) > n:
         raise ValueError(f"node_comments has {len(node_comments)} comments for {n} vertices")
     names = tuple(map(_quote, raw_names))

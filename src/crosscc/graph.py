@@ -120,7 +120,7 @@ class WeightedDigraph:
                 if spec.id != i:
                     raise ValueError(f"edge ids must be dense and ordered, got {spec.id} at {i}")
                 source, target, weight = spec.source, spec.target, as_weight(spec.weight)
-            elif not hasattr(spec, "__len__") or len(spec) not in (2, 3):
+            elif not isinstance(spec, (tuple, list)) or len(spec) not in (2, 3):
                 raise ValueError(f"edge {i} must be (source, target) or "
                                  f"(source, target, weight), not {spec!r}")
             else:
@@ -162,7 +162,10 @@ class WeightedDigraph:
 
     def incident(self, vertex: int) -> Sequence[Edge]:
         """Edges touching ``vertex`` (unoriented view), ascending edge id. The
-        lists of every vertex are built on the first call and kept."""
+        lists of every vertex are built on the first call and kept.
+        ``ValueError`` unless ``vertex`` is an ``int``, not a ``bool``, in range."""
+        if type(vertex) is not int or not 0 <= vertex < self.vertex_count:
+            raise ValueError(f"vertex {vertex!r} out of range")
         if self._incidence is None:
             self._incidence = tuple(tuple(self.edges[eid] for _, eid in row)
                                     for row in _adjacency(self.vertex_count, self.edges))

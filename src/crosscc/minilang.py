@@ -162,6 +162,8 @@ _WORD = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*+){_BLANKS}", re.DOTALL)
 
 
 # --- AST ---------------------------------------------------------------
+# A block (a function, loop, case or default body, a then or an orelse) is
+# the plain tuple of its statements.
 
 class _Node:
     """An AST node, built once and never changed. Its fields are its
@@ -193,40 +195,33 @@ class ExprStmt(_Node):
         self.text, self.line, self.col = text, line, col
 
 
-class Block(_Node):
-    __slots__ = ("stmts",)
-
-    def __init__(self, stmts: tuple):
-        self.stmts = stmts
-
-
 class If(_Node):
     __slots__ = ("cond", "then", "orelse", "line", "col")
 
-    def __init__(self, cond: str, then: Block, orelse: Optional[Block], line: int, col: int):
+    def __init__(self, cond: str, then: tuple, orelse: Optional[tuple], line: int, col: int):
         self.cond, self.then, self.orelse, self.line, self.col = cond, then, orelse, line, col
 
 
 class While(_Node):
-    __slots__ = ("cond", "body", "line", "col")
+    __slots__ = ("cond", "body", "label", "line", "col")
 
-    def __init__(self, cond: str, body: Block, line: int, col: int):
-        self.cond, self.body, self.line, self.col = cond, body, line, col
+    def __init__(self, cond: str, body: tuple, label: Optional[str], line: int, col: int):
+        self.cond, self.body, self.label, self.line, self.col = cond, body, label, line, col
 
 
 class For(_Node):
-    __slots__ = ("init", "cond", "step", "body", "line", "col")
+    __slots__ = ("init", "cond", "step", "body", "label", "line", "col")
 
     def __init__(self, init: Optional[str], cond: Optional[str], step: Optional[str],
-                 body: Block, line: int, col: int):
+                 body: tuple, label: Optional[str], line: int, col: int):
         self.init, self.cond, self.step = init, cond, step
-        self.body, self.line, self.col = body, line, col
+        self.body, self.label, self.line, self.col = body, label, line, col
 
 
 class SwitchCase(_Node):
     __slots__ = ("label", "body", "line", "col")
 
-    def __init__(self, label: str, body: Block, line: int, col: int):
+    def __init__(self, label: str, body: tuple, line: int, col: int):
         self.label, self.body, self.line, self.col = label, body, line, col
 
 
@@ -234,7 +229,7 @@ class Switch(_Node):
     __slots__ = ("scrutinee", "cases", "default", "line", "col")
 
     def __init__(self, scrutinee: str, cases: Tuple[SwitchCase, ...],
-                 default: Optional[Block], line: int, col: int):
+                 default: Optional[tuple], line: int, col: int):
         self.scrutinee, self.cases, self.default = scrutinee, cases, default
         self.line, self.col = line, col
 
@@ -260,17 +255,10 @@ class Return(_Node):
         self.value, self.line, self.col = value, line, col
 
 
-class Labeled(_Node):
-    __slots__ = ("label", "stmt", "line", "col")
-
-    def __init__(self, label: str, stmt: object, line: int, col: int):
-        self.label, self.stmt, self.line, self.col = label, stmt, line, col
-
-
 class Function(_Node):
     __slots__ = ("name", "params", "body", "line", "col")
 
-    def __init__(self, name: str, params: str, body: Block, line: int, col: int):
+    def __init__(self, name: str, params: str, body: tuple, line: int, col: int):
         self.name, self.params, self.body, self.line, self.col = name, params, body, line, col
 
 
@@ -449,7 +437,7 @@ class _Parser:
                 kind = m.lastgroup
                 if kind == "close":
                     self.pos = m.end()
-                    return Block(tuple(stmts))
+                    return tuple(stmts)
                 if kind == "eof":
                     self.scan()
                     self.error("expected '}' before end of file")
@@ -486,7 +474,7 @@ class _Parser:
                         return ExprStmt(text, *self.at(start))
                 elif end == ":" and (word := _WORD.fullmatch(text)):
                     self.pos = m.end()
-                    return self.parse_labeled(word[1], start)
+                    return self.parse_labeled(word[1])
             elif end == ";":
                 if kw == "return":
                     self.pos = m.end()
@@ -530,20 +518,20 @@ class _Parser:
                 colon = _SKIP_BLANKS.match(self.source, tok.end).end()
                 if self.source.startswith(":", colon):
                     self.pos = colon + 1
-                    return self.parse_labeled(tok.text, start)
+                    return self.parse_labeled(tok.text)
             if tok.text == "{":
                 self.error("bare blocks are not statements; braces follow a control keyword")
             node = ExprStmt(self.capture_until(";", "empty statement"), *self.at(start))
         self.pos = self.tok.start
         return node
 
-    def parse_labeled(self, label: str, start: int):
-        """The statement after ``label`` and its ``:``, which carries the
-        label as its own; a chain of labels nests through the trampoline."""
+    def parse_labeled(self, label: str):
+        """The statement after ``label`` and its ``:``; a chain of labels nests
+        through the trampoline. Only a loop keeps one: the label nearest it."""
         stmt = self.parse_stmt(_lexeme(self.source, self.pos), label)
         if stmt.__class__ is GeneratorType:
             stmt = yield stmt
-        return Labeled(label, stmt, *self.at(start))
+        return stmt
 
     def jump(self, kind: str, label: Optional[str], start: int):
         """A ``break`` or ``continue`` to ``label``, or to the nearest target
@@ -583,18 +571,18 @@ class _Parser:
                 self.pos = m.end()
                 orelse = yield from self.parse_block_body()
             elif m is not None and m["head"] == "if" or self.scan().text == "if":
-                orelse = Block(((yield self.parse_stmt(m)),))
+                orelse = ((yield self.parse_stmt(m)),)
             else:  # raises: a ``{`` here was the lexeme's ``open`` above
                 self.expect("{")
         return If(cond, then, orelse, *self.at(start))
 
     def parse_loop(self, texts, label: Optional[str], start: int):
         """A ``while`` (one head text) or a ``for`` (three), a target of
-        jumps in its body."""
+        jumps in its body, which carries ``label``."""
         self.targets.append(label)
         body = yield from self.parse_block_body()
         self.targets.pop()
-        return (While if len(texts) == 1 else For)(*texts, body, *self.at(start))
+        return (While if len(texts) == 1 else For)(*texts, body, label, *self.at(start))
 
     def parse_switch(self, scrutinee: str, start: int):
         self.targets.append(_SWITCH)

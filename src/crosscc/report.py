@@ -119,9 +119,12 @@ def report_from_json(text: str) -> AnalysisReport:
             raise MalformedReport(f"record {i} is not a JSON object")
         try:
             str(rec["unit"]).encode("utf-8")  # as the plot writes it
+            nu = rec["nu"]
+            if type(nu) is not int or nu < 1:
+                raise ValueError(f"nu must be an integer of at least 1, not {nu!r}")
             records.append(UnitRecord(
                 unit=rec["unit"], source=rec["source"], file=rec["source"],
-                position=i, nu=finite(int(rec["nu"]), "nu"),
+                position=i, nu=finite(nu, "nu"),
                 omega=finite(as_weight(str(rec["omega"])), "omega"),
                 provenance=rec["provenance"], region=rec["region"],
                 indicator=finite(as_weight(str(rec["indicator"])), "indicator")))

@@ -3,7 +3,9 @@ of ``crosscc.cfg``. Nothing under ``src/`` imports this module.
 
 ``_Lowerer`` is the recursive lowerer that the one driven by
 ``minilang.trampoline`` replaced; ``lower`` runs it. Both must give the same
-``dump_cfg_dot`` text for every function, or the same diagnostic.
+``dump_cfg_dot`` text for every function, or the same diagnostic. One
+change since: it reads the tree ``minilang.parse`` builds now, where a block
+is the tuple of its statements and a loop carries its own label.
 """
 
 from typing import List, Optional, Tuple
@@ -106,11 +108,11 @@ class _Lowerer:
 
     # statement lowering -------------------------------------------------
 
-    def lower_block(self, block: ast.Block) -> None:
-        for stmt in block.stmts:
+    def lower_block(self, stmts: tuple) -> None:
+        for stmt in stmts:
             self.lower_stmt(stmt)
 
-    def lower_stmt(self, stmt, label: Optional[str] = None) -> None:
+    def lower_stmt(self, stmt) -> None:
         pos = (stmt.line, stmt.col)
         if isinstance(stmt, ast.ExprStmt):
             self._append(stmt.text, pos)
@@ -131,16 +133,14 @@ class _Lowerer:
         elif isinstance(stmt, ast.If):
             self.lower_if(stmt)
         elif isinstance(stmt, ast.While):
-            self.lower_loop(f"while ({stmt.cond})", stmt.body, None, pos, label)
+            self.lower_loop(f"while ({stmt.cond})", stmt.body, None, pos, stmt.label)
         elif isinstance(stmt, ast.For):
             if stmt.init:
                 self._append(stmt.init, pos)
             cond = stmt.cond if stmt.cond is not None else ""
-            self.lower_loop(f"for ({cond})", stmt.body, stmt.step, pos, label)
+            self.lower_loop(f"for ({cond})", stmt.body, stmt.step, pos, stmt.label)
         elif isinstance(stmt, ast.Switch):
             self.lower_switch(stmt)
-        elif isinstance(stmt, ast.Labeled):
-            self.lower_stmt(stmt.stmt, label=stmt.label)
         else:  # pragma: no cover - parser produces no other nodes
             raise TypeError(f"unknown statement {stmt!r}")
 
@@ -158,21 +158,21 @@ class _Lowerer:
             if orelse is None:
                 exits.append(branch)
                 break
-            if len(orelse.stmts) != 1 or not isinstance(orelse.stmts[0], ast.If):
+            if len(orelse) != 1 or not isinstance(orelse[0], ast.If):
                 self.lower_block(orelse)
                 exits += self._exits()
                 break
-            stmt = orelse.stmts[0]
+            stmt = orelse[0]
         self._resume(exits)
 
-    def lower_loop(self, head_label: str, body: ast.Block, step: Optional[str],
+    def lower_loop(self, head_label: str, body: tuple, step: Optional[str],
                    pos, label: Optional[str]) -> None:
         self._require_alive(pos)
         cond = self._enter_node(head_label, pos)
         target = _Target(cond, label)
         self.targets.append(target)
         self._resume([cond])
-        if body.stmts:
+        if body:
             self.lower_block(body)
         else:
             self._enter_node("", pos)

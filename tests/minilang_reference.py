@@ -5,10 +5,12 @@ versions of ``crosscc.minilang``. Nothing under ``src/`` imports this module.
   scanner replaced.
 * ``parse``: the parser that read a full token list from ``_tokenize``
   before the parser learned to scan on demand and skip expression text.
-  It builds the same AST classes as ``crosscc.minilang``. One change since:
+  It builds the same AST classes as ``crosscc.minilang``. Two changes since:
   a parameter list and an ``if``/``while``/``switch`` head are read by
   ``capture_until``, under the one bracket rule of every other text, where
-  they once counted parentheses alone.
+  they once counted parentheses alone; and a block is the tuple of its
+  statements and a loop carries the label nearest to it, where a label of
+  any statement was once a node of its own.
 """
 
 from dataclasses import dataclass
@@ -17,14 +19,12 @@ from typing import Tuple
 from crosscc.errors import DuplicateFunction, MiniLangSyntaxError, UnresolvedLabel
 from crosscc.minilang import (
     KEYWORDS,
-    Block,
     Break,
     Continue,
     ExprStmt,
     For,
     Function,
     If,
-    Labeled,
     Program,
     Return,
     Switch,
@@ -212,7 +212,7 @@ class _Parser:
         body = self.parse_block()
         return Function(name.text, params, body, *self.at(tok))
 
-    def parse_block(self) -> Block:
+    def parse_block(self) -> tuple:
         self.expect("{")
         stmts = []
         while self.peek().text != "}":
@@ -220,16 +220,16 @@ class _Parser:
                 self.error("expected '}' before end of file")
             stmts.append(self.parse_stmt())
         self.expect("}")
-        return Block(stmts=tuple(stmts))
+        return tuple(stmts)
 
-    def parse_stmt(self):
+    def parse_stmt(self, label=None):
         tok = self.peek()
         if tok.text == "if":
             return self.parse_if()
         if tok.text == "while":
-            return self.parse_while()
+            return self.parse_while(label)
         if tok.text == "for":
-            return self.parse_for()
+            return self.parse_for(label)
         if tok.text == "switch":
             return self.parse_switch()
         if tok.text == "break":
@@ -254,8 +254,7 @@ class _Parser:
         if tok.kind == "ident" and self.peek(1).text == ":":
             self.next()
             self.expect(":")
-            stmt = self.parse_stmt()
-            return Labeled(tok.text, stmt, *self.at(tok))
+            return self.parse_stmt(label=tok.text)
         if tok.text == "{":
             self.error("bare blocks are not statements; braces follow a control keyword")
         text = self.capture_until(";")
@@ -273,18 +272,18 @@ class _Parser:
             self.next()
             if self.peek().text == "if":
                 nested = self.parse_if()
-                orelse = Block(stmts=(nested,))
+                orelse = (nested,)
             else:
                 orelse = self.parse_block()
         return If(cond, then, orelse, *self.at(tok))
 
-    def parse_while(self) -> While:
+    def parse_while(self, label) -> While:
         tok = self.expect("while")
         cond = self.capture_parenthesized()
         body = self.parse_block()
-        return While(cond, body, *self.at(tok))
+        return While(cond, body, label, *self.at(tok))
 
-    def parse_for(self) -> For:
+    def parse_for(self, label) -> For:
         tok = self.expect("for")
         self.expect("(")
         init = self.capture_until(";") or None
@@ -294,7 +293,7 @@ class _Parser:
         step = self.capture_until(")") or None
         self.expect(")")
         body = self.parse_block()
-        return For(init, cond, step, body, *self.at(tok))
+        return For(init, cond, step, body, label, *self.at(tok))
 
     def parse_switch(self) -> Switch:
         tok = self.expect("switch")
@@ -334,25 +333,22 @@ def _check_labels(fn: Function, filename: str) -> None:
     """
 
     def walk(stmt, labels, loop_depth, switch_depth):
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
+        if isinstance(stmt, tuple):
+            for s in stmt:
                 walk(s, labels, loop_depth, switch_depth)
         elif isinstance(stmt, If):
             walk(stmt.then, labels, loop_depth, switch_depth)
             if stmt.orelse:
                 walk(stmt.orelse, labels, loop_depth, switch_depth)
         elif isinstance(stmt, (While, For)):
+            if stmt.label is not None:
+                labels = {**labels, stmt.label: "loop"}
             walk(stmt.body, labels, loop_depth + 1, switch_depth)
         elif isinstance(stmt, Switch):
             for case in stmt.cases:
                 walk(case.body, labels, loop_depth, switch_depth + 1)
             if stmt.default:
                 walk(stmt.default, labels, loop_depth, switch_depth + 1)
-        elif isinstance(stmt, Labeled):
-            inner_labels = labels
-            if isinstance(stmt.stmt, (While, For)):
-                inner_labels = {**labels, stmt.label: "loop"}
-            walk(stmt.stmt, inner_labels, loop_depth, switch_depth)
         elif isinstance(stmt, Break):
             if stmt.label is not None:
                 if labels.get(stmt.label) != "loop":

@@ -6,7 +6,7 @@ from crosscc.basis import horton_basis
 from crosscc.cfg import ControlFlowGraph, check_reachability, lower
 from crosscc.errors import UnknownEdge, UnreachableCode, UnresolvedLabel
 from crosscc.graph import WeightedDigraph, cycle_rank
-from crosscc.minilang import Block, Break, Continue, Function, Switch, SwitchCase, parse
+from crosscc.minilang import Break, Continue, Function, Switch, SwitchCase, parse
 
 from conftest import fixture_text
 
@@ -163,9 +163,9 @@ class TestDiagnostics:
                                                  (Break("L", 1, 9), True)])
     def test_hand_built_jump_without_a_target(self, jump, in_switch):
         # The parser rejects these jumps; only a hand-built AST reaches lower.
-        body = Block((jump,))
+        body = (jump,)
         if in_switch:
-            body = Block((Switch("k", (SwitchCase("1", body, 1, 5),), None, 1, 3),))
+            body = (Switch("k", (SwitchCase("1", body, 1, 5),), None, 1, 3),)
         for lower_fn in (lower, cfg_reference.lower):
             with pytest.raises(UnresolvedLabel) as err:
                 lower_fn(Function("f", "", body, 1, 1))

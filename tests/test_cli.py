@@ -376,6 +376,11 @@ class TestPlotCommand:
         '{"records": [{"unit": "f", "source": "a", "nu": 1e400, "omega": 1,'
         ' "provenance": "exact", "region": "non-trivial", "indicator": 1}]}',
         '{"records": [{"unit": "f", "source": "a", "nu": 1, "omega": 1}]}',
+        # A nu that is not an integer of at least 1.
+        *(pytest.param(f'{{"records": [{{"unit": "f", "source": "a", "nu": {nu}, "omega": 1,'
+                       ' "provenance": "exact", "region": "non-trivial", "indicator": 1}]}',
+                       id=f"nu-{nu}")
+          for nu in ["1.5", "true", '"3"', "0", "-5", "null"]),
         # Numbers a float cannot hold.
         *(pytest.param(f'{{"records": [{{"unit": "f", "source": "a", "nu": {nu},'
                        f' "omega": {omega}, "provenance": "exact", "region": "non-trivial",'

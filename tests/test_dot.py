@@ -208,6 +208,9 @@ class TestRoundTrip:
         ({"virtual_arc": 0}, "virtual_arc must be the id of the last edge, .* not 0"),
         ({"virtual_arc": 2, "exit": None}, "virtual_arc must be the id of the last edge"),
         ({"virtual_arc": 2, "start": 2, "exit": 0}, "virtual_arc must be the id of the last edge"),
+        ({"node_names": (1, 2, 3)}, "node_names must be strings, not 1"),
+        ({"node_names": ("a", None, "c")}, "node_names must be strings, not None"),
+        ({"name": 5}, "name must be a string, not 5"),
     ])
     def test_dump_refuses_an_index_the_graph_does_not_have(self, arguments, message):
         # Each of these once raised IndexError or wrote a document whose

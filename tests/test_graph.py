@@ -91,6 +91,13 @@ class TestEdge:
         with pytest.raises(UnknownEdge, match="no edge with id"):
             g.edge(edge_id)
 
+    @pytest.mark.parametrize("vertex", [-1, True, 3, 5, 1.0, None])
+    def test_incident_vertex_is_an_int_in_range(self, vertex):
+        g = WeightedDigraph(3, [(0, 1), (1, 2), (2, 0)])
+        assert g.incident(1) == (Edge(0, 0, 1, ONE), Edge(1, 1, 2, ONE))
+        with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(vertex))} out of range$"):
+            g.incident(vertex)
+
     @pytest.mark.parametrize("vertex_count, edges, message", [
         (-1, [], "vertex_count must be >= 0"),
         (2, [(0, 1), (1, 1)], "loop edge 1 at vertex 1 not allowed"),
@@ -107,6 +114,10 @@ class TestEdge:
         (2, [5], r"edge 0 must be .*, not 5$"),
         (2, [{0: 1}], r"edge 0 must be .*, not \{0: 1\}"),
         (2, [(0, 1, 2, 3)], r"edge 0 must be .*, not \(0, 1, 2, 3\)"),
+        # Specs of two items that are neither a tuple nor a list.
+        (7, [{5: 1, 6: 2}], r"edge 0 must be .*, not \{5: 1, 6: 2\}"),
+        (2, [{0: 1, 1: 0}], r"edge 0 must be .*, not \{0: 1, 1: 0\}"),
+        (2, [b"\x00\x01"], r"edge 0 must be .*, not b'\\x00\\x01'"),
     ])
     def test_graph_rejects_bad_counts_and_endpoints(self, vertex_count, edges, message):
         with pytest.raises(ValueError, match=message):

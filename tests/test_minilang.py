@@ -3,20 +3,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import minilang_reference
+from crosscc.cfg import lower
+from crosscc.dot import dump_cfg_dot
 from crosscc.errors import (
     DuplicateFunction,
     MiniLangSyntaxError,
     UnresolvedLabel,
 )
 from crosscc.minilang import (
-    Block,
     Break,
     Continue,
+    ExprStmt,
     For,
     If,
-    Labeled,
     Return,
     Switch,
+    While,
     parse,
 )
 
@@ -28,31 +30,31 @@ class TestBasics:
         prog = parse("fn f() { return; }")
         (fn,) = prog.functions
         assert fn.name == "f"
-        (stmt,) = fn.body.stmts
+        (stmt,) = fn.body
         assert isinstance(stmt, Return) and stmt.value is None
 
     def test_return_value_is_raw_text(self):
         prog = parse("fn f() { return total + 1; }")
-        (stmt,) = prog.functions[0].body.stmts
+        (stmt,) = prog.functions[0].body
         assert stmt.value == "total + 1"
 
     def test_empty_then_block(self):
         prog = parse("fn f() { if (c) { } }")
-        (stmt,) = prog.functions[0].body.stmts
+        (stmt,) = prog.functions[0].body
         assert isinstance(stmt, If)
-        assert stmt.then.stmts == ()
+        assert stmt.then == ()
         assert stmt.orelse is None
 
     def test_else_if_chain_nests(self):
         prog = parse("fn f() { if (a) { x; } else if (b) { y; } else { z; } }")
-        (outer,) = prog.functions[0].body.stmts
-        (inner,) = outer.orelse.stmts
+        (outer,) = prog.functions[0].body
+        (inner,) = outer.orelse
         assert isinstance(inner, If)
         assert inner.orelse is not None
 
     def test_expression_statements_keep_source_text(self):
         prog = parse('fn f() { total = total + i; call(a, "s;x"); }')
-        s1, s2 = prog.functions[0].body.stmts
+        s1, s2 = prog.functions[0].body
         assert s1.text == "total = total + i"
         assert s2.text == 'call(a, "s;x")'
 
@@ -67,10 +69,10 @@ class TestBasics:
 
 class TestNodes:
     def test_equal_nodes_hash_equal(self):
-        a = If("c", Block((Break("L", 2, 3),)), None, 1, 10)
-        b = If("c", Block((Break("L", 2, 3),)), None, 1, 10)
+        a = If("c", (Break("L", 2, 3),), None, 1, 10)
+        b = If("c", (Break("L", 2, 3),), None, 1, 10)
         assert a == b and hash(a) == hash(b)
-        assert a != If("c", Block(()), None, 1, 10)
+        assert a != If("c", (), None, 1, 10)
 
     def test_equality_needs_the_same_class(self):
         assert Break(None, 1, 2) != Continue(None, 1, 2)
@@ -78,8 +80,8 @@ class TestNodes:
 
     def test_repr_names_every_field(self):
         # The form pytest prints when two trees differ.
-        assert repr(If("c", Block(()), None, 1, 10)) == \
-            "If(cond='c', then=Block(stmts=()), orelse=None, line=1, col=10)"
+        assert repr(If("c", (), None, 1, 10)) == \
+            "If(cond='c', then=(), orelse=None, line=1, col=10)"
 
 
 class TestListingFixture:
@@ -87,24 +89,54 @@ class TestListingFixture:
         prog = parse(fixture_text("listing1.mini"))
         fn = prog.functions[0]
         assert fn.name == "sumOfPrimes"
-        labeled = fn.body.stmts[1]
-        assert isinstance(labeled, Labeled) and labeled.label == "OUT"
-        outer = labeled.stmt
-        assert isinstance(outer, For)
-        inner = outer.body.stmts[0]
+        outer = fn.body[1]
+        assert isinstance(outer, For) and outer.label == "OUT"
+        inner = outer.body[0]
         assert isinstance(inner, For)
-        branch = inner.body.stmts[0]
+        branch = inner.body[0]
         assert isinstance(branch, If)
-        (jump,) = branch.then.stmts
+        (jump,) = branch.then
         assert isinstance(jump, Continue) and jump.label == "OUT"
 
     def test_get_words_shape(self):
         prog = parse(fixture_text("listing1.mini"))
         fn = prog.functions[1]
-        (sw,) = fn.body.stmts
+        (sw,) = fn.body
         assert isinstance(sw, Switch)
         assert [c.label for c in sw.cases] == ["1", "2"]
         assert sw.default is not None
+
+
+class TestLabels:
+    """The tree keeps loop labels only: a loop carries the label nearest to
+    it, and a label on any other statement leaves no trace."""
+
+    @pytest.mark.parametrize("parser", [parse, minilang_reference.parse])
+    @pytest.mark.parametrize("source, label", [
+        ("fn f() { a: b: while (c) { x; } }", "b"),
+        ("fn f() { a: é: while (c) { x; } }", "é"),  # read on the token path
+    ])
+    def test_a_loop_takes_the_nearest_label(self, parser, source, label):
+        (loop,) = parser(source).functions[0].body
+        assert isinstance(loop, While) and loop.label == label
+        assert loop.body == (ExprStmt("x", 1, 28),)
+
+    @pytest.mark.parametrize("parser", [parse, minilang_reference.parse])
+    def test_only_the_nearest_label_is_a_target(self, parser):
+        with pytest.raises(UnresolvedLabel):
+            parser("fn f() { a: b: while (c) { break a; } }")
+
+    @pytest.mark.parametrize("parser", [parse, minilang_reference.parse])
+    @pytest.mark.parametrize("source, stmt", [
+        ("fn f() { L: x; }", ExprStmt("x", 1, 13)),
+        ("fn f() { L: if (c) { } }", If("c", (), None, 1, 13)),
+    ])
+    def test_a_label_on_another_statement_leaves_no_trace(self, parser, source, stmt):
+        assert parser(source).functions[0].body == (stmt,)
+
+    def test_a_label_on_another_statement_lowers_as_none(self):
+        assert dump_cfg_dot(lower(parse("fn f() { L: x; }").functions[0])) == \
+            dump_cfg_dot(lower(parse("fn f() { x; }").functions[0]))
 
 
 class TestDiagnostics:
@@ -180,10 +212,10 @@ class TestDiagnostics:
 # suffix is padded to the head's length, so the end of the file is at one
 # offset too.
 HEAD_FORMS = {
-    "if": ("fn f() { if     (", ") { } }", lambda fn: fn.body.stmts[0].cond),
-    "while": ("fn f() { while  (", ") { } }", lambda fn: fn.body.stmts[0].cond),
+    "if": ("fn f() { if     (", ") { } }", lambda fn: fn.body[0].cond),
+    "while": ("fn f() { while  (", ") { } }", lambda fn: fn.body[0].cond),
     "switch": ("fn f() { switch (", ") { default: { } } }",
-               lambda fn: fn.body.stmts[0].scrutinee),
+               lambda fn: fn.body[0].scrutinee),
     "fn": ("fn e() { }  fn f(", ") { }  ", lambda fn: fn.params),
 }
 STEP_PREFIX = "fn f() { for (;; "
@@ -219,5 +251,5 @@ def test_a_head_reads_its_text_as_a_for_step_does(kind, text):
     assume(kind in ("if", "while") or "{" not in text)
     prefix, suffix, head_of = HEAD_FORMS[kind]
     step_suffix = ") { }" + " " * (len(suffix) - 7) + " }"
-    step = head_reading(STEP_PREFIX + text + step_suffix, lambda fn: fn.body.stmts[0].step)
+    step = head_reading(STEP_PREFIX + text + step_suffix, lambda fn: fn.body[0].step)
     assert head_reading(prefix + text + suffix, head_of) == step

@@ -69,6 +69,14 @@ class TestReport:
         with pytest.raises(MalformedReport, match="out of float range"):
             report_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("nu", [1.5, True, "3", 0, -5, None])
+    def test_nu_must_be_an_integer_of_at_least_one(self, nu):
+        doc = json.loads(paper_report().to_json())
+        doc["records"][1]["nu"] = nu
+        with pytest.raises(MalformedReport) as err:
+            report_from_json(json.dumps(doc))
+        assert str(err.value) == f"record 1: nu must be an integer of at least 1, not {nu!r}"
+
 
 class TestPlot:
     def test_points_csv(self):

@@ -367,20 +367,20 @@ class TestPositions:
 
     def test_statement_after_multiline_block_comment(self):
         fn, = minilang.parse("fn f() {\n  /* a\n  b */ x;\n  y;\n}").functions
-        assert [(s.text, s.line, s.col) for s in fn.body.stmts] == [
+        assert [(s.text, s.line, s.col) for s in fn.body] == [
             ("x", 3, 8), ("y", 4, 3)]
 
     def test_statement_after_multiline_string(self):
         fn, = minilang.parse('fn f() {\n  s = "a\nb"; z;\n  y;\n}').functions
-        assert [(s.line, s.col) for s in fn.body.stmts] == [(2, 3), (3, 5), (4, 3)]
+        assert [(s.line, s.col) for s in fn.body] == [(2, 3), (3, 5), (4, 3)]
 
     def test_carriage_return_counts_as_a_column(self):
         source = "fn f() {\r\n  x;\r\n  if (c) {\r y; }\r\n}\r\n"
         fn, = minilang.parse(source).functions
-        x, branch = fn.body.stmts
+        x, branch = fn.body
         assert (x.line, x.col) == (2, 3)
         assert (branch.line, branch.col) == (3, 3)
-        (y,) = branch.then.stmts
+        (y,) = branch.then
         assert (y.line, y.col) == (3, 13)
         assert_scanners_agree(source)
 
